@@ -10,7 +10,6 @@ variance-reduced Monte Carlo ground truth, validity diagnostics and a
 CLI reproducing the reference benchmark tables.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, AngularCheck,
                           TailApproximation, angular_reduction_check,
                           approximate, equicorrelated_correction, first_order,
@@ -36,7 +35,6 @@ from .radial import (MdaProbeRow, PairConditionRow, RadialLaw, ScalingBundle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend",
     "VARIANT_DENSITY", "VARIANT_LIMIT", "AngularCheck", "TailApproximation",
     "angular_reduction_check", "approximate", "equicorrelated_correction",
     "first_order", "lognormal_correction", "lognormal_pair_correction",

@@ -150,14 +150,15 @@ class RunConfig:
         return ModelSpec(d=self.d, lam=list(self.lam), beta=list(self.beta),
                          gamma=self.gamma, sigma=sigma, radial=radial)
 
-    def mc_options(self) -> McOptions:
+    def mc_options(self, workers: int | None = None) -> McOptions:
         if self.mc_n < 1:
             raise ConfigError(f"mc.n must be >= 1, got {self.mc_n}")
         if self.mc_estimator not in ("crude", "conditional"):
             raise ConfigError(f"unknown estimator {self.mc_estimator!r}")
         estimator = (ESTIMATOR_CRUDE if self.mc_estimator == "crude"
                      else ESTIMATOR_CONDITIONAL)
-        return McOptions(estimator=estimator, n=self.mc_n, seed=self.mc_seed)
+        return McOptions(estimator=estimator, n=self.mc_n, seed=self.mc_seed,
+                         workers=workers)
 
 
 def load_config(name_or_path: str) -> RunConfig:
@@ -235,7 +236,10 @@ def cmd_table(cfg: RunConfig, args) -> int:
     spec = cfg.build_model()
     if not cfg.u_list:
         raise ConfigError("u_list is empty; nothing to tabulate")
-    mc_opts = None if args.no_mc else cfg.mc_options()
+    if cfg.variant not in _VARIANTS:
+        raise ConfigError(f"table needs variant 'limit' or 'density', "
+                          f"got {cfg.variant!r}")
+    mc_opts = None if args.no_mc else cfg.mc_options(args.workers)
     rows = build_table(spec, cfg.u_list, mc_opts, c=cfg.epsilon_c,
                        variant=_VARIANTS[cfg.variant])
     out_path = args.out or cfg.out_path
@@ -284,9 +288,9 @@ def cmd_mc(cfg: RunConfig, args) -> int:
     if args.u is None or len(args.u) != 1:
         raise ConfigError("mc needs exactly one threshold via --u")
     u = args.u[0]
-    opts = cfg.mc_options()
+    opts = cfg.mc_options(args.workers)
     run = crude_mc if opts.estimator == ESTIMATOR_CRUDE else conditional_max_mc
-    est = run(spec, u, opts.n, opts.seed, workers=args.workers)
+    est = run(spec, u, opts.n, opts.seed, workers=opts.workers)
     print(f"estimator  {est.estimator}")
     print(f"u          {full_precision(u)}")
     print(f"value      {full_precision(est.value)}")

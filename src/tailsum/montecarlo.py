@@ -106,6 +106,8 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
     """
     if n < 1:
         raise InvalidParams(f"sample size must be >= 1, got {n}")
+    if not math.isfinite(u):
+        raise DomainError(f"threshold must be finite, got {u}")
     start = time.perf_counter()
     chol = spec.sigma.cholesky()
 
@@ -251,6 +253,8 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             f"dimension (got {spec.radial!r} with d={spec.d}); "
             "use crude_mc instead"
         )
+    if not math.isfinite(u):
+        raise DomainError(f"threshold must be finite, got {u}")
     if u <= 0.0:
         raise DomainError(f"threshold must be positive, got {u}")
     start = time.perf_counter()
@@ -273,16 +277,39 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
         _kernels.conditional_chunk(y, umix, w, u, lam, bg, plan.others,
                                    plan.alpha, plan.cond_sd, plan.shift,
                                    plan.tilt_vec, plan.tilt_const, plan.mix)
-        return float(np.sum(w)), float(np.sum(w * w))
+        return _scaled_moments(w)
 
-    parts = _run_chunks(n, seed, workers, task)
-    s1 = math.fsum(p[0] for p in parts)
-    s2 = math.fsum(p[1] for p in parts)
-    value = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
-    return MCEstimate(value=value, stderr=math.sqrt(var / n), n=n,
+    value, stderr = _merge_scaled(_run_chunks(n, seed, workers, task), n)
+    return MCEstimate(value=value, stderr=stderr, n=n,
                       estimator=ESTIMATOR_CONDITIONAL, seed=seed,
                       elapsed=time.perf_counter() - start)
+
+
+def _scaled_moments(w: np.ndarray) -> tuple[float, float, float]:
+    """(s, sum(w/s), sum((w/s)^2)) with s = max(w); overwrites w.
+
+    Scaling by the chunk's largest weight keeps the second moment from
+    underflowing when the weights themselves are far below 1e-154.
+    """
+    s = float(np.max(w))
+    if s > 0.0:
+        w /= s
+    return s, float(np.sum(w)), float(np.sum(w * w))
+
+
+def _merge_scaled(parts, n: int) -> tuple[float, float]:
+    """Mean and standard error from per-chunk ``_scaled_moments``.
+
+    Rescales every chunk to the largest chunk scale G and sums in chunk
+    order with fsum, so the result is independent of the worker count.
+    """
+    g = max(p[0] for p in parts)
+    if g == 0.0:
+        return 0.0, 0.0
+    s1 = math.fsum(a * (s / g) for s, a, _ in parts)
+    s2 = math.fsum(b * (s / g) ** 2 for s, _, b in parts)
+    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
+    return g * (s1 / n), g * math.sqrt(var / n)
 
 
 def mc_table(spec: ModelSpec, u_list: Sequence[float], n: int, seed: int,

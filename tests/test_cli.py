@@ -9,6 +9,7 @@ import pytest
 from reference_tables import matches_printed
 from tailsum.cli import (BUNDLED, RunConfig, load_config, main, read_csv,
                          write_csv)
+from tailsum import montecarlo
 from tailsum.diagnostics import DiagnosticsRow
 
 
@@ -124,6 +125,28 @@ class TestTableCommand:
         path.write_text("{not json")
         code, _, _ = run_cli("table", "--config", str(path), "--no-mc")
         assert code == 1
+
+    def test_workers_reach_estimator_without_changing_csv(
+            self, run_cli, monkeypatch):
+        seen = []
+        run_chunks = montecarlo._run_chunks
+
+        def recording(n, seed, workers, task):
+            seen.append(workers)
+            return run_chunks(n, seed, workers, task)
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", recording)
+        args = ("table", "--config", "table1", "--u", "100",
+                "--n", "150000", "--seed", "5")
+        outs = [run_cli(*args, "--workers", w)[1] for w in ("1", "2")]
+        assert seen == [1, 2]
+        assert outs[0] == outs[1]
+
+    def test_variant_both_rejected(self, run_cli):
+        code, _, err = run_cli("table", "--config", "table3", "--no-mc",
+                               "--variant", "both")
+        assert code == 1
+        assert "limit" in err and "density" in err
 
     def test_non_positive_definite_exits_1(self, run_cli, tmp_path):
         raw = {"model": {"d": 2, "sigma": [[1.0, 1.0], [1.0, 1.0]]},

@@ -1,13 +1,14 @@
 """Monte Carlo estimator contracts: unbiasedness, precision, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from reference_tables import matches_printed
-from tailsum import (InvalidParams, ModelSpec, WrongRadialLaw,
+from tailsum import (DomainError, InvalidParams, ModelSpec, WrongRadialLaw,
                      conditional_max_mc, crude_mc, make_radial, marginal_tail,
                      mc_table, sample)
 
@@ -72,6 +73,11 @@ class TestCrude:
         with pytest.raises(InvalidParams):
             crude_mc(standard_spec(0.0), 1.0, 0, seed=1)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, standard_spec, u):
+        with pytest.raises(DomainError):
+            crude_mc(standard_spec(0.0), u, 1000, seed=1)
+
 
 class TestConditional:
     def test_single_margin_exact(self):
@@ -84,6 +90,25 @@ class TestConditional:
         spec = ModelSpec.standard(2, 0.0, radial=make_radial("WeibullTail", 3.0))
         with pytest.raises(WrongRadialLaw):
             conditional_max_mc(spec, 5.0, 100, seed=1)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, standard_spec, u):
+        with pytest.raises(DomainError):
+            conditional_max_mc(standard_spec(0.5), u, 1000, seed=1)
+
+    def test_stderr_survives_tiny_weights(self):
+        # estimate ~5.6e-228: the squared weights underflow unless each
+        # chunk is scaled before squaring
+        spec = ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=0.5,
+                         sigma=ModelSpec.standard(2, 0.5).sigma,
+                         radial=make_radial("ChiOfDim", 2))
+        ests = [conditional_max_mc(spec, 1e7, 150_000, seed=8, workers=w)
+                for w in (1, 2)]
+        assert ests[0] == replace(ests[1], elapsed=ests[0].elapsed)
+        est = ests[0]
+        assert 1e-230 < est.value < 1e-225
+        assert math.isfinite(est.stderr)
+        assert 0.0 < est.stderr < est.value
 
     def test_matches_quadrature_oracle_small_u(self, standard_spec):
         spec = standard_spec(0.0)
