@@ -1,6 +1,6 @@
 """Hot-loop kernels of the Monte Carlo estimators, in numpy.
 
-``conditional_chunk`` works one margin (a column of the sample block) at
+Both kernels work one margin (a column of the log-coordinate block) at
 a time, accumulating into a fixed set of length-m buffers with in-place
 ufuncs.  That avoids fancy-index copies of the other margins and
 reductions over a short inner axis, which dominate a row-wise
@@ -15,9 +15,17 @@ from scipy.special import erfc
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def crude_chunk(x: np.ndarray, u: float) -> int:
-    """Number of rows of the sample matrix whose row sum exceeds u."""
-    return int(np.count_nonzero(x.sum(axis=1) > u))
+def crude_chunk(y, u, lam, bg) -> int:
+    """Number of draws (rows of the log-coordinates ``y``) whose risk sum
+    sum_j lam_j * exp(bg_j * y_j) exceeds u."""
+    xk = np.empty(len(y))
+    sm = np.zeros(len(y))
+    for k in range(y.shape[1]):
+        np.multiply(y[:, k], bg[k], out=xk)
+        np.exp(xk, out=xk)
+        xk *= lam[k]
+        sm += xk
+    return int(np.count_nonzero(sm > u))
 
 
 def conditional_chunk(y, umix, out, u, lam, bg, others, alpha, cond_sd,

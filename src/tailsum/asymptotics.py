@@ -136,6 +136,8 @@ def second_order_correction(spec: ModelSpec, u: float,
 def approximate(spec: ModelSpec, u: float,
                 variant: str = VARIANT_DENSITY) -> TailApproximation:
     """Full first- plus second-order approximation with pair breakdown."""
+    if not (math.isfinite(u) and u > 0.0):
+        raise DomainError(f"threshold u must be finite and positive, got {u}")
     log_terms = _log_pair_terms(spec, u, variant)
     lf = log_first_order(spec, u)
     finite = log_terms[np.isfinite(log_terms)]
@@ -168,7 +170,7 @@ def lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float
 
     Per ordered pair (j, i):
 
-        lam_i / (beta_j*gamma)^4
+        lam_i / (beta_j*gamma)^2
           * exp( (beta_i*gamma)^2 (1 - sigma_ij^2) / 2 )
           * (u/lam_j)^(beta_i sigma_ij / beta_j)
           * exp( -log(u/lam_j)^2 / (2 (beta_j*gamma)^2) ) / (u sqrt(2 pi))
@@ -198,7 +200,7 @@ def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> f
             s_ij = sig[i, j]
             bg_i = beta[i] * gamma
             logs.append(
-                math.log(lam[i]) - 4.0 * math.log(bg_j)
+                math.log(lam[i]) - 2.0 * math.log(bg_j)
                 + 0.5 * bg_i * bg_i * (1.0 - s_ij * s_ij)
                 + (beta[i] * s_ij / beta[j]) * llam
                 - llam * llam / (2.0 * bg_j * bg_j)

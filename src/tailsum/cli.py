@@ -259,8 +259,6 @@ def cmd_approx(cfg: RunConfig, args) -> int:
     if args.u is None or len(args.u) != 1:
         raise ConfigError("approx needs exactly one threshold via --u")
     u = args.u[0]
-    if u <= 0:
-        raise ConfigError(f"threshold must be positive, got {u}")
     variants = ([VARIANT_LIMIT, VARIANT_DENSITY] if cfg.variant == "both"
                 else [_VARIANTS[cfg.variant]])
     for variant in variants:

@@ -51,12 +51,9 @@ class ModelSpec:
             raise InvalidParams(f"dimension must be >= 1, got {self.d}")
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if lam.shape != (self.d,) or beta.shape != (self.d,):
-            raise InvalidParams("lam and beta must have length d")
-        if np.any(lam <= 0) or np.any(beta <= 0):
-            raise InvalidParams("lam and beta must be positive")
-        if self.gamma <= 0:
-            raise InvalidParams(f"gamma must be positive, got {self.gamma}")
+        problems = _margin_violations(self.d, lam, beta, self.gamma)
+        if problems:
+            raise InvalidParams("; ".join(problems))
         if self.sigma.dim != self.d:
             raise InvalidParams("sigma dimension does not match d")
         perm = np.lexsort((-lam, -beta))  # decreasing beta, then decreasing lam
@@ -92,6 +89,26 @@ class ModelSpec:
         return replace(self, sigma=sigma)
 
 
+def _margin_violations(d: int, lam: np.ndarray, beta: np.ndarray,
+                       gamma: float) -> list[str]:
+    """Broken invariants of lam, beta and gamma: the ModelSpec constructor
+    raises with them, both validators report them."""
+    violations: list[str] = []
+    for name, what, arr in (("lam", "scale factors", lam),
+                            ("beta", "exponents", beta)):
+        if arr.shape != (d,):
+            violations.append(f"{name} must have length d={d}, got {arr.shape}")
+        elif not np.all(np.isfinite(arr)):
+            violations.append(f"{what} {name} must be finite")
+        elif np.any(arr <= 0):
+            violations.append(f"{what} {name} must be positive")
+    if not math.isfinite(gamma):
+        violations.append(f"gamma must be finite, got {gamma}")
+    elif gamma <= 0:
+        violations.append(f"gamma must be positive, got {gamma}")
+    return violations
+
+
 def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
     """Check every model invariant; the returned list is empty when valid.
 
@@ -102,12 +119,7 @@ def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
     violations: list[str] = []
     if spec.d < 1:
         violations.append("dimension must be >= 1")
-    if np.any(spec.lam <= 0):
-        violations.append("scale factors lam must be positive")
-    if np.any(spec.beta <= 0):
-        violations.append("exponents beta must be positive")
-    if spec.gamma <= 0:
-        violations.append("gamma must be positive")
+    violations += _margin_violations(spec.d, spec.lam, spec.beta, spec.gamma)
     ent = spec.sigma.entries
     if not np.all(np.diag(ent) == 1.0):
         violations.append("sigma must have unit diagonal")
@@ -149,16 +161,7 @@ def validate_inputs(d, lam, beta, gamma, sigma, radial=None) -> list[str]:
         return violations
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if lam.shape != (d,):
-        violations.append(f"lam must have length d={d}, got {lam.shape}")
-    elif np.any(lam <= 0):
-        violations.append("scale factors lam must be positive")
-    if beta.shape != (d,):
-        violations.append(f"beta must have length d={d}, got {beta.shape}")
-    elif np.any(beta <= 0):
-        violations.append("exponents beta must be positive")
-    if gamma <= 0:
-        violations.append(f"gamma must be positive, got {gamma}")
+    violations += _margin_violations(d, lam, beta, gamma)
     m = np.asarray(sigma, dtype=float)
     if m.ndim != 2 or m.shape != (d, d):
         violations.append(f"sigma must be a {d}x{d} matrix, got shape {m.shape}")
@@ -291,13 +294,15 @@ class SampleBatch:
 
 def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
                 chol: np.ndarray) -> np.ndarray:
-    """m draws: sphere direction from normalized Gaussians, then radius."""
+    """m draws of the log-coordinates y (X = lam * exp(beta*gamma*y)): under
+    the Gaussian copula y = e @ chol.T is exactly N(0, Sigma) for normals e;
+    other radial laws then rescale each row to y = R * A * (e / |e|)."""
     e = rng.standard_normal((m, spec.d))
-    norms = np.sqrt(np.einsum("ij,ij->i", e, e))
-    u_sphere = e / norms[:, None]
-    r = spec.radial.sampler(rng, m)
-    y = (u_sphere * r[:, None]) @ chol.T
-    return spec.lam * np.exp((spec.beta * spec.gamma) * y)
+    y = e @ chol.T
+    if not spec.is_gaussian_copula():
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e))
+        y *= (spec.radial.sampler(rng, m) / norms)[:, None]
+    return y
 
 
 def sample(spec: ModelSpec, n: int, seed: int, u: float | None = None) -> SampleBatch:
@@ -310,13 +315,15 @@ def sample(spec: ModelSpec, n: int, seed: int, u: float | None = None) -> Sample
     if n < 1:
         raise InvalidParams(f"sample size must be >= 1, got {n}")
     chol = spec.sigma.cholesky()
+    bg = spec.beta * spec.gamma
     out = np.empty((n, spec.d))
     children = np.random.SeedSequence(seed).spawn((n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK)
     done = 0
     for child in children:
         m = min(SAMPLE_CHUNK, n - done)
         rng = np.random.default_rng(child)
-        out[done:done + m] = _draw_chunk(spec, rng, m, chol)
+        y = _draw_chunk(spec, rng, m, chol)
+        out[done:done + m] = spec.lam * np.exp(bg * y)
         done += m
     out.setflags(write=False)
     return SampleBatch(n=n, x=out, seed=seed, u=u)

@@ -5,14 +5,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference_tables import TABLES, matches_printed
-from tailsum import (ModelSpec, VARIANT_DENSITY, VARIANT_LIMIT, WrongRadialLaw,
+from tailsum import (CorrelationMatrix, DomainError, ModelSpec,
+                     VARIANT_DENSITY, VARIANT_LIMIT, WrongRadialLaw,
                      angular_reduction_check, approximate,
                      equicorrelated_correction, first_order,
                      lognormal_correction, lognormal_pair_correction,
                      make_radial, marginal_tail, second_order_correction)
 from tailsum.asymptotics import (log_equicorrelated_correction,
+                                 log_lognormal_correction,
                                  log_lognormal_pair_correction)
 from tailsum.radial import ScalingBundle
 
@@ -98,6 +102,13 @@ class TestSecondOrder:
             2 * per_pair, rel=1e-12)
 
 
+class TestApproximateDomain:
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 0.0, -3.0])
+    def test_rejects_bad_threshold(self, standard_spec, u):
+        with pytest.raises(DomainError, match="threshold u must be finite and positive"):
+            approximate(standard_spec(0.5), u)
+
+
 class TestLognormalClosedForm:
     def test_deep_anchor(self, standard_spec):
         spec = standard_spec(0.9)
@@ -114,6 +125,32 @@ class TestLognormalClosedForm:
             for u in [10.0, 1e3]:
                 assert lognormal_correction(spec, u) == pytest.approx(
                     second_order_correction(spec, u, VARIANT_DENSITY), rel=1e-12)
+
+    @given(data=st.data(), d=st.sampled_from([2, 3]))
+    def test_matches_density_variant_for_any_margins(self, data, d):
+        def floats(lo, hi, size=None):
+            f = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+            return data.draw(f if size is None else st.lists(f, min_size=size,
+                                                             max_size=size))
+
+        lam = floats(0.1, 10.0, d)
+        beta = floats(0.2, 3.0, d)
+        gamma = floats(0.2, 3.0)
+        # a random positive-definite correlation matrix
+        a = np.array(floats(-1.0, 1.0, d * (d + 1))).reshape(d, d + 1)
+        cov = a @ a.T + 0.05 * np.eye(d)
+        sd = np.sqrt(np.diag(cov))
+        sigma = cov / np.outer(sd, sd)
+        np.fill_diagonal(sigma, 1.0)
+        spec = ModelSpec(d=d, lam=lam, beta=beta, gamma=gamma,
+                         sigma=CorrelationMatrix(sigma),
+                         radial=make_radial("ChiOfDim", d))
+        u = floats(1.5, 1e6)
+        # equal values to rel 1e-10, compared in log space because the
+        # linear values underflow for small beta*gamma
+        closed = log_lognormal_correction(spec, u)
+        general = approximate(spec, u, VARIANT_DENSITY).log_correction
+        assert closed == pytest.approx(general, abs=1e-10)
 
     def test_single_margin_zero(self):
         assert lognormal_correction(ModelSpec.standard(1, 0.0), 10.0) == 0.0

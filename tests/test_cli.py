@@ -184,6 +184,12 @@ class TestApproxCommand:
         code, _, _ = run_cli("approx", "--config", "table1", "--u", "-3")
         assert code == 1
 
+    @pytest.mark.parametrize("u", ["nan", "inf"])
+    def test_non_finite_u_exits_1_naming_the_threshold(self, run_cli, u):
+        code, _, err = run_cli("approx", "--config", "table1", "--u", u)
+        assert code == 1
+        assert "threshold u must be finite and positive" in err
+
     def test_numeric_failure_exits_2(self, run_cli, tmp_path):
         # a radial law whose margin scaling limit diverges: the second
         # order correction is the numerical failure path, exit code 2

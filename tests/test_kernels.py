@@ -99,10 +99,18 @@ def conditional_loop(y, umix, u, lam, bg, others, alpha, cond_sd, shift,
 
 class TestCrudeChunk:
     def test_matches_reference(self):
+        # d in {2, 5}, each with unit and with distinct per-margin lam/bg,
+        # so that a per-column index mix-up changes the count
         rng = np.random.default_rng(0)
-        x = np.ascontiguousarray(np.exp(rng.standard_normal((10_000, 2))))
-        expected = int((x.sum(axis=1) > 3.0).sum())
-        assert _kernels.crude_chunk(x, 3.0) == expected
+        for d in (2, 5):
+            y = rng.standard_normal((10_000, d))
+            for lam, bg in ((np.ones(d), np.ones(d)),
+                            (rng.uniform(0.5, 3.0, d), rng.uniform(0.4, 1.6, d))):
+                u = 2.0 * d
+                x = lam * np.exp(bg * y)
+                expected = int(np.count_nonzero(x.sum(axis=1) > u))
+                assert 0 < expected < len(y)
+                assert _kernels.crude_chunk(y, u, lam, bg) == expected, (d, lam, bg)
 
 
 class TestConditionalChunk:

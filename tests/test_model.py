@@ -6,10 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tailsum import (CorrelationMatrix, DomainError, ModelSpec,
-                     equicorrelation, make_radial, marginal_pdf,
+from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
+                     ModelSpec, equicorrelation, make_radial, marginal_pdf,
                      marginal_tail, sample, validate, validate_inputs)
-from tailsum.model import marginal_log_tail
+from tailsum.model import _draw_chunk, marginal_log_tail
 
 mp.mp.dps = 40
 
@@ -42,6 +42,27 @@ class TestValidation:
         bad = np.array([[1.0, 1.0], [1.0, 1.0]])
         violations = validate_inputs(2, [1, 1], [1, 1], 1.0, bad)
         assert any("positive definite" in v for v in violations)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        params = {"lam": [1.0, 1.0], "beta": [1.0, 1.0], "gamma": 1.0}
+        params[name] = value if name == "gamma" else [value, 1.0]
+        with pytest.raises(InvalidParams, match=f"{name} must be finite"):
+            ModelSpec(d=2, sigma=equicorrelation(2, 0.0),
+                      radial=make_radial("ChiOfDim", 2), **params)
+        violations = validate_inputs(2, params["lam"], params["beta"],
+                                     params["gamma"], np.eye(2))
+        assert any(f"{name} must be finite" in v for v in violations)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_validate_reports_non_finite_parameter(self, name, value):
+        # a spec whose fields were altered after construction
+        spec = ModelSpec.standard(2, 0.0)
+        object.__setattr__(spec, name,
+                           value if name == "gamma" else np.array([value, 1.0]))
+        assert any(f"{name} must be finite" in v for v in validate(spec))
 
     def test_beta_order_normalized(self):
         sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -194,3 +215,28 @@ class TestSampling:
         y = np.log(batch.x[:, 0])
         assert float(np.mean(y)) == pytest.approx(0.0, abs=0.005)
         assert float(np.var(y)) == pytest.approx(1.0, abs=0.01)
+
+    def test_gaussian_copula_draw_is_correlated_normals(self):
+        # pins the conditional estimator's stream: normals, then @ chol.T
+        spec = ModelSpec.standard(3, 0.5)
+        chol = spec.sigma.cholesky()
+        y = _draw_chunk(spec, np.random.default_rng(8), 1000, chol)
+        expected = np.random.default_rng(8).standard_normal((1000, 3)) @ chol.T
+        np.testing.assert_array_equal(y, expected)
+
+    @pytest.mark.parametrize("radial", [make_radial("WeibullTail", 2.0, 1.5),
+                                        make_radial("LognormalLogRadius")],
+                             ids=["WeibullTail", "LognormalLogRadius"])
+    def test_other_radial_margins_match_marginal_tail(self, radial):
+        sigma = np.array([[1.0, 0.4], [0.4, 1.0]])
+        spec = spec_with([2.0, 0.5], [1.5, 1.0], sigma, gamma=0.8, radial=radial)
+        n = 200_000
+        batch = sample(spec, n, seed=17)
+        bg = spec.beta * spec.gamma
+        for j in range(2):
+            # u below lam_j (w < 0) and above it, w = log(u/lam_j)/bg_j
+            for w in (-0.5, 0.5, 1.5):
+                u = spec.lam[j] * math.exp(bg[j] * w)
+                p = marginal_tail(spec, j, u)
+                freq = float(np.mean(batch.x[:, j] > u))
+                assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (j, w)

@@ -8,9 +8,9 @@ import pytest
 from scipy import integrate
 
 from reference_tables import matches_printed
-from tailsum import (DomainError, InvalidParams, ModelSpec, WrongRadialLaw,
-                     conditional_max_mc, crude_mc, make_radial, marginal_tail,
-                     mc_table, sample)
+from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
+                     WrongRadialLaw, conditional_max_mc, crude_mc, make_radial,
+                     marginal_tail, mc_table, sample)
 
 
 def sum_tail_dblquad(rho, u, lam=(1.0, 1.0), bg=(1.0, 1.0)):
@@ -49,11 +49,17 @@ class TestCrude:
         assert hits == pytest.approx(round(hits), abs=1e-9)
 
     def test_matches_sample_frequency(self, standard_spec):
-        spec = standard_spec(0.5)
-        n, seed, u = 70_000, 99, 8.0
-        est = crude_mc(spec, u, n, seed)
-        batch = sample(spec, n, seed)
-        assert est.value == (batch.x.sum(axis=1) > u).mean()
+        sigma = CorrelationMatrix(np.array([[1.0, -0.3], [-0.3, 1.0]]))
+        heterogeneous = ModelSpec(d=2, lam=[0.5, 2.0], beta=[1.0, 1.5],
+                                  gamma=0.8, sigma=sigma,
+                                  radial=make_radial("ChiOfDim", 2))
+        n = 70_000
+        for spec, seed, u in ((standard_spec(0.5), 99, 8.0),
+                              (heterogeneous, 98, 6.0)):
+            est = crude_mc(spec, u, n, seed)
+            batch = sample(spec, n, seed)
+            assert 0.0 < est.value < 1.0
+            assert est.value == (batch.x.sum(axis=1) > u).mean()
 
     def test_table3_anchor(self, standard_spec):
         est = crude_mc(standard_spec(0.0), 10.0, 10**6, seed=31)
