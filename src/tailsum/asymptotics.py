@@ -28,7 +28,7 @@ from scipy.special import logsumexp
 
 from .errors import DomainError, WrongRadialLaw
 from .model import ModelSpec, marginal_log_pdf, marginal_log_tail
-from .numerics import gamma_function
+from .numerics import check_threshold, gamma_function
 from .radial import RadialLaw, ScalingBundle
 
 __all__ = [
@@ -76,8 +76,7 @@ class TailApproximation:
 
 def log_first_order(spec: ModelSpec, u: float) -> float:
     """log of the summed marginal tails."""
-    if u <= 0.0:
-        raise DomainError(f"first_order needs u > 0, got {u}")
+    check_threshold(u)
     logs = [marginal_log_tail(spec, j, u) for j in range(spec.d)]
     return float(logsumexp(logs))
 
@@ -89,8 +88,7 @@ def first_order(spec: ModelSpec, u: float) -> float:
 
 def _log_pair_terms(spec: ModelSpec, u: float, variant: str) -> np.ndarray:
     """Log of every ordered-pair correction term; -inf on the diagonal."""
-    if u <= 0.0:
-        raise DomainError(f"second-order correction needs u > 0, got {u}")
+    check_threshold(u)
     if variant not in (VARIANT_DENSITY, VARIANT_LIMIT):
         raise DomainError(f"unknown variant {variant!r}")
     d = spec.d
@@ -136,8 +134,6 @@ def second_order_correction(spec: ModelSpec, u: float,
 def approximate(spec: ModelSpec, u: float,
                 variant: str = VARIANT_DENSITY) -> TailApproximation:
     """Full first- plus second-order approximation with pair breakdown."""
-    if not (math.isfinite(u) and u > 0.0):
-        raise DomainError(f"threshold u must be finite and positive, got {u}")
     log_terms = _log_pair_terms(spec, u, variant)
     lf = log_first_order(spec, u)
     finite = log_terms[np.isfinite(log_terms)]
@@ -182,8 +178,7 @@ def lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float
 
 
 def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float:
-    if u <= 0.0:
-        raise DomainError(f"needs u > 0, got {u}")
+    check_threshold(u)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     sig = np.asarray(sigma, dtype=float)
@@ -241,8 +236,7 @@ def log_equicorrelated_correction(d: int, rho: float, u: float) -> float:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if not -1.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (-1, 1), got {rho}")
-    if u <= 1.0:
-        raise DomainError(f"needs u > 1, got {u}")
+    check_threshold(u, 1.0)
     if d == 1:
         return -math.inf
     lu = math.log(u)
@@ -283,6 +277,7 @@ def angular_reduction_check(law: RadialLaw, lam: float, beta: float,
 
     if d < 2:
         raise DomainError(f"the reduction needs d >= 2, got {d}")
+    check_threshold(u)
     w = math.log(u / lam) / (beta * gamma)
     if w <= 0.0:
         raise DomainError("threshold must exceed the scale factor")

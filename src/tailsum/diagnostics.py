@@ -18,6 +18,7 @@ from .asymptotics import VARIANT_DENSITY, approximate
 from .errors import DomainError
 from .model import ModelSpec
 from .montecarlo import ESTIMATOR_CONDITIONAL, MCEstimate, _U64, conditional_max_mc, crude_mc
+from .numerics import check_threshold
 
 __all__ = ["DiagnosticsRow", "McOptions", "rho_hat", "epsilon_measure",
            "EpsilonMeasure", "build_table"]
@@ -31,8 +32,7 @@ def rho_hat(spec: ModelSpec, j: int, u: float) -> float:
     For standard log-normal margins this is 1 - log(log u)/log u.
     Needs u > 1 and u above the margin's scale factor.
     """
-    if u <= 1.0:
-        raise DomainError(f"rho_hat needs u > 1, got {u}")
+    check_threshold(u, 1.0)
     bundle = spec.scaling_bundle()
     es = bundle.margin_scale(j, u)
     return 1.0 - math.log(u / es) / math.log(u)
@@ -58,8 +58,7 @@ def epsilon_measure(spec: ModelSpec, i: int, j: int, u: float,
     caller's choice; no single value reproduces the published epsilon
     columns (the one used there is not recoverable).
     """
-    if u <= 1.0:
-        raise DomainError(f"epsilon_measure needs u > 1, got {u}")
+    check_threshold(u, 1.0)
     rho = float(spec.sigma.entries[i, j])
     if not -1.0 < rho < 1.0:
         raise DomainError(f"|rho| must be < 1 for the epsilon measure, got {rho}")

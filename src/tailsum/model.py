@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InvalidParams
-from .numerics import (CorrelationMatrix, adaptive_quad, gamma_function,
-                       std_normal_log_tail, std_normal_tail)
+from .numerics import (CorrelationMatrix, adaptive_quad, check_threshold,
+                       gamma_function, std_normal_log_tail, std_normal_tail)
 from .radial import RadialLaw, ScalingBundle, make_radial
 
 __all__ = ["ModelSpec", "SampleBatch", "validate", "validate_inputs",
@@ -188,8 +188,7 @@ def validate_inputs(d, lam, beta, gamma, sigma, radial=None) -> list[str]:
 def _check_margin(spec: ModelSpec, j: int, u: float) -> None:
     if not 0 <= j < spec.d:
         raise DomainError(f"margin index {j} out of range for d={spec.d}")
-    if u <= 0.0:
-        raise DomainError(f"marginal operations need u > 0, got {u}")
+    check_threshold(u)
 
 
 def marginal_log_tail(spec: ModelSpec, j: int, u: float) -> float:

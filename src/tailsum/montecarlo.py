@@ -17,29 +17,42 @@ Two estimators:
   ratio.  This keeps the estimator unbiased while cutting the variance
   by orders of magnitude for strongly positive correlation, where the
   plain decomposition is dominated by rare conditioning draws.
+  Its 2d coordinates per draw (d normals, d mixture uniforms) come from
+  randomised quasi-Monte Carlo: K >= 16 blocks of the same unscrambled
+  Sobol points, each under its own random digital shift.  The integrand
+  is smooth in the normals, so a block mean is far more precise than the
+  mean of as many independent draws; the blocks are independent and
+  unbiased, so the estimate is their mean and the standard error is
+  their sample standard deviation over sqrt(K).  n is rounded up to
+  K * block, with block the largest power of two <= min(2^16, n/16).
 
 Determinism: work is split into fixed-size chunks with per-chunk
-generators spawned from the seed; chunk results are merged in index
-order with exact (fsum) accumulation, so estimates are bit-identical
-for any worker count.
+generators spawned from the seed (and, for the conditional estimator,
+one child per block); results are merged in index order with exact
+(fsum) accumulation, so estimates are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 from scipy import optimize
+from scipy.special import ndtri
 
-from . import _kernels, model
+from . import _kernels
 from .errors import DomainError, InvalidParams, WrongRadialLaw
 from .model import SAMPLE_CHUNK, ModelSpec, _draw_chunk, marginal_tail
-from .numerics import std_normal_log_tail
+from .numerics import check_threshold, std_normal_log_tail
 
 __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
            "worker_count", "ESTIMATOR_CRUDE", "ESTIMATOR_CONDITIONAL"]
@@ -53,6 +66,16 @@ ESTIMATOR_CONDITIONAL = "conditional_max"
 DEFAULT_MIX = 0.5
 
 _U64 = (1 << 64) - 1
+
+# A randomised block holds at most 2^_SOBOL_BITS Sobol points (=
+# SAMPLE_CHUNK, so a chunk holds whole blocks); an estimate has at least
+# _MIN_BLOCKS blocks behind its standard error.
+_SOBOL_BITS = 16
+_MIN_BLOCKS = 16
+# Joe-Kuo direction numbers as shipped with scipy; read by path, because
+# importing scipy.stats costs about half a second and 19 MB.
+_DIRECTION_NUMBERS = (Path(scipy.__file__).parent / "stats"
+                      / "_sobol_direction_numbers.npz")
 
 
 @dataclass(frozen=True)
@@ -106,8 +129,7 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
     """
     if n < 1:
         raise InvalidParams(f"sample size must be >= 1, got {n}")
-    if not math.isfinite(u):
-        raise DomainError(f"threshold must be finite, got {u}")
+    check_threshold(u, -math.inf)
     start = time.perf_counter()
     chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
@@ -242,7 +264,10 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     Unbiased for any u.  ``tilt=False`` selects the plain decomposition
     (no importance sampling); the default tilted form is required for
     usable precision at strong positive correlation or deep thresholds.
-    Needs the ChiOfDim radial (Gaussian copula of the log-risks).
+    Needs the ChiOfDim radial (Gaussian copula of the log-risks).  The
+    draws are randomised Sobol blocks (see the module docstring), so n
+    is rounded up to a whole number of blocks; the returned ``n`` is the
+    number of draws made.
     """
     if n < 1:
         raise InvalidParams(f"sample size must be >= 1, got {n}")
@@ -254,10 +279,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             f"dimension (got {spec.radial!r} with d={spec.d}); "
             "use crude_mc instead"
         )
-    if not math.isfinite(u):
-        raise DomainError(f"threshold must be finite, got {u}")
-    if u <= 0.0:
-        raise DomainError(f"threshold must be positive, got {u}")
+    check_threshold(u)
     start = time.perf_counter()
     if spec.d == 1:
         value = marginal_tail(spec, 0, u)
@@ -267,50 +289,112 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     plan = _conditional_plan(spec, u, tilt, mix)
     chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
+    d = spec.d
+    block, blocks = _block_layout(n)
+    base = _sobol_base(2 * d)[:, :block]
 
     def task(child, m):
-        rng = np.random.default_rng(child)
-        # Looked up on the model module: perfbench's tracer test deletes this
-        # module's _draw_chunk name and still runs this estimator.
-        y = model._draw_chunk(spec, rng, m, chol)
-        umix = np.ascontiguousarray(rng.random((m, spec.d)))
-        w = np.empty(m)
-        _kernels.conditional_chunk(y, umix, w, u, spec.lam, bg, plan.others,
-                                   plan.alpha, plan.cond_sd, plan.shift,
-                                   plan.tilt_vec, plan.tilt_const, plan.mix)
-        return _scaled_moments(w)
+        means = []
+        for block_seed in child.spawn(m // block):
+            rng = np.random.default_rng(block_seed)
+            e = _random_shift(base[:d], rng)
+            y = (chol @ ndtri(e, out=e)).T
+            del e  # freed before the mixture rows: peak memory as with PCG
+            umix = _random_shift(base[d:], rng).T if plan.mix > 0.0 else None
+            w = np.empty(block)
+            _kernels.conditional_chunk(y, umix, w, u, spec.lam, bg, plan.others,
+                                       plan.alpha, plan.cond_sd, plan.shift,
+                                       plan.tilt_vec, plan.tilt_const, plan.mix)
+            means.append(float(np.mean(w)))
+        return means
 
-    value, stderr = _merge_scaled(_run_chunks(n, seed, workers, task), n)
-    return MCEstimate(value=value, stderr=stderr, n=n,
+    parts = _run_chunks(blocks * block, seed, workers, task)
+    value, stderr = _merge_blocks([mean for part in parts for mean in part])
+    return MCEstimate(value=value, stderr=stderr, n=blocks * block,
                       estimator=ESTIMATOR_CONDITIONAL, seed=seed,
                       elapsed=time.perf_counter() - start)
 
 
-def _scaled_moments(w: np.ndarray) -> tuple[float, float, float]:
-    """(s, sum(w/s), sum((w/s)^2)) with s = max(w); overwrites w.
+def _block_layout(n: int) -> tuple[int, int]:
+    """(block, K): block is the largest power of two <= min(2^16, n/16),
+    at least 1, and K = max(16, ceil(n / block)) blocks."""
+    block = 1 << min(_SOBOL_BITS, max(0, (n // _MIN_BLOCKS).bit_length() - 1))
+    return block, max(_MIN_BLOCKS, -(-n // block))
 
-    Scaling by the chunk's largest weight keeps the second moment from
-    underflowing when the weights themselves are far below 1e-154.
+
+def _direction_numbers(dim: int) -> np.ndarray:
+    """(dim, 16) uint16 Sobol direction numbers m_rk * 2^(15-k), from the
+    Joe-Kuo primitive polynomials and initial numbers by the Bratley-Fox
+    recurrence, as scipy.stats.qmc.Sobol builds them."""
+    with np.load(_DIRECTION_NUMBERS) as table:
+        poly = table["poly"][:dim].tolist()
+        vinit = table["vinit"][:dim, :_SOBOL_BITS].tolist()
+    m = [[1] * _SOBOL_BITS]
+    for r in range(1, dim):
+        p = poly[r]
+        deg = p.bit_length() - 1
+        row = vinit[r][:min(deg, _SOBOL_BITS)]
+        for k in range(deg, _SOBOL_BITS):
+            value = row[k - deg]
+            for i in range(1, deg + 1):
+                if (p >> (deg - i)) & 1:
+                    value ^= row[k - i] << i
+            row.append(value)
+        m.append(row)
+    shifts = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS)
+    return (np.array(m, dtype=np.uint32) << shifts).astype(np.uint16)
+
+
+@functools.lru_cache(maxsize=8)
+def _sobol_base(dim: int) -> np.ndarray:
+    """The first 2^16 unscrambled Sobol points in ``dim`` dimensions as
+    (dim, 2^16) uint16 digits: point i has coordinates base[:, i] / 2^16,
+    in the Gray-code order of scipy.stats.qmc.Sobol."""
+    v = _direction_numbers(dim)
+    base = np.zeros((dim, 1 << _SOBOL_BITS), dtype=np.uint16)
+    h = 1
+    for k in range(_SOBOL_BITS):
+        # Reflected Gray code: point h + i is point h - 1 - i with v_k added.
+        np.bitwise_xor(base[:, h - 1::-1], v[:, k:k + 1], out=base[:, h:2 * h])
+        h *= 2
+    base.setflags(write=False)
+    return base
+
+
+def _random_shift(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The Sobol digits ``rows`` under a random digital shift drawn from rng."""
+    h = rng.integers(0, 1 << _SOBOL_BITS, size=(len(rows), 1), dtype=np.uint16)
+    k = rng.integers(0, 1 << 36, size=(len(rows), 1))
+    return _shift_rows(rows, h, k)
+
+
+def _shift_rows(rows: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(rows XOR h + (k + 1/2) 2^-36) 2^-16 as float64, row by row.
+
+    A digital shift: h flips the 16 digits the points carry and k < 2^36
+    fills the digits below them, so each point is uniform on (0, 1) while
+    the block keeps its net structure.  Every sum is exact and lies in
+    [2^-53, 1 - 2^-53]; a uniform offset in [0, 1) added to the digits
+    could round up to 1.0, where ndtri is inf.
     """
-    s = float(np.max(w))
-    if s > 0.0:
-        w /= s
-    return s, float(np.sum(w)), float(np.sum(w * w))
+    x = np.bitwise_xor(rows, h).astype(np.float64)
+    x += (k + 0.5) * 2.0 ** -36
+    x *= 2.0 ** -_SOBOL_BITS
+    return x
 
 
-def _merge_scaled(parts, n: int) -> tuple[float, float]:
-    """Mean and standard error from per-chunk ``_scaled_moments``.
-
-    Rescales every chunk to the largest chunk scale G and sums in chunk
-    order with fsum, so the result is independent of the worker count.
-    """
-    g = max(p[0] for p in parts)
+def _merge_blocks(means: list[float]) -> tuple[float, float]:
+    """Mean and standard error of independent block means, divided by the
+    largest before squaring (so nothing underflows far below 1e-154) and
+    summed in block order with fsum (so the worker count cannot matter)."""
+    g = max(means)
     if g == 0.0:
         return 0.0, 0.0
-    s1 = math.fsum(a * (s / g) for s, a, _ in parts)
-    s2 = math.fsum(b * (s / g) ** 2 for s, _, b in parts)
-    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
-    return g * (s1 / n), g * math.sqrt(var / n)
+    k = len(means)
+    scaled = [mean / g for mean in means]
+    mean = math.fsum(scaled) / k
+    var = math.fsum((x - mean) ** 2 for x in scaled) / (k - 1)
+    return g * mean, g * math.sqrt(var / k)
 
 
 def mc_table(spec: ModelSpec, u_list: Sequence[float], n: int, seed: int,

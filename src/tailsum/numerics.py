@@ -33,6 +33,13 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def check_threshold(u: float, lower: float = 0.0) -> None:
+    """Raise DomainError unless the threshold u is finite and above ``lower``."""
+    if not (math.isfinite(u) and u > lower):
+        bound = "positive" if lower == 0.0 else f"> {lower:g}"
+        raise DomainError(f"threshold u must be finite and {bound}, got {u}")
+
+
 def std_normal_tail(x: float) -> float:
     """P(N(0,1) > x), accurate in the far tail.
 

@@ -34,7 +34,7 @@ from scipy import optimize
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import std_normal_log_tail
+from .numerics import check_threshold, std_normal_log_tail
 
 __all__ = [
     "RadialLaw",
@@ -219,8 +219,7 @@ def make_radial(kind: str, *params) -> RadialLaw:
 
 def exp_scale(u: float, law: RadialLaw) -> float:
     """Scaling function of exp(R): u * scaling(log u), for u > 1."""
-    if u <= 1.0:
-        raise DomainError(f"exp_scale needs u > 1, got {u}")
+    check_threshold(u, 1.0)
     return u * law.scaling(math.log(u))
 
 
@@ -392,8 +391,7 @@ def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,
     The condition behind the first-order expansion requires lhs <= rhs
     ultimately; a negative margin is evidence it holds at this u.
     """
-    if u <= 1.0:
-        raise DomainError(f"condition probe needs u > 1, got {u}")
+    check_threshold(u, 1.0)
     lu = math.log(u)
     d = bundle.n_margins
     rows = []

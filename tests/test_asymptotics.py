@@ -16,7 +16,7 @@ from tailsum import (CorrelationMatrix, DomainError, ModelSpec,
                      lognormal_correction, lognormal_pair_correction,
                      make_radial, marginal_tail, second_order_correction)
 from tailsum.asymptotics import (log_equicorrelated_correction,
-                                 log_lognormal_correction,
+                                 log_first_order, log_lognormal_correction,
                                  log_lognormal_pair_correction)
 from tailsum.radial import ScalingBundle
 
@@ -107,6 +107,39 @@ class TestApproximateDomain:
     def test_rejects_bad_threshold(self, standard_spec, u):
         with pytest.raises(DomainError, match="threshold u must be finite and positive"):
             approximate(standard_spec(0.5), u)
+
+
+_SPEC = ModelSpec.standard(2, 0.5)
+
+# Every entry point that takes a threshold, called at that threshold.
+_THRESHOLD_ENTRY_POINTS = {
+    "first_order": lambda u: first_order(_SPEC, u),
+    "log_first_order": lambda u: log_first_order(_SPEC, u),
+    "second_order_correction": lambda u: second_order_correction(_SPEC, u),
+    "second_order_correction_limit":
+        lambda u: second_order_correction(_SPEC, u, VARIANT_LIMIT),
+    "approximate": lambda u: approximate(_SPEC, u),
+    "lognormal_correction": lambda u: lognormal_correction(_SPEC, u),
+    "lognormal_pair_correction": lambda u: lognormal_pair_correction(
+        [1.0, 1.0], [1.0, 1.0], 1.0, _SPEC.sigma.entries, u),
+    "equicorrelated_correction": lambda u: equicorrelated_correction(2, 0.5, u),
+    "log_equicorrelated_correction":
+        lambda u: log_equicorrelated_correction(2, 0.5, u),
+    "angular_reduction_check": lambda u: angular_reduction_check(
+        make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0, 3, u),
+}
+
+
+class TestThresholdDomain:
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(_THRESHOLD_ENTRY_POINTS))
+    def test_non_finite_threshold_rejected(self, entry, u):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
+            _THRESHOLD_ENTRY_POINTS[entry](u)
+
+    def test_equicorrelated_bound_is_one(self):
+        with pytest.raises(DomainError, match=r"finite and > 1, got 1\.0"):
+            equicorrelated_correction(2, 0.5, 1.0)
 
 
 class TestLognormalClosedForm:

@@ -46,6 +46,11 @@ class TestRhoHat:
         with pytest.raises(DomainError):
             rho_hat(standard_spec(0.0), 0, 1.0)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, standard_spec, u):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
+            rho_hat(standard_spec(0.0), 0, u)
+
 
 class TestEpsilonMeasure:
     def test_slack_inversion_reproduces_printed_epsilon(self, standard_spec):
@@ -74,6 +79,11 @@ class TestEpsilonMeasure:
     def test_domain(self, standard_spec):
         with pytest.raises(DomainError):
             epsilon_measure(standard_spec(0.9), 1, 0, 0.5)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, standard_spec, u):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
+            epsilon_measure(standard_spec(0.9), 1, 0, u)
 
 
 class TestBuildTable:

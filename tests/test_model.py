@@ -9,7 +9,7 @@ import pytest
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      ModelSpec, equicorrelation, make_radial, marginal_pdf,
                      marginal_tail, sample, validate, validate_inputs)
-from tailsum.model import _draw_chunk, marginal_log_tail
+from tailsum.model import _draw_chunk, marginal_log_pdf, marginal_log_tail
 
 mp.mp.dps = 40
 
@@ -117,6 +117,13 @@ class TestMarginals:
             marginal_tail(standard_spec(0.0), 0, 0.0)
         with pytest.raises(DomainError):
             marginal_tail(standard_spec(0.0), 5, 1.0)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [marginal_tail, marginal_log_tail,
+                                    marginal_pdf, marginal_log_pdf])
+    def test_non_finite_threshold_rejected(self, standard_spec, fn, u):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
+            fn(standard_spec(0.0), 0, u)
 
     def test_general_margin_parameters(self):
         sigma = np.array([[1.0, 0.3], [0.3, 1.0]])

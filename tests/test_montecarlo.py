@@ -1,16 +1,22 @@
 """Monte Carlo estimator contracts: unbiasedness, precision, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtri
 
 from reference_tables import matches_printed
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
                      WrongRadialLaw, conditional_max_mc, crude_mc, make_radial,
                      marginal_tail, mc_table, sample)
+from tailsum.montecarlo import _block_layout, _shift_rows, _sobol_base
 
 
 def sum_tail_dblquad(rho, u, lam=(1.0, 1.0), bg=(1.0, 1.0)):
@@ -81,7 +87,7 @@ class TestCrude:
 
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_threshold(self, standard_spec, u):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
             crude_mc(standard_spec(0.0), u, 1000, seed=1)
 
 
@@ -99,7 +105,7 @@ class TestConditional:
 
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_threshold(self, standard_spec, u):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
             conditional_max_mc(standard_spec(0.5), u, 1000, seed=1)
 
     def test_stderr_survives_tiny_weights(self):
@@ -196,6 +202,50 @@ class TestConditional:
         monkeypatch.setenv("TAILSUM_THREADS", "4")
         env = conditional_max_mc(spec, 30.0, 10**5, seed=43)
         assert env.value == base.value
+
+
+class TestRqmc:
+    @pytest.mark.parametrize("dim", [2, 4, 10, 20])
+    def test_sobol_base_matches_scipy(self, dim):
+        from scipy.stats import qmc
+
+        expected = qmc.Sobol(dim, scramble=False).random_base2(16)
+        assert np.array_equal(_sobol_base(dim).T / 65536.0, expected)
+
+    def test_estimate_does_not_import_scipy_stats(self):
+        code = ("import sys, tailsum; "
+                "tailsum.conditional_max_mc(tailsum.ModelSpec.standard(2, 0.5), "
+                "10.0, 1000, seed=1); "
+                "print('scipy.stats' in sys.modules)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("n, rounded", [(1, 16), (1000, 1024),
+                                            (150_000, 155_648),
+                                            (10**6, 1_015_808),
+                                            (2 * 10**6, 2_031_616)])
+    def test_n_rounds_up_to_whole_blocks(self, standard_spec, n, rounded):
+        block, blocks = _block_layout(n)
+        assert block & (block - 1) == 0
+        assert block <= max(1, min(65536, n / 16)) < 2 * block
+        assert blocks >= 16
+        assert blocks == 16 or blocks * block - n < block
+        est = conditional_max_mc(standard_spec(0.5), 10.0, n, seed=3, tilt=False)
+        assert est.n == blocks * block == rounded
+
+    def test_shifted_points_stay_inside_the_unit_interval(self):
+        base = _sobol_base(4)
+        top = _shift_rows(base, np.full((4, 1), 0xFFFF, dtype=np.uint16),
+                          np.full((4, 1), 2**36 - 1))
+        bottom = _shift_rows(base, np.zeros((4, 1), dtype=np.uint16),
+                             np.zeros((4, 1), dtype=np.int64))
+        for x in (top, bottom):
+            assert 0.0 < x.min() and x.max() < 1.0
+            assert np.all(np.isfinite(ndtri(x)))
 
 
 class TestMcTable:

@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tailsum import (InvalidParams, NoFiniteLimit, ScalingBundle, exp_scale,
-                     make_radial, probe_condition_rho, probe_mda_limit,
-                     probe_o_regular_variation)
+from tailsum import (DomainError, InvalidParams, NoFiniteLimit, ScalingBundle,
+                     exp_scale, make_radial, probe_condition_rho,
+                     probe_mda_limit, probe_o_regular_variation)
 from tailsum.numerics import adaptive_quad
 
 mp.mp.dps = 40
@@ -147,6 +147,11 @@ class TestExpScale:
         with pytest.raises(Exception):
             exp_scale(1.0, law)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, u):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
+            exp_scale(u, make_radial("ChiOfDim", 2))
+
     def test_chi2_identity_on_log_grid(self):
         law = make_radial("ChiOfDim", 2)
         for u in np.geomspace(10.0, 1e12, 45):
@@ -246,6 +251,11 @@ class TestConditionProbe:
             assert row.margin == pytest.approx(expected, rel=1e-12)
             assert row.margin == pytest.approx(-0.202386556034, rel=1e-9)
             assert row.margin < 0
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, u):
+        with pytest.raises(DomainError, match="threshold u must be finite"):
+            probe_condition_rho(np.eye(2), self.bundle(), u)
 
     def test_high_correlation_fails_at_100(self):
         sigma = np.array([[1.0, 0.99], [0.99, 1.0]])
