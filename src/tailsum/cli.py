@@ -31,8 +31,7 @@ from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      NotPositiveDefinite, QuadratureError, TailsumError,
                      WrongRadialLaw)
 from .model import ModelSpec, validate_inputs
-from .montecarlo import (ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE,
-                         conditional_max_mc, crude_mc)
+from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, get_estimator
 from .numerics import CorrelationMatrix, equicorrelation
 from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
                      probe_mda_limit, probe_o_regular_variation)
@@ -287,7 +286,7 @@ def cmd_mc(cfg: RunConfig, args) -> int:
         raise ConfigError("mc needs exactly one threshold via --u")
     u = args.u[0]
     opts = cfg.mc_options(args.workers)
-    run = crude_mc if opts.estimator == ESTIMATOR_CRUDE else conditional_max_mc
+    run = get_estimator(opts.estimator)
     est = run(spec, u, opts.n, opts.seed, workers=opts.workers)
     print(f"estimator  {est.estimator}")
     print(f"u          {full_precision(u)}")

@@ -16,7 +16,10 @@ Two estimators:
   optimization of the integrand), and reweighted by the exact likelihood
   ratio.  This keeps the estimator unbiased while cutting the variance
   by orders of magnitude for strongly positive correlation, where the
-  plain decomposition is dominated by rare conditioning draws.
+  plain decomposition is dominated by rare conditioning draws.  The
+  shift search runs once per distinct set of margin inputs, so
+  exchangeable margins share one search, and its line scan evaluates
+  the integrand on all scan points in one vectorised call.
   Its 2d coordinates per draw (d normals, d mixture uniforms) come from
   randomised quasi-Monte Carlo: K >= 16 blocks of the same unscrambled
   Sobol points, each under its own random digital shift.  The integrand
@@ -25,6 +28,10 @@ Two estimators:
   unbiased, so the estimate is their mean and the standard error is
   their sample standard deviation over sqrt(K).  n is rounded up to
   K * block, with block the largest power of two <= min(2^16, n/16).
+  In one block and one row every point sits at the same offset inside
+  its cell of the 2^16-cell digit lattice, so the normals come from a
+  Taylor polynomial of the inverse normal about the cell midpoints,
+  evaluated once per used cell (exact ndtri in the tail cells).
 
 Determinism: work is split into fixed-size chunks with per-chunk
 generators spawned from the seed (and, for the conditional estimator,
@@ -47,15 +54,16 @@ from typing import Sequence
 import numpy as np
 import scipy
 from scipy import optimize
-from scipy.special import ndtri
+from scipy.special import log_ndtr, ndtri
 
 from . import _kernels
 from .errors import DomainError, InvalidParams, WrongRadialLaw
 from .model import SAMPLE_CHUNK, ModelSpec, _draw_chunk, marginal_tail
-from .numerics import check_threshold, std_normal_log_tail
+from .numerics import check_threshold
 
 __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
-           "worker_count", "ESTIMATOR_CRUDE", "ESTIMATOR_CONDITIONAL"]
+           "get_estimator", "worker_count", "ESTIMATOR_CRUDE",
+           "ESTIMATOR_CONDITIONAL"]
 
 ESTIMATOR_CRUDE = "crude"
 ESTIMATOR_CONDITIONAL = "conditional_max"
@@ -76,6 +84,10 @@ _MIN_BLOCKS = 16
 # importing scipy.stats costs about half a second and 19 MB.
 _DIRECTION_NUMBERS = (Path(scipy.__file__).parent / "stats"
                       / "_sobol_direction_numbers.npz")
+# The lattice inverse normal uses exact ndtri in the cells where the first
+# Taylor term can reach this size (|x| > 2.35, 1.9% of the cells);
+# elsewhere the degree-4 remainder is below 2e-17.
+_TAYLOR_CUTOFF = 3e-4
 
 
 @dataclass(frozen=True)
@@ -141,7 +153,11 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
 
     hits = sum(_run_chunks(n, seed, workers, task))
     p = hits / n
-    stderr = math.sqrt(p * (1.0 - p) / n)
+    # With no hits (or all hits at u > 0) the binomial stderr is 0; report
+    # the stderr of one hit, sqrt((1/n)(1 - 1/n)/n), the scale of the bound
+    # on what n draws can resolve.  u <= 0 always hits: 1 +- 0 is exact.
+    q = p if 0 < hits < n or u <= 0.0 else 1.0 / n
+    stderr = math.sqrt(q * (1.0 - q) / n)
     return MCEstimate(value=p, stderr=stderr, n=n, estimator=ESTIMATOR_CRUDE,
                       seed=seed, elapsed=time.perf_counter() - start)
 
@@ -174,6 +190,9 @@ def _conditional_plan(spec: ModelSpec, u: float, tilt: bool,
     tilt_vec = np.zeros((d, d - 1))
     tilt_const = np.zeros(d)
     any_shift = False
+    # Exact bytes of the inputs of margin j's shift search -> its shift, so
+    # exchangeable margins share one search (with the same result).
+    shifts: dict[bytes, np.ndarray] = {}
     for j in range(d):
         oth = np.array([i for i in range(d) if i != j], dtype=np.int64)
         others[j] = oth
@@ -187,7 +206,11 @@ def _conditional_plan(spec: ModelSpec, u: float, tilt: bool,
                               "to singular for the conditional estimator)")
         cond_sd[j] = math.sqrt(s2)
         if tilt:
-            m = _find_shift(spec, u, j, oth, a, cond_sd[j], sub)
+            key = np.concatenate(([spec.lam[j], spec.beta[j]], spec.lam[oth],
+                                  spec.beta[oth], sub.ravel(), cross)).tobytes()
+            if key not in shifts:
+                shifts[key] = _find_shift(spec, u, j, oth, a, cond_sd[j], sub)
+            m = shifts[key]
             if np.any(m != 0.0):
                 any_shift = True
                 shift[j] = m
@@ -202,20 +225,28 @@ def _conditional_plan(spec: ModelSpec, u: float, tilt: bool,
 
 def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
                    alpha: np.ndarray, sd: float, sub: np.ndarray):
-    """log of (conditional exceedance prob * conditioning density kernel)."""
+    """log of (conditional exceedance prob * conditioning density kernel),
+    as a function of an (m, d-1) array of points y, one value per row."""
     sub_inv = np.linalg.inv(sub)
     lam_o = spec.lam[oth]
     bg_o = spec.beta[oth] * spec.gamma
     bg_j = spec.beta[j] * spec.gamma
     lam_j = spec.lam[j]
 
-    def h(y: np.ndarray) -> float:
-        x = lam_o * np.exp(bg_o * y)
-        threshold = max(float(np.max(x)), u - float(np.sum(x)))
-        if not 0.0 < threshold < math.inf:
-            return -math.inf  # exp overflow/underflow at an extreme scan point
-        z = (math.log(threshold / lam_j) / bg_j - float(alpha @ y)) / sd
-        return std_normal_log_tail(z) - 0.5 * float(y @ sub_inv @ y)
+    def h(y: np.ndarray) -> np.ndarray:
+        # The products are stacked 1-D ones (a row times alpha, a row
+        # times sub_inv times the row): a point rounds the same alone as
+        # in a batch, and the same as the scalar dot products did.
+        rows = y[:, None, :]
+        with np.errstate(over="ignore"):
+            x = lam_o * np.exp(bg_o * y)
+        # x >= 0 and u > 0, so the threshold lies in (0, inf]; where exp
+        # overflowed at an extreme scan point it is inf, so z is inf and
+        # the value -inf.
+        threshold = np.maximum(np.maximum.reduce(x, axis=1),
+                               u - np.add.reduce(x, axis=1))
+        z = (np.log(threshold / lam_j) / bg_j - (rows @ alpha)[:, 0]) / sd
+        return log_ndtr(-z) - 0.5 * ((rows @ sub_inv) @ y[:, :, None])[:, 0, 0]
 
     return h
 
@@ -231,7 +262,7 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
     """
     k = len(oth)
     h = _integrand_log(spec, u, j, oth, alpha, sd, sub)
-    h0 = h(np.zeros(k))
+    h0 = h(np.zeros((1, k)))[0]
     t_max = max(math.log(u / np.min(spec.lam[oth])) / np.min(spec.beta[oth] * spec.gamma), 1.0) + 4.0
     directions = [np.ones(k)]
     reg = sub @ alpha
@@ -239,14 +270,13 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
     if norm > 1e-12:
         directions.append(reg / norm)
         directions.append(-reg / norm)
-    best_y, best_h = np.zeros(k), h0
-    for v in directions:
-        for t in np.linspace(-3.0, t_max, 121):
-            y = t * v
-            val = h(y)
-            if val > best_h:
-                best_h, best_y = val, y
-    res = optimize.minimize(lambda y: -h(y), best_y, method="Nelder-Mead",
+    ts = np.linspace(-3.0, t_max, 121)
+    scan = (ts[None, :, None] * np.array(directions)[:, None, :]).reshape(-1, k)
+    vals = h(scan)
+    best = int(np.argmax(vals))  # the first of the largest, in scan order
+    best_y, best_h = (scan[best], vals[best]) if vals[best] > h0 else (np.zeros(k), h0)
+    res = optimize.minimize(lambda y: -h(y[None, :])[0], best_y,
+                            method="Nelder-Mead",
                             options={"maxiter": 400 * k, "xatol": 1e-6,
                                      "fatol": 1e-10})
     if -res.fun > best_h:
@@ -282,7 +312,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     check_threshold(u)
     start = time.perf_counter()
     if spec.d == 1:
-        value = marginal_tail(spec, 0, u)
+        value = _check_underflow(marginal_tail(spec, 0, u), u)
         return MCEstimate(value=value, stderr=0.0, n=n,
                           estimator=ESTIMATOR_CONDITIONAL, seed=seed,
                           elapsed=time.perf_counter() - start)
@@ -292,15 +322,18 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     d = spec.d
     block, blocks = _block_layout(n)
     base = _sobol_base(2 * d)[:, :block]
+    # built here, before any pool thread reads them
+    tables = _ndtri_tables(_lattice_classes(block))
 
     def task(child, m):
         means = []
         for block_seed in child.spawn(m // block):
             rng = np.random.default_rng(block_seed)
-            e = _random_shift(base[:d], rng)
-            y = (chol @ ndtri(e, out=e)).T
+            e = _lattice_ndtri(base[:d], *_draw_shift(d, rng), tables)
+            y = (chol @ e).T
             del e  # freed before the mixture rows: peak memory as with PCG
-            umix = _random_shift(base[d:], rng).T if plan.mix > 0.0 else None
+            umix = (_shift_rows(base[d:], *_draw_shift(d, rng)).T
+                    if plan.mix > 0.0 else None)
             w = np.empty(block)
             _kernels.conditional_chunk(y, umix, w, u, spec.lam, bg, plan.others,
                                        plan.alpha, plan.cond_sd, plan.shift,
@@ -310,9 +343,19 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
 
     parts = _run_chunks(blocks * block, seed, workers, task)
     value, stderr = _merge_blocks([mean for part in parts for mean in part])
-    return MCEstimate(value=value, stderr=stderr, n=blocks * block,
-                      estimator=ESTIMATOR_CONDITIONAL, seed=seed,
-                      elapsed=time.perf_counter() - start)
+    return MCEstimate(value=_check_underflow(value, u), stderr=stderr,
+                      n=blocks * block, estimator=ESTIMATOR_CONDITIONAL,
+                      seed=seed, elapsed=time.perf_counter() - start)
+
+
+def _check_underflow(value: float, u: float) -> float:
+    """value, unless it underflowed to 0.0 (the exact probability is > 0)."""
+    if value == 0.0:
+        raise DomainError(
+            f"P(S > u) at u={u!r} underflows to 0.0 in double precision; "
+            "use the log-space asymptotic forms (asymptotics.log_first_order "
+            "or approximate(spec, u).log_second_order)")
+    return value
 
 
 def _block_layout(n: int) -> tuple[int, int]:
@@ -361,11 +404,12 @@ def _sobol_base(dim: int) -> np.ndarray:
     return base
 
 
-def _random_shift(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The Sobol digits ``rows`` under a random digital shift drawn from rng."""
-    h = rng.integers(0, 1 << _SOBOL_BITS, size=(len(rows), 1), dtype=np.uint16)
-    k = rng.integers(0, 1 << 36, size=(len(rows), 1))
-    return _shift_rows(rows, h, k)
+def _draw_shift(rows: int, rng: np.random.Generator):
+    """A random digital shift for ``rows`` rows: 16-bit XOR masks h and
+    in-cell offsets k < 2^36, each (rows, 1)."""
+    h = rng.integers(0, 1 << _SOBOL_BITS, size=(rows, 1), dtype=np.uint16)
+    k = rng.integers(0, 1 << 36, size=(rows, 1))
+    return h, k
 
 
 def _shift_rows(rows: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -381,6 +425,121 @@ def _shift_rows(rows: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
     x += (k + 0.5) * 2.0 ** -36
     x *= 2.0 ** -_SOBOL_BITS
     return x
+
+
+@functools.lru_cache(maxsize=1)
+def _ndtri_tables(classes: int):
+    """Taylor coefficients of ndtri about the midpoints p_j = (j + 1/2) 2^-16
+    of the lower half of the 2^16 cells (j < 2^15; the upper half mirrors
+    it), and the number of tail cells at each end.
+
+    The cells are stored by residue class mod ``classes`` (a power of two
+    <= 2^15) and in order within each class: cell j is at (j % classes) *
+    (2^15 / classes) + j // classes, so the cells a block uses are
+    contiguous.  With x = ndtri(p_j) and phi the normal density,
+    ndtri(p_j + delta) = x + c1 delta + c2 delta^2 + c3 delta^3 + c4 delta^4
+    + O(delta^5), with c1 = 1/phi, c2 = x/(2 phi^2), c3 = (1 + 2x^2)/(6 phi^3)
+    and c4 = x(7 + 6x^2)/(24 phi^4).  Outside the tail |c3 delta^3| < 1e-10
+    and |c4 delta^4| < 1e-13 for |delta| <= 2^-17, so c3 and c4 are kept in
+    float32 (which costs under 1e-17); the five read-only tables take
+    1 MiB, are built in place and are cached for one ``classes`` at a time.
+    """
+    x = np.arange(1 << (_SOBOL_BITS - 1), dtype=np.float64)
+    x = x.reshape(-1, classes).T.ravel()
+    x += 0.5
+    x *= 2.0 ** -_SOBOL_BITS
+    ndtri(x, out=x)
+    c1 = np.square(x)
+    c1 *= 0.5
+    np.exp(c1, out=c1)
+    c1 *= math.sqrt(2.0 * math.pi)
+    work = np.square(x)
+    work *= 6.0
+    work += 7.0
+    work *= x
+    for _ in range(4):
+        work *= c1
+    work /= 24.0
+    c4 = work.astype(np.float32)
+    np.square(x, out=work)
+    work *= 2.0
+    work += 1.0
+    for _ in range(3):
+        work *= c1
+    work /= 6.0
+    c3 = work.astype(np.float32)
+    np.multiply(x, c1, out=work)
+    work *= c1
+    work *= 0.5
+    # c1 falls towards the middle, so the tail cells are the first cells of
+    # the lower half and, mirrored, the last cells of the upper half.
+    tail = int(np.count_nonzero(c1 * 2.0 ** -17 > _TAYLOR_CUTOFF))
+    for table in (x, c1, work, c3, c4):
+        table.setflags(write=False)
+    return x, c1, work, c3, c4, tail
+
+
+def _lattice_classes(block: int) -> int:
+    """The residue classes of ``_ndtri_tables`` for blocks of ``block``
+    points: the 2^(16-b) classes of the block's cells, at most 2^15."""
+    return min(1 << (_SOBOL_BITS - 1), (1 << _SOBOL_BITS) // block)
+
+
+def _lattice_ndtri(rows: np.ndarray, h: np.ndarray, k: np.ndarray,
+                   tables) -> np.ndarray:
+    """ndtri(_shift_rows(rows, h, k)), for rows holding the digits of the
+    first 2^b Sobol points, as (len(rows), 2^b) float64, with ``tables``
+    from ``_ndtri_tables(_lattice_classes(2^b))``.
+
+    Such a row holds each of the digits i 2^(16-b) once, so after the XOR
+    its cells j = D XOR h are exactly the 2^b cells j = h mod 2^(16-b), and
+    every point lies at the same offset (k + 1/2) 2^-36 inside its cell.
+    The Taylor polynomial of ``_ndtri_tables`` in the one shared delta is
+    evaluated once on those cells (exact ndtri in the tail cells) and
+    gathered by (D XOR h) >> (16-b).
+    """
+    x, c1, c2, c3, c4, tail = tables
+    m = rows.shape[1]
+    s = _SOBOL_BITS - (m.bit_length() - 1)
+    step = 1 << s
+    classes = _lattice_classes(m)
+    per_class = len(x) // classes
+    out = np.empty(rows.shape)
+    cells = np.empty(m)
+    idx = np.empty(m, dtype=np.intp)
+    for row, hr, kr, dest in zip(rows, h[:, 0].tolist(), k[:, 0].tolist(), out):
+        r = hr & (step - 1)
+        offset = (kr + 0.5) * 2.0 ** -36
+        delta = (offset - 0.5) * 2.0 ** -_SOBOL_BITS
+        # The used cells of the lower half come first.  Those of the upper
+        # half mirror them in reverse: cell j mirrors to 2^16 - 1 - j, the
+        # offset to -delta, and ndtri(1 - p) = -ndtri(p), so their values
+        # are sign * P(sign * delta) on the mirror cells with sign = -1.
+        mid = (len(x) - r + step - 1) >> s
+        for res, sign, part in ((r, 1.0, cells[:mid]),
+                                (step - 1 - r, -1.0, cells[mid:][::-1])):
+            first = (res % classes) * per_class
+            used = slice(first, first + len(part))
+            add = np.add if sign > 0.0 else np.subtract
+            np.multiply(c4[used], sign * delta, out=part, dtype=np.float64)
+            part += c3[used]
+            part *= delta
+            add(part, c2[used], out=part)
+            part *= delta
+            part += c1[used]
+            part *= delta
+            add(part, x[used], out=part)
+        # Positions i of the tail cells i 2^s + r < tail and >= 2^16 - tail.
+        low = max(0, (tail - r + step - 1) >> s)
+        high = ((1 << _SOBOL_BITS) - tail - r + step - 1) >> s
+        for lo, hi in ((0, low), (max(high, low), m)):
+            if lo < hi:
+                j = (np.arange(lo, hi) << s) + r
+                cells[lo:hi] = ndtri((j + offset) * 2.0 ** -_SOBOL_BITS)
+        np.bitwise_xor(row, hr, out=idx)
+        idx >>= s
+        np.take(cells, idx, out=dest, mode="clip")
+    return out
 
 
 def _merge_blocks(means: list[float]) -> tuple[float, float]:
@@ -403,8 +562,22 @@ def mc_table(spec: ModelSpec, u_list: Sequence[float], n: int, seed: int,
     """One estimate per threshold, with per-threshold seeds seed XOR index."""
     if len(u_list) == 0:
         raise InvalidParams("u_list must not be empty")
-    if estimator not in (ESTIMATOR_CRUDE, ESTIMATOR_CONDITIONAL):
-        raise InvalidParams(f"unknown estimator {estimator!r}")
-    run = crude_mc if estimator == ESTIMATOR_CRUDE else conditional_max_mc
+    run = get_estimator(estimator)
     return [run(spec, u, n, (seed ^ idx) & _U64, workers=workers)
             for idx, u in enumerate(u_list)]
+
+
+# Estimator name -> function name.  The function is looked up on this
+# module at call time, so a wrapper installed on the module attribute
+# (as perfbench's tracer does) sees every call.
+_ESTIMATORS = {ESTIMATOR_CRUDE: "crude_mc",
+               ESTIMATOR_CONDITIONAL: "conditional_max_mc"}
+
+
+def get_estimator(name: str):
+    """The estimator function registered under ``name``; InvalidParams for
+    an unknown name."""
+    if name not in _ESTIMATORS:
+        raise InvalidParams(f"unknown estimator {name!r}; expected one of "
+                            f"{sorted(_ESTIMATORS)}")
+    return globals()[_ESTIMATORS[name]]

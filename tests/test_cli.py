@@ -224,6 +224,17 @@ class TestMcCommand:
         strip = lambda s: [ln for ln in s.splitlines() if "elapsed" not in ln]
         assert strip(out1) == strip(out2)
 
+    def test_unknown_estimator_exits_1(self, run_cli, tmp_path):
+        raw = load_config("table3").to_dict()
+        raw["mc"]["estimator"] = "crud"
+        path = tmp_path / "crud.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("mc", "--config", str(path), "--u", "10",
+                                 "--n", "1000")
+        assert code == 1
+        assert out == ""
+        assert "unknown estimator 'crud'" in err
+
     def test_crude_estimator_flag(self, run_cli):
         code, out, _ = run_cli("mc", "--config", "table3", "--u", "5",
                                "--n", "20000", "--seed", "3",

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from reference_tables import TABLES, matches_printed, printed_quantum
-from tailsum import (DomainError, McOptions, build_table, epsilon_measure,
-                     rho_hat)
+from tailsum import (DomainError, InvalidParams, McOptions, build_table,
+                     epsilon_measure, rho_hat)
 from tailsum.asymptotics import VARIANT_DENSITY
 
 
@@ -139,3 +139,8 @@ class TestBuildTable:
     def test_empty_u_list_rejected(self, standard_spec):
         with pytest.raises(DomainError):
             build_table(standard_spec(0.0), [])
+
+    def test_unknown_estimator_rejected(self, standard_spec):
+        with pytest.raises(InvalidParams, match="unknown estimator 'crud'"):
+            build_table(standard_spec(0.5), [10.0],
+                        McOptions(estimator="crud", n=1000))
