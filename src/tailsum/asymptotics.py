@@ -13,9 +13,13 @@ where c_j is the margin scaling limit.  The ``density_form`` variant
 replaces the quotient P(X_j > u)/margin_scale_j(u) by the marginal
 density at u (the two are asymptotically equivalent through the Mills
 ratio); it is the default because it is the variant used to produce the
-reference tables.  All products are assembled in log space and
-exponentiated once per term, so thresholds far beyond the double
-underflow point remain usable through the log accessors.
+reference tables.  One array function, ``_log_pair_formula``, evaluates
+the term for both variants and for the log-normal closed form (c_j =
+(beta_j*gamma)^2 and the log-normal density, on raw arrays).  The
+equicorrelated closed form is kept apart as an independent check.  All
+products are assembled in log space and exponentiated once per term, so
+thresholds far beyond the double underflow point remain usable through
+the log accessors.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DomainError, WrongRadialLaw
-from .model import ModelSpec, marginal_log_pdf, marginal_log_tail
-from .numerics import check_threshold, gamma_function
+from .errors import DomainError, InvalidParams, WrongRadialLaw
+from .model import ModelSpec, coordinate_tail, marginal_log_pdf, marginal_log_tail
+from .numerics import (_margin_violations, _sigma_violations, check_threshold,
+                       gamma_function)
 from .radial import RadialLaw, ScalingBundle
 
 __all__ = [
@@ -86,49 +91,56 @@ def first_order(spec: ModelSpec, u: float) -> float:
     return math.exp(log_first_order(spec, u))
 
 
+def _log_pair_formula(lam, beta, gamma: float, sigma, u: float, c,
+                      log_q) -> np.ndarray:
+    """The second-order pair formula on raw arrays: entry [j, i] is the
+    log of the term of ordered pair (j, i), the diagonal is -inf.
+
+    ``c[j]`` is margin j's scaling limit and ``log_q[j]`` the log of its
+    quotient P(X_j > u)/margin_scale_j(u), or of its density at u.  Sigma
+    is never factorised.
+    """
+    lam, beta, c, log_q = (np.asarray(a, dtype=float) for a in (lam, beta, c, log_q))
+    s = np.asarray(sigma, dtype=float).T   # s[j, i] = sigma_ij
+    ratio = beta / beta[:, None]           # ratio[j, i] = beta_i / beta_j
+    out = (np.log(lam) - np.log(beta * gamma)[:, None]
+           + 0.5 * c[:, None] * (1.0 - s * s) * ratio * ratio
+           + ratio * s * np.log(u / lam)[:, None]
+           + log_q[:, None])
+    np.fill_diagonal(out, -math.inf)
+    return out
+
+
 def _log_pair_terms(spec: ModelSpec, u: float, variant: str) -> np.ndarray:
     """Log of every ordered-pair correction term; -inf on the diagonal."""
     check_threshold(u)
     if variant not in (VARIANT_DENSITY, VARIANT_LIMIT):
         raise DomainError(f"unknown variant {variant!r}")
-    d = spec.d
-    out = np.full((d, d), -math.inf)
-    if d == 1:
-        return out
+    if spec.d == 1:
+        return np.full((1, 1), -math.inf)
     bundle = spec.scaling_bundle()
-    sig = spec.sigma.entries
-    for j in range(d):
-        bg_j = spec.beta[j] * spec.gamma
-        c_j = bundle.margin_scale_limit(j)
-        log_u_lam = math.log(u / spec.lam[j])
-        if variant == VARIANT_DENSITY:
-            tail_part = marginal_log_pdf(spec, j, u)
-        else:
-            tail_part = marginal_log_tail(spec, j, u) - math.log(
-                bundle.margin_scale(j, u))
-        for i in range(d):
-            if i == j:
-                continue
-            s_ij = sig[i, j]
-            ratio = spec.beta[i] / spec.beta[j]
-            out[j, i] = (
-                math.log(spec.lam[i]) - math.log(bg_j)
-                + 0.5 * c_j * (1.0 - s_ij * s_ij) * ratio * ratio
-                + ratio * s_ij * log_u_lam
-                + tail_part
-            )
-    return out
+    margins = range(spec.d)
+    c = [bundle.margin_scale_limit(j) for j in margins]
+    if variant == VARIANT_DENSITY:
+        log_q = [marginal_log_pdf(spec, j, u) for j in margins]
+    else:
+        log_q = [marginal_log_tail(spec, j, u) - math.log(bundle.margin_scale(j, u))
+                 for j in margins]
+    return _log_pair_formula(spec.lam, spec.beta, spec.gamma,
+                             spec.sigma.entries, u, c, log_q)
+
+
+def _log_total(log_terms: np.ndarray) -> float:
+    """log of the sum of the finite terms; -inf when there are none."""
+    finite = log_terms[np.isfinite(log_terms)]
+    return float(logsumexp(finite)) if finite.size else -math.inf
 
 
 def second_order_correction(spec: ModelSpec, u: float,
                             variant: str = VARIANT_DENSITY) -> float:
     """The summed pairwise correction (the ``density_form`` default is
     the variant behind the reference tables)."""
-    terms = _log_pair_terms(spec, u, variant)
-    finite = terms[np.isfinite(terms)]
-    if finite.size == 0:
-        return 0.0
-    return math.exp(float(logsumexp(finite)))
+    return approximate(spec, u, variant).correction
 
 
 def approximate(spec: ModelSpec, u: float,
@@ -136,14 +148,9 @@ def approximate(spec: ModelSpec, u: float,
     """Full first- plus second-order approximation with pair breakdown."""
     log_terms = _log_pair_terms(spec, u, variant)
     lf = log_first_order(spec, u)
-    finite = log_terms[np.isfinite(log_terms)]
-    if finite.size:
-        lc = float(logsumexp(finite))
-        correction = math.exp(lc)
-    else:
-        lc = -math.inf
-        correction = 0.0
+    lc = _log_total(log_terms)
     fo = math.exp(lf)
+    correction = math.exp(lc)
     return TailApproximation(
         u=u,
         first_order=fo,
@@ -164,7 +171,8 @@ def approximate(spec: ModelSpec, u: float,
 def lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float:
     """Closed-form correction for log-normal margins, on raw arrays.
 
-    Per ordered pair (j, i):
+    The pair formula with c_j = (beta_j*gamma)^2 and the log-normal
+    density in place of the quotient; per ordered pair (j, i):
 
         lam_i / (beta_j*gamma)^2
           * exp( (beta_i*gamma)^2 (1 - sigma_ij^2) / 2 )
@@ -181,27 +189,16 @@ def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> f
     check_threshold(u)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    sig = np.asarray(sigma, dtype=float)
-    d = len(lam)
-    if d == 1:
-        return -math.inf
-    logs = []
-    for j in range(d):
-        bg_j = beta[j] * gamma
-        llam = math.log(u / lam[j])
-        for i in range(d):
-            if i == j:
-                continue
-            s_ij = sig[i, j]
-            bg_i = beta[i] * gamma
-            logs.append(
-                math.log(lam[i]) - 2.0 * math.log(bg_j)
-                + 0.5 * bg_i * bg_i * (1.0 - s_ij * s_ij)
-                + (beta[i] * s_ij / beta[j]) * llam
-                - llam * llam / (2.0 * bg_j * bg_j)
-                - math.log(u) - _LOG_SQRT_2PI
-            )
-    return float(logsumexp(logs))
+    sigma = np.asarray(sigma, dtype=float)
+    problems = (_margin_violations(len(lam), lam, beta, gamma)
+                + _sigma_violations(sigma, len(lam)))
+    if problems:
+        raise InvalidParams("; ".join(problems))
+    bg = beta * gamma
+    z = np.log(u / lam) / bg
+    log_pdf = -0.5 * z * z - np.log(u * bg) - _LOG_SQRT_2PI
+    return _log_total(_log_pair_formula(lam, beta, gamma, sigma, u, bg * bg,
+                                        log_pdf))
 
 
 def lognormal_correction(spec: ModelSpec, u: float) -> float:
@@ -227,8 +224,7 @@ def equicorrelated_correction(d: int, rho: float, u: float) -> float:
 
         d (d-1) exp((1 - rho^2)/2) / (sqrt(2 pi) u^(1-rho)) exp(-log(u)^2/2)
     """
-    lg = log_equicorrelated_correction(d, rho, u)
-    return 0.0 if lg == -math.inf else math.exp(lg)
+    return math.exp(log_equicorrelated_correction(d, rho, u))
 
 
 def log_equicorrelated_correction(d: int, rho: float, u: float) -> float:
@@ -273,26 +269,13 @@ def angular_reduction_check(law: RadialLaw, lam: float, beta: float,
     The ratio tends to 1 as u grows; returning both sides keeps the
     evidence inspectable.
     """
-    from .numerics import adaptive_quad
-
     if d < 2:
         raise DomainError(f"the reduction needs d >= 2, got {d}")
-    check_threshold(u)
-    w = math.log(u / lam) / (beta * gamma)
-    if w <= 0.0:
-        raise DomainError("threshold must exceed the scale factor")
-    const = gamma_function(d / 2.0) / (math.sqrt(math.pi) * gamma_function((d - 1) / 2.0))
-
-    def integrand(s: float) -> float:
-        t = math.sin(s)
-        if t <= 0.0:
-            return 0.0
-        return law.tail(w / t) * const * math.cos(s) ** (d - 2)
-
-    integral = adaptive_quad(integrand, 0.0, 0.5 * math.pi,
-                             abs_tol=1e-300, rel_tol=1e-11)
     bundle = ScalingBundle(law=law, lam=[lam], beta=[beta], gamma=gamma)
-    es = bundle.margin_scale(0, u)
+    check_threshold(u, 1.0)            # the reduction divides by log u
+    es = bundle.margin_scale(0, u)     # DomainError unless u > lam
+    w = math.log(u / lam) / (beta * gamma)
+    integral = coordinate_tail(law, d, w)
     prefac = 2.0 ** ((d - 3) / 2.0) * gamma_function(d / 2.0) / math.sqrt(math.pi)
     asym = prefac * (es / (u * math.log(u))) ** ((d - 1) / 2.0) * math.exp(law.log_tail(w))
     return AngularCheck(u=u, integral=integral, asymptotic=asym)

@@ -32,7 +32,7 @@ from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      WrongRadialLaw)
 from .model import ModelSpec, validate_inputs
 from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, get_estimator
-from .numerics import CorrelationMatrix, equicorrelation
+from .numerics import CorrelationMatrix
 from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
                      probe_mda_limit, probe_o_regular_variation)
 
@@ -141,13 +141,11 @@ class RunConfig:
                                      self.sigma_entries())
         if violations:
             raise ConfigError("invalid model config: " + "; ".join(violations))
-        if self.rho is not None:
-            sigma = equicorrelation(self.d, self.rho)
-        else:
-            sigma = CorrelationMatrix(self.sigma_entries())
         radial = make_radial(self.radial_kind, *self.radial_params)
         return ModelSpec(d=self.d, lam=list(self.lam), beta=list(self.beta),
-                         gamma=self.gamma, sigma=sigma, radial=radial)
+                         gamma=self.gamma,
+                         sigma=CorrelationMatrix(self.sigma_entries()),
+                         radial=radial)
 
     def mc_options(self, workers: int | None = None) -> McOptions:
         if self.mc_n < 1:

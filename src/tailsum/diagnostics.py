@@ -17,7 +17,7 @@ from typing import Sequence
 from .asymptotics import VARIANT_DENSITY, approximate
 from .errors import DomainError
 from .model import ModelSpec
-from .montecarlo import ESTIMATOR_CONDITIONAL, MCEstimate, _U64, get_estimator
+from .montecarlo import ESTIMATOR_CONDITIONAL, mc_table
 # perfbench/tracing.py wraps these bindings as layers; kept so that it
 # does not report them absent.
 from .montecarlo import conditional_max_mc, crude_mc  # noqa: F401
@@ -108,20 +108,21 @@ def build_table(spec: ModelSpec, u_list: Sequence[float],
 
     The second-order column uses the density variant by default.  The
     epsilon measure is evaluated for the pair (i, j) = (2, 1) (margins
-    two and one) whenever d >= 2.  Per-threshold MC seeds derive as
-    seed XOR index, matching ``mc_table``.
+    two and one) whenever d >= 2.  The MC column is ``mc_table``'s, so
+    per-threshold seeds derive as seed XOR index.
     """
     if len(u_list) == 0:
         raise DomainError("u_list must not be empty")
+    apxs = [approximate(spec, u, variant) for u in u_list]
+    if mc_options is None:
+        ests = [None] * len(u_list)
+    else:
+        ests = mc_table(spec, u_list, mc_options.n, mc_options.seed,
+                        mc_options.estimator, mc_options.workers)
     rows = []
-    for idx, u in enumerate(u_list):
-        apx = approximate(spec, u, variant)
+    for u, apx, est in zip(u_list, apxs, ests):
         mc_val = mc_err = ratio1 = ratio2 = None
-        if mc_options is not None:
-            run = get_estimator(mc_options.estimator)
-            est: MCEstimate = run(spec, u, mc_options.n,
-                                  (mc_options.seed ^ idx) & _U64,
-                                  workers=mc_options.workers)
+        if est is not None:
             mc_val, mc_err = est.value, est.stderr
             ratio1 = mc_val / apx.first_order
             ratio2 = mc_val / apx.second_order

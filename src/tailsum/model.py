@@ -14,14 +14,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams
-from .numerics import (CorrelationMatrix, adaptive_quad, check_threshold,
+from .errors import DomainError, InvalidParams, NotPositiveDefinite
+from .numerics import (CorrelationMatrix, _margin_violations, _sigma_violations,
+                       adaptive_quad, check_threshold, equicorrelation,
                        gamma_function, std_normal_log_tail, std_normal_tail)
-from .radial import RadialLaw, ScalingBundle, make_radial
+from .radial import RadialLaw, ScalingBundle, make_radial, probe_mda_limit
 
 __all__ = ["ModelSpec", "SampleBatch", "validate", "validate_inputs",
-           "marginal_tail", "marginal_log_tail", "marginal_pdf", "sample",
-           "SAMPLE_CHUNK"]
+           "marginal_tail", "marginal_log_tail", "marginal_pdf",
+           "coordinate_tail", "sample", "SAMPLE_CHUNK"]
 
 # Fixed chunk length for sample generation; part of the reproducibility
 # contract (results depend on it, never on the worker count).
@@ -51,11 +52,10 @@ class ModelSpec:
             raise InvalidParams(f"dimension must be >= 1, got {self.d}")
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        problems = _margin_violations(self.d, lam, beta, self.gamma)
+        problems = (_margin_violations(self.d, lam, beta, self.gamma)
+                    + _sigma_violations(self.sigma.entries, self.d))
         if problems:
             raise InvalidParams("; ".join(problems))
-        if self.sigma.dim != self.d:
-            raise InvalidParams("sigma dimension does not match d")
         perm = np.lexsort((-lam, -beta))  # decreasing beta, then decreasing lam
         lam, beta = lam[perm].copy(), beta[perm].copy()
         sigma = self.sigma
@@ -72,8 +72,6 @@ class ModelSpec:
     @classmethod
     def standard(cls, d: int, rho: float, radial: RadialLaw | None = None) -> "ModelSpec":
         """Equicorrelated standard model: lam = beta = gamma = 1."""
-        from .numerics import equicorrelation
-
         return cls(d=d, lam=np.ones(d), beta=np.ones(d), gamma=1.0,
                    sigma=equicorrelation(d, rho),
                    radial=radial or make_radial("ChiOfDim", d))
@@ -89,26 +87,6 @@ class ModelSpec:
         return replace(self, sigma=sigma)
 
 
-def _margin_violations(d: int, lam: np.ndarray, beta: np.ndarray,
-                       gamma: float) -> list[str]:
-    """Broken invariants of lam, beta and gamma: the ModelSpec constructor
-    raises with them, both validators report them."""
-    violations: list[str] = []
-    for name, what, arr in (("lam", "scale factors", lam),
-                            ("beta", "exponents", beta)):
-        if arr.shape != (d,):
-            violations.append(f"{name} must have length d={d}, got {arr.shape}")
-        elif not np.all(np.isfinite(arr)):
-            violations.append(f"{what} {name} must be finite")
-        elif np.any(arr <= 0):
-            violations.append(f"{what} {name} must be positive")
-    if not math.isfinite(gamma):
-        violations.append(f"gamma must be finite, got {gamma}")
-    elif gamma <= 0:
-        violations.append(f"gamma must be positive, got {gamma}")
-    return violations
-
-
 def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
     """Check every model invariant; the returned list is empty when valid.
 
@@ -116,15 +94,8 @@ def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
     configs deserialized from files and, with ``strict_mda``, runs the
     radial MDA probe as a smoke check.
     """
-    violations: list[str] = []
-    if spec.d < 1:
-        violations.append("dimension must be >= 1")
-    violations += _margin_violations(spec.d, spec.lam, spec.beta, spec.gamma)
-    ent = spec.sigma.entries
-    if not np.all(np.diag(ent) == 1.0):
-        violations.append("sigma must have unit diagonal")
-    if not np.allclose(ent, ent.T, atol=1e-12):
-        violations.append("sigma must be symmetric")
+    violations = validate_inputs(spec.d, spec.lam, spec.beta, spec.gamma,
+                                 spec.sigma.entries)
     if np.any(np.diff(spec.beta) > 0):
         violations.append("exponents must be sorted in decreasing order")
     top = spec.beta == spec.beta[0]
@@ -132,8 +103,6 @@ def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
         violations.append("first margin must carry the largest scale factor "
                           "among those with the largest exponent")
     if strict_mda:
-        from .radial import probe_mda_limit
-
         rows = probe_mda_limit(spec.radial, [8.0, 32.0], [-1.0, 0.0, 1.0])
         worst = max(r.rel_error for r in rows)
         if worst > 0.5:
@@ -143,40 +112,27 @@ def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
     return violations
 
 
-def validate_inputs(d, lam, beta, gamma, sigma, radial=None) -> list[str]:
+def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
     """Violation list for raw, possibly unconstructable, model ingredients.
 
     Unlike the ModelSpec constructor this never raises; every broken
     invariant is reported as a string.  An empty list means a ModelSpec
     can be built from the inputs.
     """
-    violations: list[str] = []
     try:
         d = int(d)
     except (TypeError, ValueError):
-        violations.append(f"dimension must be an integer, got {d!r}")
-        return violations
+        return [f"dimension must be an integer, got {d!r}"]
     if d < 1:
-        violations.append(f"dimension must be >= 1, got {d}")
-        return violations
+        return [f"dimension must be >= 1, got {d}"]
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    violations += _margin_violations(d, lam, beta, gamma)
     m = np.asarray(sigma, dtype=float)
-    if m.ndim != 2 or m.shape != (d, d):
-        violations.append(f"sigma must be a {d}x{d} matrix, got shape {m.shape}")
-        return violations
-    if not np.allclose(m, m.T, atol=1e-12):
-        violations.append("sigma must be symmetric")
-    if not np.all(np.diag(m) == 1.0):
-        violations.append("sigma must have unit diagonal")
-    off = m[~np.eye(d, dtype=bool)]
-    if off.size and np.max(np.abs(off)) > 1.0:
-        violations.append("off-diagonal correlations must lie in [-1, 1]")
+    violations = _margin_violations(d, lam, beta, gamma) + _sigma_violations(m, d)
     if not violations:
         try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
+            CorrelationMatrix(m)
+        except NotPositiveDefinite:
             violations.append("sigma is not positive definite")
     return violations
 
@@ -185,71 +141,62 @@ def validate_inputs(d, lam, beta, gamma, sigma, radial=None) -> list[str]:
 # Marginals
 # ---------------------------------------------------------------------------
 
-def _check_margin(spec: ModelSpec, j: int, u: float) -> None:
+def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
+    """Check j and u; return w = log(u/lam_j)/(beta_j*gamma), the
+    threshold of margin j on the scale of its log-coordinate."""
     if not 0 <= j < spec.d:
         raise DomainError(f"margin index {j} out of range for d={spec.d}")
     check_threshold(u)
+    return math.log(u / spec.lam[j]) / (spec.beta[j] * spec.gamma)
 
 
 def marginal_log_tail(spec: ModelSpec, j: int, u: float) -> float:
     """log P(X_j > u); exact normal complement for the ChiOfDim radial."""
-    _check_margin(spec, j, u)
-    bg = spec.beta[j] * spec.gamma
+    w = _margin_w(spec, j, u)
     if spec.radial.kind == "ChiOfDim":
-        z = math.log(u / spec.lam[j]) / bg
-        return std_normal_log_tail(z)
-    return math.log(marginal_tail(spec, j, u))
+        return std_normal_log_tail(w)
+    return math.log(coordinate_tail(spec.radial, spec.d, w))
 
 
 def marginal_tail(spec: ModelSpec, j: int, u: float) -> float:
     """P(X_j > u).
 
-    ChiOfDim radial: the exact log-normal tail.  Other radial laws: the
-    sphere-coordinate reduction P(X_j > u) = int_0^1 tail_R(w / t) h(t) dt
-    with w = log(u/lam_j)/(beta_j*gamma), evaluated by adaptive quadrature
-    after the substitution t = sin(s) that removes the d = 2 endpoint
-    singularity of the coordinate density h.
+    ChiOfDim radial: the exact log-normal tail.  Other radial laws:
+    ``coordinate_tail`` at w = log(u/lam_j)/(beta_j*gamma).
     """
-    _check_margin(spec, j, u)
-    bg = spec.beta[j] * spec.gamma
+    w = _margin_w(spec, j, u)
     if spec.radial.kind == "ChiOfDim":
-        return std_normal_tail(math.log(u / spec.lam[j]) / bg)
-    w = math.log(u / spec.lam[j]) / bg
-    if w <= 0.0:
-        # Threshold at or below the scale factor: the coordinate integral
-        # splits at 0; for negative w the positive-coordinate half always
-        # exceeds, the negative half needs tail_R(w/t) with t < 0.
-        return _marginal_tail_low(spec, w)
-    d = spec.d
-    law = spec.radial
-    const = gamma_function(d / 2.0) / (math.sqrt(math.pi) * gamma_function((d - 1) / 2.0))
-
-    def integrand(s: float) -> float:
-        t = math.sin(s)
-        if t <= 0.0:
-            return 0.0
-        return law.tail(w / t) * const * math.cos(s) ** (d - 2)
-
-    return adaptive_quad(integrand, 0.0, 0.5 * math.pi, abs_tol=1e-300, rel_tol=1e-11)
+        return std_normal_tail(w)
+    return coordinate_tail(spec.radial, spec.d, w)
 
 
-def _marginal_tail_low(spec: ModelSpec, w: float) -> float:
-    """P(R * T > w) for w <= 0, T a sphere coordinate (T symmetric)."""
+def coordinate_tail(law: RadialLaw, d: int, w: float) -> float:
+    """P(R * T > w) for T one coordinate of a uniform point on the unit
+    sphere in R^d, independent of R.
+
+    For w > 0 this is int_0^1 tail_R(w / t) h(t) dt with h the coordinate
+    density.  T is symmetric, so for w < 0 it is
+    1/2 + int_0^1 (1 - tail_R(|w| / t)) h(t) dt, and 1/2 at w = 0.  The
+    integral runs by adaptive quadrature after the substitution
+    t = sin(s), which removes the d = 2 endpoint singularity of h.
+    """
     if w == 0.0:
         return 0.5
-    d = spec.d
-    law = spec.radial
+    below = w < 0.0
     const = gamma_function(d / 2.0) / (math.sqrt(math.pi) * gamma_function((d - 1) / 2.0))
 
-    # P(RT > w) = P(T > 0) + P(T < 0, R < w/T with T<0 -> R < |w|/|T|)
     def integrand(s: float) -> float:
         t = math.sin(s)
         if t <= 0.0:
             return 0.0
-        return (1.0 - law.tail(-w / t)) * const * math.cos(s) ** (d - 2)
+        p = law.tail(abs(w) / t)
+        return (1.0 - p if below else p) * const * math.cos(s) ** (d - 2)
 
-    below = adaptive_quad(integrand, 0.0, 0.5 * math.pi, abs_tol=1e-13, rel_tol=1e-11)
-    return 0.5 + below
+    # Above 0 the tail may lie far below any absolute tolerance; below 0
+    # the integral is added to 1/2.
+    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi,
+                        abs_tol=1e-13 if below else 1e-300, rel_tol=1e-11)
+    return 0.5 + val if below else val
 
 
 def marginal_pdf(spec: ModelSpec, j: int, u: float) -> float:
@@ -259,8 +206,7 @@ def marginal_pdf(spec: ModelSpec, j: int, u: float) -> float:
     difference of the marginal tail with relative step 1e-5 (the step
     balancing truncation against cancellation in double precision).
     """
-    _check_margin(spec, j, u)
-    bg = spec.beta[j] * spec.gamma
+    _margin_w(spec, j, u)
     if spec.radial.kind == "ChiOfDim":
         return math.exp(marginal_log_pdf(spec, j, u))
     h = 1e-5 * u
@@ -269,10 +215,9 @@ def marginal_pdf(spec: ModelSpec, j: int, u: float) -> float:
 
 def marginal_log_pdf(spec: ModelSpec, j: int, u: float) -> float:
     """log density of X_j at u (ChiOfDim radial only has a closed form)."""
-    _check_margin(spec, j, u)
-    bg = spec.beta[j] * spec.gamma
+    z = _margin_w(spec, j, u)
     if spec.radial.kind == "ChiOfDim":
-        z = math.log(u / spec.lam[j]) / bg
+        bg = spec.beta[j] * spec.gamma
         return -0.5 * z * z - math.log(u * bg) - 0.5 * math.log(2.0 * math.pi)
     return math.log(marginal_pdf(spec, j, u))
 

@@ -139,8 +139,9 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
     Uses the same chunked draw scheme as ``model.sample``, so the hit
     count equals the frequency over that batch.
     """
-    if n < 1:
-        raise InvalidParams(f"sample size must be >= 1, got {n}")
+    if n < 2:
+        raise InvalidParams(f"crude_mc needs n >= 2 draws for a standard "
+                            f"error, got {n}")
     check_threshold(u, -math.inf)
     start = time.perf_counter()
     chol = spec.sigma.cholesky()

@@ -40,6 +40,51 @@ def check_threshold(u: float, lower: float = 0.0) -> None:
         raise DomainError(f"threshold u must be finite and {bound}, got {u}")
 
 
+# Rounding slack for the symmetry and range of a correlation matrix read
+# from text or permuted.
+_SIGMA_TOL = 1e-12
+
+
+def _margin_violations(d: int, lam: np.ndarray, beta: np.ndarray,
+                       gamma: float) -> list[str]:
+    """Broken invariants of lam, beta and gamma: ModelSpec and
+    ScalingBundle raise with them, the model validators report them."""
+    violations: list[str] = []
+    for name, what, arr in (("lam", "scale factors", lam),
+                            ("beta", "exponents", beta)):
+        if arr.shape != (d,):
+            violations.append(f"{name} must have length d={d}, got {arr.shape}")
+        elif not np.all(np.isfinite(arr)):
+            violations.append(f"{what} {name} must be finite")
+        elif np.any(arr <= 0):
+            violations.append(f"{what} {name} must be positive")
+    if not math.isfinite(gamma):
+        violations.append(f"gamma must be finite, got {gamma}")
+    elif gamma <= 0:
+        violations.append(f"gamma must be positive, got {gamma}")
+    return violations
+
+
+def _sigma_violations(m: np.ndarray, d: int | None = None) -> list[str]:
+    """Broken invariants of a correlation matrix short of positive
+    definiteness: CorrelationMatrix and ModelSpec raise with them,
+    ``validate_inputs`` reports them.  ``d`` fixes the size; None accepts
+    any square matrix."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or d not in (None, m.shape[0]):
+        size = "square" if d is None else f"{d}x{d}"
+        return [f"sigma must be a {size} matrix, got shape {m.shape}"]
+    if not np.all(np.isfinite(m)):
+        return ["sigma entries must be finite"]
+    violations: list[str] = []
+    if np.any(np.abs(m - m.T) > _SIGMA_TOL):
+        violations.append("sigma must be symmetric")
+    if not np.all(np.diag(m) == 1.0):
+        violations.append("sigma must have unit diagonal")
+    if np.any(np.abs(m) > 1.0 + _SIGMA_TOL):
+        violations.append("sigma entries must lie in [-1, 1]")
+    return violations
+
+
 def std_normal_tail(x: float) -> float:
     """P(N(0,1) > x), accurate in the far tail.
 
@@ -116,8 +161,8 @@ def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
 class CorrelationMatrix:
     """A symmetric positive-definite matrix with unit diagonal.
 
-    Construction validates shape, symmetry, the unit diagonal, the
-    [-1, 1] range off the diagonal, and positive definiteness (via a
+    Construction validates shape, finite entries, symmetry, the unit
+    diagonal, the [-1, 1] range, and positive definiteness (via a
     Cholesky factorization, cached for reuse).
     """
 
@@ -126,14 +171,9 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-            raise DomainError("correlation matrix must be symmetric")
-        if not np.all(np.diag(m) == 1.0):
-            raise DomainError("correlation matrix must have unit diagonal")
-        if np.any(np.abs(m) > 1.0 + 1e-12):
-            raise DomainError("correlations must lie in [-1, 1]")
+        problems = _sigma_violations(m)
+        if problems:
+            raise DomainError("; ".join(problems))
         m = 0.5 * (m + m.T)
         np.fill_diagonal(m, 1.0)
         m.setflags(write=False)

@@ -34,7 +34,7 @@ from scipy import optimize
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import check_threshold, std_normal_log_tail
+from .numerics import _margin_violations, check_threshold, std_normal_log_tail
 
 __all__ = [
     "RadialLaw",
@@ -240,10 +240,9 @@ class ScalingBundle:
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float)).copy()
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float)).copy()
-        if lam.shape != beta.shape:
-            raise InvalidParams("lam and beta must have the same length")
-        if np.any(lam <= 0) or np.any(beta <= 0) or self.gamma <= 0:
-            raise InvalidParams("margin parameters must be positive")
+        problems = _margin_violations(len(lam), lam, beta, self.gamma)
+        if problems:
+            raise InvalidParams("; ".join(problems))
         lam.setflags(write=False)
         beta.setflags(write=False)
         object.__setattr__(self, "lam", lam)
@@ -344,19 +343,26 @@ class PairConditionRow:
         return self.lhs - self.rhs
 
 
-def probe_mda_limit(law: RadialLaw, u_grid: Sequence[float],
-                    x_grid: Sequence[float]) -> list[MdaProbeRow]:
-    """tail(u + x*scaling(u)) / tail(u) against exp(-x) on a grid."""
+def _mda_rows(u_grid: Sequence[float], x_grid: Sequence[float],
+              scale: Callable[[float], float],
+              log_tail: Callable[[float], float]) -> list[MdaProbeRow]:
+    """exp(log_tail(u + x*scale(u)) - log_tail(u)) against exp(-x)."""
     rows = []
     for u in u_grid:
-        b = law.scaling(u)
+        b = scale(u)
         for x in x_grid:
             shifted = u + x * b
             if shifted <= 0:
                 continue
-            ratio = math.exp(law.log_tail(shifted) - law.log_tail(u))
+            ratio = math.exp(log_tail(shifted) - log_tail(u))
             rows.append(MdaProbeRow(u=u, x=x, ratio=ratio, target=math.exp(-x)))
     return rows
+
+
+def probe_mda_limit(law: RadialLaw, u_grid: Sequence[float],
+                    x_grid: Sequence[float]) -> list[MdaProbeRow]:
+    """tail(u + x*scaling(u)) / tail(u) against exp(-x) on a grid."""
+    return _mda_rows(u_grid, x_grid, law.scaling, law.log_tail)
 
 
 def probe_margin_mda_limit(bundle: ScalingBundle, j: int, u_grid: Sequence[float],
@@ -367,16 +373,8 @@ def probe_margin_mda_limit(bundle: ScalingBundle, j: int, u_grid: Sequence[float
     ``log_tail`` is the margin's log tail function (the model module
     provides it); the bundle supplies the margin scaling.
     """
-    rows = []
-    for u in u_grid:
-        es = bundle.margin_scale(j, u)
-        for x in x_grid:
-            shifted = u + x * es
-            if shifted <= 0:
-                continue
-            ratio = math.exp(log_tail(shifted) - log_tail(u))
-            rows.append(MdaProbeRow(u=u, x=x, ratio=ratio, target=math.exp(-x)))
-    return rows
+    return _mda_rows(u_grid, x_grid, lambda u: bundle.margin_scale(j, u),
+                     log_tail)
 
 
 def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,

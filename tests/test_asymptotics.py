@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference_tables import TABLES, matches_printed
-from tailsum import (CorrelationMatrix, DomainError, ModelSpec,
+from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
                      VARIANT_DENSITY, VARIANT_LIMIT, WrongRadialLaw,
                      angular_reduction_check, approximate,
                      equicorrelated_correction, first_order,
@@ -26,6 +26,30 @@ mp.mp.dps = 40
 def oracle_fstar(u):
     """Standard log-normal density via mpmath."""
     return float(mp.exp(-mp.log(u) ** 2 / 2) / (u * mp.sqrt(2 * mp.pi)))
+
+
+def lognormal_closed_form_oracle(lam, beta, gamma, sigma, u):
+    """log of the log-normal closed-form correction, summed term by term
+    in scalars from the formula in the ``lognormal_pair_correction``
+    docstring; independent of the library's shared pair formula."""
+    logs = []
+    for j in range(len(lam)):
+        bg_j = beta[j] * gamma
+        llam = math.log(u / lam[j])
+        for i in range(len(lam)):
+            if i == j:
+                continue
+            s_ij = sigma[i][j]
+            bg_i = beta[i] * gamma
+            logs.append(
+                math.log(lam[i]) - 2.0 * math.log(bg_j)
+                + 0.5 * bg_i * bg_i * (1.0 - s_ij * s_ij)
+                + (beta[i] * s_ij / beta[j]) * llam
+                - llam * llam / (2.0 * bg_j * bg_j)
+                - math.log(u) - 0.5 * math.log(2.0 * math.pi)
+            )
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 class TestFirstOrder:
@@ -184,9 +208,23 @@ class TestLognormalClosedForm:
         closed = log_lognormal_correction(spec, u)
         general = approximate(spec, u, VARIANT_DENSITY).log_correction
         assert closed == pytest.approx(general, abs=1e-10)
+        # both share one pair formula; check it against the scalar oracle
+        oracle = lognormal_closed_form_oracle(spec.lam, spec.beta, gamma,
+                                              spec.sigma.entries, u)
+        assert closed == pytest.approx(oracle, rel=1e-13, abs=1e-10)
 
     def test_single_margin_zero(self):
         assert lognormal_correction(ModelSpec.standard(1, 0.0), 10.0) == 0.0
+
+    @pytest.mark.parametrize("lam, sigma, match", [
+        ([-1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]], "lam must be positive"),
+        ([math.nan, 1.0], [[1.0, 0.5], [0.5, 1.0]], "lam must be finite"),
+        ([1.0, 1.0], [[1.0, 1.5], [1.5, 1.0]], r"must lie in \[-1, 1\]"),
+        ([1.0, 1.0], [[1.0, 0.5], [0.4, 1.0]], "sigma must be symmetric"),
+    ])
+    def test_raw_inputs_validated(self, lam, sigma, match):
+        with pytest.raises(InvalidParams, match=match):
+            lognormal_pair_correction(lam, [1.0, 1.0], 1.0, np.array(sigma), 10.0)
 
     def test_wrong_radial_rejected(self):
         spec = ModelSpec.standard(2, 0.0, radial=make_radial("WeibullTail", 3.0))
@@ -200,6 +238,12 @@ class TestLognormalClosedForm:
         # linear value underflows; log value stays finite
         assert math.isfinite(lg)
         assert lg < -4000.0
+        assert lg == pytest.approx(
+            lognormal_closed_form_oracle(lam, beta, 1.0, sigma, 1e40), rel=1e-13)
+        lam, beta, gamma = [2.0, 0.5], [1.5, 1.0], 0.7
+        lg = log_lognormal_pair_correction(lam, beta, gamma, sigma, 1e40)
+        assert lg == pytest.approx(
+            lognormal_closed_form_oracle(lam, beta, gamma, sigma, 1e40), rel=1e-13)
 
 
 class TestEquicorrelated:
@@ -286,6 +330,23 @@ class TestAngularReduction:
         spec = ModelSpec.standard(2, 0.0, radial=law)
         chk = angular_reduction_check(law, 1.0, 1.0, 1.0, 2, 50.0)
         assert chk.integral == pytest.approx(marginal_tail(spec, 0, 50.0), rel=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_rejects_bad_margin_parameter(self, name, value):
+        params = {"lam": 1.0, "beta": 1.0, "gamma": 1.0, name: value}
+        rule = "finite" if not math.isfinite(value) else "positive"
+        with pytest.raises(InvalidParams, match=f"{name} must be {rule}"):
+            angular_reduction_check(make_radial("ChiOfDim", 3), d=3, u=1e4,
+                                    **params)
+
+    def test_threshold_domain(self):
+        law = make_radial("ChiOfDim", 2)
+        with pytest.raises(DomainError, match="needs u > lam_j"):
+            angular_reduction_check(law, 2.0, 1.0, 1.0, 2, 1.5)
+        # above the scale factor but below 1, where log u <= 0
+        with pytest.raises(DomainError, match=r"finite and > 1, got 0\.8"):
+            angular_reduction_check(law, 0.5, 1.0, 1.0, 2, 0.8)
 
     def test_d2_band(self):
         law = make_radial("ChiOfDim", 2)

@@ -216,6 +216,13 @@ class TestMcCommand:
         code, _, _ = run_cli("mc", "--config", "table3", "--u", "10", "--n", "0")
         assert code == 1
 
+    def test_crude_single_draw_exits_1(self, run_cli):
+        code, out, err = run_cli("mc", "--config", "table3", "--u", "10",
+                                 "--estimator", "crude", "--n", "1")
+        assert code == 1
+        assert out == ""
+        assert "n >= 2" in err
+
     def test_byte_identical_except_elapsed(self, run_cli):
         args = ("mc", "--config", "table3", "--u", "10", "--n", "20000",
                 "--seed", "11")

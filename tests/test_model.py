@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
-                     ModelSpec, equicorrelation, make_radial, marginal_pdf,
-                     marginal_tail, sample, validate, validate_inputs)
+                     ModelSpec, NotPositiveDefinite, equicorrelation,
+                     make_radial, marginal_pdf, marginal_tail, sample, validate,
+                     validate_inputs)
 from tailsum.model import _draw_chunk, marginal_log_pdf, marginal_log_tail
 
 mp.mp.dps = 40
@@ -19,6 +20,26 @@ def spec_with(lam, beta, sigma_entries, gamma=1.0, radial=None):
     return ModelSpec(d=d, lam=lam, beta=beta, gamma=gamma,
                      sigma=CorrelationMatrix(np.asarray(sigma_entries, float)),
                      radial=radial or make_radial("ChiOfDim", d))
+
+
+# Candidate correlation matrices, buildable or not.
+_SIGMAS = {
+    "valid": [[1.0, 0.3], [0.3, 1.0]],
+    "valid_3x3": [[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]],
+    "asymmetry_1e-6": [[1.0, 0.3], [0.3 + 1e-6, 1.0]],
+    "asymmetry_1e-13": [[1.0, 0.3], [0.3 + 1e-13, 1.0]],
+    "off_diagonal_1+5e-13": [[1.0, 1.0 + 5e-13], [1.0 + 5e-13, 1.0]],
+    "off_diagonal_1.5": [[1.0, 1.5], [1.5, 1.0]],
+    "nan_off_diagonal": [[1.0, math.nan], [math.nan, 1.0]],
+    "inf_off_diagonal": [[1.0, math.inf], [math.inf, 1.0]],
+    "minus_inf_off_diagonal": [[1.0, -math.inf], [-math.inf, 1.0]],
+    "nan_one_entry": [[1.0, 0.3], [math.nan, 1.0]],
+    "unit_diagonal": [[1.0, 0.2], [0.2, 0.5]],
+    "not_positive_definite": [[1.0, 1.0], [1.0, 1.0]],
+    "not_positive_definite_3x3": [[1.0, -0.6, -0.6], [-0.6, 1.0, -0.6],
+                                  [-0.6, -0.6, 1.0]],
+    "not_square": [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2]],
+}
 
 
 class TestValidation:
@@ -42,6 +63,29 @@ class TestValidation:
         bad = np.array([[1.0, 1.0], [1.0, 1.0]])
         violations = validate_inputs(2, [1, 1], [1, 1], 1.0, bad)
         assert any("positive definite" in v for v in violations)
+
+    @pytest.mark.parametrize("case", sorted(_SIGMAS))
+    def test_validate_inputs_agrees_with_constructor(self, case):
+        m = np.array(_SIGMAS[case])
+        d = m.shape[0]
+        violations = validate_inputs(d, [1.0] * d, [1.0] * d, 1.0, m)
+        try:
+            CorrelationMatrix(m)
+        except (DomainError, NotPositiveDefinite):
+            built = False
+        else:
+            built = True
+        assert (violations == []) == built, violations
+        if case.startswith("valid"):
+            assert built
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_named(self, value):
+        m = np.array([[1.0, value], [value, 1.0]])
+        assert validate_inputs(2, [1, 1], [1, 1], 1.0, m) == [
+            "sigma entries must be finite"]
+        with pytest.raises(DomainError, match="^sigma entries must be finite$"):
+            CorrelationMatrix(m)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])

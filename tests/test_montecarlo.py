@@ -107,6 +107,11 @@ class TestCrude:
         with pytest.raises(DomainError, match="threshold u must be finite"):
             crude_mc(standard_spec(0.0), u, 1000, seed=1)
 
+    def test_rejects_single_draw(self, standard_spec):
+        # one draw has no standard error
+        with pytest.raises(InvalidParams, match="n >= 2"):
+            crude_mc(standard_spec(0.5), 1e6, 1, seed=1)
+
 
 class TestConditional:
     def test_single_margin_exact(self):

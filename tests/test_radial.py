@@ -198,6 +198,15 @@ class TestScalingBundle:
         with pytest.raises(Exception):
             b.margin_scale(0, 1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_rejects_bad_margin_parameter(self, name, value):
+        params = {"lam": (1.0,), "beta": (1.0,), "gamma": 1.0}
+        params[name] = value if name == "gamma" else (value,)
+        rule = "finite" if not math.isfinite(value) else "positive"
+        with pytest.raises(InvalidParams, match=f"{name} must be {rule}"):
+            self.bundle(**params)
+
     def test_lognormal_closed_form_any_beta(self):
         b = self.bundle(lam=(1.5,), beta=(2.0,), gamma=0.5)
         u = 300.0
