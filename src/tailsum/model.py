@@ -151,11 +151,29 @@ def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
 
 
 def marginal_log_tail(spec: ModelSpec, j: int, u: float) -> float:
-    """log P(X_j > u); exact normal complement for the ChiOfDim radial."""
+    """log P(X_j > u); exact normal complement for the ChiOfDim radial.
+
+    Other radial laws take the log of ``coordinate_tail``, which is linear:
+    once it underflows to 0.0 this raises DomainError.
+    """
     w = _margin_w(spec, j, u)
     if spec.radial.kind == "ChiOfDim":
         return std_normal_log_tail(w)
-    return math.log(coordinate_tail(spec.radial, spec.d, w))
+    return _log_positive(coordinate_tail(spec.radial, spec.d, w),
+                         "P(X_j > u)", spec, j, u)
+
+
+def _log_positive(value: float, what: str, spec: ModelSpec, j: int,
+                  u: float) -> float:
+    """log(value) of a quantity that is exactly positive; DomainError
+    naming u, the margin and the radial law when its linear-scale value
+    underflowed to 0.0 (or below, by cancellation)."""
+    if not value > 0.0:
+        raise DomainError(
+            f"{what} at u={u!r} for margin j={j} under the {spec.radial!r} "
+            f"radial law is {value!r} in double precision (below about "
+            "1e-308), so its log is not available")
+    return math.log(value)
 
 
 def marginal_tail(spec: ModelSpec, j: int, u: float) -> float:
@@ -219,7 +237,8 @@ def marginal_log_pdf(spec: ModelSpec, j: int, u: float) -> float:
     if spec.radial.kind == "ChiOfDim":
         bg = spec.beta[j] * spec.gamma
         return -0.5 * z * z - math.log(u * bg) - 0.5 * math.log(2.0 * math.pi)
-    return math.log(marginal_pdf(spec, j, u))
+    return _log_positive(marginal_pdf(spec, j, u), "the density of X_j",
+                         spec, j, u)
 
 
 # ---------------------------------------------------------------------------

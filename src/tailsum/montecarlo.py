@@ -12,14 +12,19 @@ Two estimators:
   conditional exceedance probability evaluated in closed form from the
   Gaussian copula of the log-risks (so it needs the ChiOfDim radial).
   The conditioning vectors are drawn from a defensive mixture of the
-  nominal law and a mean-shifted copy (shift located by a deterministic
-  optimization of the integrand), and reweighted by the exact likelihood
-  ratio.  This keeps the estimator unbiased while cutting the variance
-  by orders of magnitude for strongly positive correlation, where the
-  plain decomposition is dominated by rare conditioning draws.  The
-  shift search runs once per distinct set of margin inputs, so
-  exchangeable margins share one search, and its line scan evaluates
-  the integrand on all scan points in one vectorised call.
+  nominal law and a mean-shifted copy, and reweighted by the exact
+  likelihood ratio.  This keeps the estimator unbiased while cutting
+  the variance by orders of magnitude for strongly positive
+  correlation, where the plain decomposition is dominated by rare
+  conditioning draws.  The shift sits at the mode of the integrand of
+  each margin.  Its search is deterministic and runs once per distinct
+  set of margin inputs, so exchangeable margins share one search.  It
+  evaluates the integrand on batches of points in one vectorised call:
+  a bracketing line search along the all-ones line (the whole search
+  at d = 2 and for exchangeable margins, where the mode is usually the
+  kink where two pieces of the threshold meet), then, for other models,
+  Newton steps from a finite-difference model on the integrand and on
+  the kinks near the current point (see ``_find_shift``).
   Its 2d coordinates per draw (d normals, d mixture uniforms) come from
   randomised quasi-Monte Carlo: K >= 16 blocks of the same unscrambled
   Sobol points, each under its own random digital shift.  The integrand
@@ -53,7 +58,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-from scipy import optimize
 from scipy.special import log_ndtr, ndtri
 
 from . import _kernels
@@ -88,6 +92,20 @@ _DIRECTION_NUMBERS = (Path(scipy.__file__).parent / "stats"
 # Taylor term can reach this size (|x| > 2.35, 1.9% of the cells);
 # elsewhere the degree-4 remainder is below 2e-17.
 _TAYLOR_CUTOFF = 3e-4
+# Shift search: points per line-search round, the bracket width at which
+# a line search stops, the gain in the log-integrand below which a step
+# counts as no improvement, the most Newton steps or rounds, and the
+# finite-difference step of the Newton model.
+_GRID = 129
+_UNIT_GRID = np.linspace(0.0, 1.0, _GRID)
+_LINE_TOL = 1e-10
+_GAIN_TOL = 1e-12
+_MAX_STEPS = 50
+_FD_STEP = 1e-4
+# Pieces of the threshold within this distance of the largest, in log
+# space, are tried as a kink: a Newton search that straddles a kink can
+# stall 1e-5 short of it.
+_KINK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,14 +124,23 @@ def worker_count(workers: int | None = None) -> int:
     """Resolve the worker count: explicit arg, then TAILSUM_THREADS, then 1.
 
     The count only affects wall time; estimates are identical for any
-    value by construction.
+    value by construction.  InvalidParams unless the count given is a
+    positive integer.
     """
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("TAILSUM_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    source = "workers"
+    if workers is None:
+        workers = os.environ.get("TAILSUM_THREADS")
+        if not workers:
+            return 1
+        source = "TAILSUM_THREADS"
+    try:
+        count = int(workers)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise InvalidParams(f"{source} must be a positive integer, "
+                            f"got {workers!r}")
+    return count
 
 
 def _run_chunks(n: int, seed: int, workers: int | None, task):
@@ -143,6 +170,7 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
         raise InvalidParams(f"crude_mc needs n >= 2 draws for a standard "
                             f"error, got {n}")
     check_threshold(u, -math.inf)
+    workers = worker_count(workers)
     start = time.perf_counter()
     chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
@@ -187,41 +215,37 @@ def _conditional_plan(spec: ModelSpec, u: float, tilt: bool,
     others = np.empty((d, d - 1), dtype=np.int64)
     alpha = np.empty((d, d - 1))
     cond_sd = np.empty(d)
-    shift = np.zeros((d, d - 1))
-    tilt_vec = np.zeros((d, d - 1))
-    tilt_const = np.zeros(d)
-    any_shift = False
-    # Exact bytes of the inputs of margin j's shift search -> its shift, so
-    # exchangeable margins share one search (with the same result).
-    shifts: dict[bytes, np.ndarray] = {}
+    shift = np.empty((d, d - 1))
+    tilt_vec = np.empty((d, d - 1))
+    tilt_const = np.empty(d)
+    # Margin j's constants depend only on lam_j, beta_j, lam and beta of
+    # the others, Sigma_-j and the covariances with j; keyed by the exact
+    # bytes of those, exchangeable margins share them and one shift search.
+    constants: dict[bytes, tuple] = {}
     for j in range(d):
-        oth = np.array([i for i in range(d) if i != j], dtype=np.int64)
+        on = np.arange(d) != j
+        oth = np.flatnonzero(on)
         others[j] = oth
-        sub = sig[np.ix_(oth, oth)]
+        sub = sig[on][:, on]
         cross = sig[oth, j]
-        a = np.linalg.solve(sub, cross)
-        alpha[j] = a
-        s2 = 1.0 - float(cross @ a)
-        if s2 <= 0.0:
-            raise DomainError("degenerate conditional law (sigma too close "
-                              "to singular for the conditional estimator)")
-        cond_sd[j] = math.sqrt(s2)
-        if tilt:
-            key = np.concatenate(([spec.lam[j], spec.beta[j]], spec.lam[oth],
-                                  spec.beta[oth], sub.ravel(), cross)).tobytes()
-            if key not in shifts:
-                shifts[key] = _find_shift(spec, u, j, oth, a, cond_sd[j], sub)
-            m = shifts[key]
-            if np.any(m != 0.0):
-                any_shift = True
-                shift[j] = m
-                tv = np.linalg.solve(sub, m)
-                tilt_vec[j] = tv
-                tilt_const[j] = 0.5 * float(m @ tv)
+        key = np.concatenate(([spec.lam[j], spec.beta[j]], spec.lam[oth],
+                              spec.beta[oth], sub.ravel(), cross)).tobytes()
+        if key not in constants:
+            a = np.linalg.solve(sub, cross)
+            s2 = 1.0 - float(cross @ a)
+            if s2 <= 0.0:
+                raise DomainError("degenerate conditional law (sigma too close "
+                                  "to singular for the conditional estimator)")
+            sd = math.sqrt(s2)
+            m = (_find_shift(spec, u, j, oth, a, sd, sub) if tilt
+                 else np.zeros(d - 1))
+            tv = np.linalg.solve(sub, m) if np.any(m != 0.0) else m
+            constants[key] = (a, sd, m, tv, 0.5 * float(m @ tv))
+        alpha[j], cond_sd[j], shift[j], tilt_vec[j], tilt_const[j] = constants[key]
     return _ConditionalPlan(others=others, alpha=alpha, cond_sd=cond_sd,
                             shift=shift, tilt_vec=tilt_vec,
                             tilt_const=tilt_const,
-                            mix=mix if (tilt and any_shift) else 0.0)
+                            mix=mix if np.any(shift != 0.0) else 0.0)
 
 
 def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
@@ -252,39 +276,181 @@ def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
     return h
 
 
+def _line_search(h, y: np.ndarray, v: np.ndarray, best: float,
+                 lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """The best point y + t v found from the bracket t in [lo, hi], and
+    its value, or (y, best) when no point beats ``best`` = h(y).
+
+    Each round evaluates _GRID evenly spaced points of the bracket in one
+    call of h.  The next bracket spans the grid neighbours of the best
+    point seen, so it narrows (_GRID - 1) / 2 times per round; when the
+    best point is a new one at an end of the grid it doubles instead and
+    centres on it.  It stops once the next bracket is narrower than
+    _LINE_TOL (so a unimodal h has its maximum within _LINE_TOL / 2 of
+    the point returned), or once both neighbours of the best grid point
+    lie within _GAIN_TOL of it (then, on a concave stretch, nothing
+    between them is better by more).  Only values are compared, so it
+    closes in on a kink of h as well as on a smooth mode.
+    """
+    t = 0.0
+    while hi - lo > _LINE_TOL:
+        ts = lo + (hi - lo) * _UNIT_GRID
+        vals = h(y + ts[:, None] * v)
+        i = int(vals.argmax())  # the first of the largest
+        half = (hi - lo) / (_GRID - 1)
+        if vals[i] > best:
+            t, best = float(ts[i]), float(vals[i])
+            if i in (0, _GRID - 1):
+                half = hi - lo
+        elif 0 < i < _GRID - 1 and vals[i] - min(vals[i - 1], vals[i + 1]) <= _GAIN_TOL:
+            break
+        lo, hi = t - half, t + half
+    return y + t * v, best
+
+
+def _newton_search(h, q: np.ndarray, best: float) -> tuple[np.ndarray, float]:
+    """Climb h from q (with ``best`` = h(q)) by Newton steps, each followed
+    by ``_line_search`` over [0, 2] step (t = 1 is the Newton point).
+
+    Gradient and Hessian are central differences with step _FD_STEP from
+    one call of h on the 1 + n(n + 3)/2 points q, q +- s e_a and
+    q + s (e_a + e_b), a < b.  Where the Hessian is not negative definite
+    the step is the gradient instead.  Next to a kink the model is poor,
+    but the line search keeps only real gains.  Stops once a step gains
+    at most _GAIN_TOL.
+    """
+    n = len(q)
+    eye = _FD_STEP * np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    offsets = np.vstack([np.zeros((1, n)), eye, -eye, eye[a] + eye[b]])
+    for _ in range(_MAX_STEPS):
+        vals = h(q + offsets)
+        if not np.all(np.isfinite(vals)):
+            break
+        f0, up, down = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
+        grad = (up - down) / (2.0 * _FD_STEP)
+        hess = np.diag(up - 2.0 * f0 + down)
+        hess[a, b] = hess[b, a] = vals[2 * n + 1:] - up[a] - up[b] + f0
+        hess /= _FD_STEP ** 2
+        try:
+            np.linalg.cholesky(-hess)
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            step = grad / max(float(np.max(np.abs(grad))), 1e-300)
+        start = best
+        q, best = _line_search(h, q, step, best, 0.0, 2.0)
+        if best - start <= _GAIN_TOL:
+            break
+    return q, best
+
+
+def _kink_map(u: float, lam_o: np.ndarray, bg_o: np.ndarray,
+              on_max: np.ndarray, on_rest: bool):
+    """The map from free parameters q to the points y at which the flagged
+    pieces of the threshold max(x_1, ..., x_k, u - sum x) are equal, with
+    x_i = lam_i exp(bg_i y_i): every flagged x_i equals T, and so does
+    u - sum x when ``on_rest``.
+
+    A flagged x_i = T fixes y_i = (log T - log lam_i) / bg_i.  With
+    ``on_rest`` the free parameters are the unflagged y_F and
+    T = (u - sum x_F) / (1 + number flagged); otherwise they are
+    (log T, y_F).  Where u - sum x_F <= 0 no such T exists; q then maps
+    to a point far below, where h is low but still its true value.
+    """
+    m, f = np.flatnonzero(on_max), np.flatnonzero(~on_max)
+    log_lam, bg_m = np.log(lam_o[m]), bg_o[m]
+
+    def embed(q: np.ndarray) -> np.ndarray:
+        y = np.empty((len(q), len(lam_o)))
+        if on_rest:
+            y[:, f] = q
+            with np.errstate(over="ignore"):
+                rest = u - np.add.reduce(lam_o[f] * np.exp(bg_o[f] * q), axis=1)
+            log_t = np.log(np.maximum(rest, 1e-300) / (len(m) + 1))
+        else:
+            log_t = q[:, 0]
+            y[:, f] = q[:, 1:]
+        y[:, m] = (log_t[:, None] - log_lam) / bg_m
+        return y
+
+    return embed
+
+
 def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
                 alpha: np.ndarray, sd: float, sub: np.ndarray) -> np.ndarray:
     """Locate the mean shift at the mode of the conditional integrand.
 
-    Deterministic: a coarse line scan along two candidate directions
-    (the regression direction and the all-ones direction) picks a start,
-    then Nelder-Mead polishes it.  Falls back to no shift when nothing
-    beats the origin.
+    Deterministic and vectorised: every step evaluates h on a batch of
+    points in one call.  It starts with a line search along the all-ones
+    direction over t in [-t_max, t_max], with t_max past the point where
+    one other margin alone reaches u.  When the other margins
+    are exchangeable (equal lam and beta, equicorrelated Sigma_-j, equal
+    covariances with margin j; always so at d = 2) the integrand is
+    symmetric in them and this is the result; at d = 2 the mode is
+    usually the kink x = u - x.
+
+    Otherwise a line search along the regression direction Sigma_-j alpha
+    may give a better start, and rounds follow until one gains at most
+    _GAIN_TOL.  A round runs ``_newton_search`` on h.  The mode usually
+    sits on a kink, where two or more pieces of the threshold
+    max(x_1, ..., x_k, u - sum x) are equal, and no straight line climbs
+    along a curved kink.  So the round then takes the pieces within
+    _KINK_TOL of the largest and runs ``_newton_search`` in the
+    parameters of ``_kink_map`` for that set, on which h is smooth, and
+    for each set with one piece fewer when there are more than two.
+    Falls back to no shift when nothing beats the origin by more than
+    1e-9.
     """
     k = len(oth)
     h = _integrand_log(spec, u, j, oth, alpha, sd, sub)
-    h0 = h(np.zeros((1, k)))[0]
-    t_max = max(math.log(u / np.min(spec.lam[oth])) / np.min(spec.beta[oth] * spec.gamma), 1.0) + 4.0
-    directions = [np.ones(k)]
-    reg = sub @ alpha
-    norm = float(np.max(np.abs(reg)))
-    if norm > 1e-12:
-        directions.append(reg / norm)
-        directions.append(-reg / norm)
-    ts = np.linspace(-3.0, t_max, 121)
-    scan = (ts[None, :, None] * np.array(directions)[:, None, :]).reshape(-1, k)
-    vals = h(scan)
-    best = int(np.argmax(vals))  # the first of the largest, in scan order
-    best_y, best_h = (scan[best], vals[best]) if vals[best] > h0 else (np.zeros(k), h0)
-    res = optimize.minimize(lambda y: -h(y[None, :])[0], best_y,
-                            method="Nelder-Mead",
-                            options={"maxiter": 400 * k, "xatol": 1e-6,
-                                     "fatol": 1e-10})
-    if -res.fun > best_h:
-        best_h, best_y = -res.fun, res.x
-    if best_h <= h0 + 1e-9:
+    lam_o, bg_o = spec.lam[oth], spec.beta[oth] * spec.gamma
+    t_max = max(math.log(u / lam_o.min()) / bg_o.min(), 1.0) + 4.0
+    # The first round of the all-ones line search is done here: its grid
+    # is symmetric about t = 0, so its middle value is h at the origin.
+    ones = np.ones(k)
+    ts = t_max * (2.0 * _UNIT_GRID - 1.0)
+    vals = h(ts[:, None] * ones)
+    i = int(vals.argmax())
+    h0, step = float(vals[_GRID // 2]), ts[1] - ts[0]
+    y, best = _line_search(h, ts[i] * ones, ones, float(vals[i]), -step, step)
+    exchangeable = all(len(set(part.tolist())) <= 1 for part in (
+        lam_o, bg_o, sub[~np.eye(k, dtype=bool)], spec.sigma.entries[oth, j]))
+    if not exchangeable:
+        reg = sub @ alpha
+        norm = float(np.max(np.abs(reg)))
+        if norm > 1e-12:
+            y_reg, h_reg = _line_search(h, np.zeros(k), reg / norm, h0,
+                                        -t_max, t_max)
+            if h_reg > best:
+                y, best = y_reg, h_reg
+        for _ in range(_MAX_STEPS):
+            start = best
+            y, best = _newton_search(h, y, best)
+            log_x = np.log(lam_o) + bg_o * y
+            rest = u - float(np.sum(np.exp(log_x)))
+            log_t = np.append(log_x, math.log(rest) if rest > 0.0 else -math.inf)
+            active = np.flatnonzero(log_t >= np.max(log_t) - _KINK_TOL)
+            kinks = [active]
+            if len(active) > 2:
+                kinks += [np.delete(active, n) for n in range(len(active))]
+            for kink in kinks:
+                on_max = np.isin(np.arange(k), kink)
+                on_rest = k in kink
+                if len(kink) < 2 or (on_rest and on_max.all()):
+                    continue  # no kink, or a single point
+                embed = _kink_map(u, lam_o, bg_o, on_max, on_rest)
+                q = y[~on_max]
+                if not on_rest:
+                    q = np.append(np.max(log_t[kink]), q)
+                q, value = _newton_search(lambda p: h(embed(p)), q,
+                                          float(h(embed(q[None, :]))[0]))
+                if value > best:
+                    y, best = embed(q[None, :])[0], value
+            if best - start <= _GAIN_TOL:
+                break
+    if best <= h0 + 1e-9:
         return np.zeros(k)
-    return best_y
+    return y
 
 
 def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
@@ -292,9 +458,14 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
                        mix: float = DEFAULT_MIX) -> MCEstimate:
     """Conditional largest-claim estimate of P(sum of risks > u).
 
-    Unbiased for any u.  ``tilt=False`` selects the plain decomposition
-    (no importance sampling); the default tilted form is required for
-    usable precision at strong positive correlation or deep thresholds.
+    Unbiased wherever the probability is representable in double
+    precision.  Where the merged value underflows to 0.0 (probabilities
+    far below 1e-300) it raises DomainError instead; the log-space forms
+    ``asymptotics.log_first_order`` and
+    ``approximate(spec, u).log_second_order`` reach deeper.  ``tilt=False``
+    selects the plain decomposition (no importance sampling); the
+    default tilted form is required for usable precision at strong
+    positive correlation or deep thresholds.
     Needs the ChiOfDim radial (Gaussian copula of the log-risks).  The
     draws are randomised Sobol blocks (see the module docstring), so n
     is rounded up to a whole number of blocks; the returned ``n`` is the
@@ -311,6 +482,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             "use crude_mc instead"
         )
     check_threshold(u)
+    workers = worker_count(workers)
     start = time.perf_counter()
     if spec.d == 1:
         value = _check_underflow(marginal_tail(spec, 0, u), u)

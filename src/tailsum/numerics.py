@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, NotPositiveDefinite, QuadratureError
@@ -147,8 +146,12 @@ def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
 
     Raises QuadratureError when the reported error estimate exceeds the
     tolerance relative to the result (guards against silent failure on
-    integrands spanning hundreds of orders of magnitude).
+    integrands spanning hundreds of orders of magnitude).  scipy.integrate
+    is imported here, on first use: only radial laws other than ChiOfDim
+    need quadrature.
     """
+    from scipy import integrate
+
     val, err = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
     if err > abs_tol + rel_tol * abs(val) and err > 1e-3 * abs(val):
         raise QuadratureError(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
@@ -303,6 +302,8 @@ class ScalingBundle:
 
         def gap(p: float) -> float:
             return (xs[0] ** -p - xs[1] ** -p) / (xs[1] ** -p - xs[2] ** -p) - ratio
+
+        from scipy import optimize  # only probed (non-ChiOfDim) laws get here
 
         try:
             p = optimize.brentq(gap, 1e-6, 60.0)

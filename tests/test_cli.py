@@ -249,6 +249,14 @@ class TestMcCommand:
         assert code == 0
         assert "crude" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_1_with_a_message(self, run_cli, workers):
+        code, out, err = run_cli("mc", "--config", "table3", "--u", "10",
+                                 "--n", "1000", "--workers", workers)
+        assert code == 1
+        assert out == ""
+        assert f"workers must be a positive integer, got {workers}" in err
+
     def test_workers_do_not_change_output(self, run_cli, monkeypatch):
         args = ("mc", "--config", "table3", "--u", "10", "--n", "100000",
                 "--seed", "11")

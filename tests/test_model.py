@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
-                     ModelSpec, NotPositiveDefinite, equicorrelation,
+                     ModelSpec, NotPositiveDefinite, approximate, equicorrelation,
                      make_radial, marginal_pdf, marginal_tail, sample, validate,
                      validate_inputs)
 from tailsum.model import _draw_chunk, marginal_log_pdf, marginal_log_tail
@@ -193,6 +193,23 @@ class TestMarginals:
         lt = marginal_log_tail(spec, 0, 1e8)
         expected = float(mp.log(mp.erfc(mp.log(1e8) / mp.sqrt(2)) / 2))
         assert lt == pytest.approx(expected, rel=1e-12)
+
+    def test_log_tail_underflow_names_u_margin_and_law(self):
+        # the quadrature tail of WeibullTail(3) underflows between u = 1e3
+        # (about e^-334) and 1e4; the log accessors and approximate raised
+        # a bare "math domain error" there
+        spec = ModelSpec.standard(2, 0.3, radial=make_radial("WeibullTail", 3.0))
+        named = r"u=10000\.0 for margin j=0 under the WeibullTail\(3\.0, 1\.0\)"
+        with pytest.raises(DomainError, match=named):
+            marginal_log_tail(spec, 0, 1e4)
+        with pytest.raises(DomainError, match=named):
+            marginal_log_pdf(spec, 0, 1e4)
+        with pytest.raises(DomainError, match=named):
+            approximate(spec, 1e4)
+        assert marginal_log_tail(spec, 0, 1e3) == -333.9865290892939
+        apx = approximate(spec, 1e3)
+        assert apx.log_first_order == -333.293381908734
+        assert apx.log_second_order == -332.53313170816864
 
     def test_empirical_marginal_consistency(self, standard_spec):
         spec = standard_spec(0.5)
