@@ -158,8 +158,7 @@ class TestConditional:
             conditional_max_mc(ModelSpec.standard(1, 0.0), 1e300, 1000, seed=1)
 
     # (model, u, n, seed, tilt) -> (value, stderr) with the lattice inverse
-    # normal and the vectorised shift search (the tilted rows moved from
-    # the former Nelder-Mead shifts by at most 5.3e-10 relative).
+    # normal and the vectorised shift search.
     GOLDEN = [
         ("table1", 10.0, 10**5, 11, True,
          0.05207111597879311, 1.2004398110803927e-05),
