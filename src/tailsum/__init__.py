@@ -21,7 +21,7 @@ from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      NotPositiveDefinite, QuadratureError, TailsumError,
                      WrongRadialLaw)
 from .model import (ModelSpec, SampleBatch, marginal_pdf, marginal_tail,
-                    sample, validate, validate_inputs)
+                    sample, validate_inputs)
 from .montecarlo import (ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, MCEstimate,
                          conditional_max_mc, crude_mc, mc_table)
 from .numerics import (CorrelationMatrix, cholesky_factor, equicorrelation,
@@ -44,7 +44,7 @@ __all__ = [
     "TailsumError", "DomainError", "InvalidParams", "NoFiniteLimit",
     "NotPositiveDefinite", "QuadratureError", "WrongRadialLaw",
     "ModelSpec", "SampleBatch", "marginal_pdf", "marginal_tail", "sample",
-    "validate", "validate_inputs",
+    "validate_inputs",
     "ESTIMATOR_CONDITIONAL", "ESTIMATOR_CRUDE", "MCEstimate",
     "conditional_max_mc", "crude_mc", "mc_table",
     "CorrelationMatrix", "cholesky_factor", "equicorrelation",

@@ -37,15 +37,14 @@ def conditional_chunk(y, umix, out, u, lam, bg, others, alpha, cond_sd,
     conditional probability that margin j exceeds both the remaining gap
     to u and the largest other margin.  ``umix`` supplies the uniforms
     selecting the defensive-mixture component; ``mix`` is the shifted
-    component's weight (0 disables tilting).  Writes the per-draw sums
-    into ``out``.
+    component's weight.  Writes the per-draw sums into ``out``.
 
     The weight of a draw is 1 / (mix * e^q + 1 - mix), with q the log
     likelihood ratio of the shifted component; an overflowing e^q gives
-    weight 0, the limit of the exact value.
+    weight 0, the limit of the exact value.  The weight is exactly 1 at a
+    zero shift, where q = 0.
     """
     m, d = y.shape
-    tilted = mix > 0.0
     yt = y.T
     yk = np.empty(m)        # other margin k, shifted on picked draws
     xk = np.empty(m)        # lam_k * exp(bg_k * yk)
@@ -53,37 +52,31 @@ def conditional_chunk(y, umix, out, u, lam, bg, others, alpha, cond_sd,
     mx = np.empty(m)        # max of the other margins
     mu = np.empty(m)        # conditional mean of log-margin j
     tmp = np.empty(m)
-    if tilted:
-        picked = np.empty(m, dtype=bool)
-        q = np.empty(m)     # log likelihood ratio, then the mixture density
+    picked = np.empty(m, dtype=bool)
+    q = np.empty(m)         # log likelihood ratio, then the mixture density
     out[:] = 0.0
     for j in range(d):
-        if tilted:
-            np.less(umix[:, j], mix, out=picked)
+        np.less(umix[:, j], mix, out=picked)
         for idx, k in enumerate(others[j]):
             first = idx == 0
-            if tilted:
-                np.multiply(picked, shift[j, idx], out=yk)
-                yk += yt[k]
-                yv = yk
-                if first:
-                    np.multiply(yv, tilt_vec[j, idx], out=q)
-                else:
-                    np.multiply(yv, tilt_vec[j, idx], out=tmp)
-                    q += tmp
+            np.multiply(picked, shift[j, idx], out=yk)
+            yk += yt[k]
+            if first:
+                np.multiply(yk, tilt_vec[j, idx], out=q)
             else:
-                yv = yt[k]
-            np.multiply(yv, bg[k], out=xk)
+                np.multiply(yk, tilt_vec[j, idx], out=tmp)
+                q += tmp
+            np.multiply(yk, bg[k], out=xk)
             np.exp(xk, out=xk)
             xk *= lam[k]
             if first:
                 sm[:] = xk
                 mx[:] = xk
-                np.multiply(yv, alpha[j, idx], out=mu)
+                np.multiply(yk, alpha[j, idx], out=mu)
             else:
                 sm += xk
                 np.maximum(mx, xk, out=mx)
-                np.multiply(yv, alpha[j, idx], out=tmp)
+                np.multiply(yk, alpha[j, idx], out=tmp)
                 mu += tmp
         # z = (log(max(M_j, u - S_j) / lam_j) / bg_j - mu) / cond_sd_j
         np.subtract(u, sm, out=sm)
@@ -95,11 +88,10 @@ def conditional_chunk(y, umix, out, u, lam, bg, others, alpha, cond_sd,
         sm *= _INV_SQRT2 / cond_sd[j]
         erfc(sm, out=sm)
         sm *= 0.5
-        if tilted:
-            q -= tilt_const[j]
-            with np.errstate(over="ignore"):
-                np.exp(q, out=q)
-            q *= mix
-            q += 1.0 - mix
-            sm /= q
+        q -= tilt_const[j]
+        with np.errstate(over="ignore"):
+            np.exp(q, out=q)
+        q *= mix
+        q += 1.0 - mix
+        sm /= q
         out += sm

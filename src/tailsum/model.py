@@ -10,7 +10,7 @@ is exactly multivariate normal, so all margins are log-normal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .errors import DomainError, InvalidParams, NotPositiveDefinite
 from .numerics import (CorrelationMatrix, _margin_violations, _sigma_violations,
                        adaptive_quad, check_threshold, equicorrelation,
                        gamma_function, std_normal_log_tail, std_normal_tail)
-from .radial import RadialLaw, ScalingBundle, make_radial, probe_mda_limit
+from .radial import RadialLaw, ScalingBundle, make_radial
 
-__all__ = ["ModelSpec", "SampleBatch", "validate", "validate_inputs",
+__all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
            "marginal_tail", "marginal_log_tail", "marginal_pdf",
            "coordinate_tail", "sample", "SAMPLE_CHUNK"]
 
@@ -82,34 +82,6 @@ class ModelSpec:
 
     def is_gaussian_copula(self) -> bool:
         return self.radial.kind == "ChiOfDim" and self.radial.params[0] == self.d
-
-    def with_sigma(self, sigma: CorrelationMatrix) -> "ModelSpec":
-        return replace(self, sigma=sigma)
-
-
-def validate(spec: ModelSpec, strict_mda: bool = False) -> list[str]:
-    """Check every model invariant; the returned list is empty when valid.
-
-    Construction already enforces most invariants, so this mainly serves
-    configs deserialized from files and, with ``strict_mda``, runs the
-    radial MDA probe as a smoke check.
-    """
-    violations = validate_inputs(spec.d, spec.lam, spec.beta, spec.gamma,
-                                 spec.sigma.entries)
-    if np.any(np.diff(spec.beta) > 0):
-        violations.append("exponents must be sorted in decreasing order")
-    top = spec.beta == spec.beta[0]
-    if np.any(spec.lam[top] > spec.lam[0]):
-        violations.append("first margin must carry the largest scale factor "
-                          "among those with the largest exponent")
-    if strict_mda:
-        rows = probe_mda_limit(spec.radial, [8.0, 32.0], [-1.0, 0.0, 1.0])
-        worst = max(r.rel_error for r in rows)
-        if worst > 0.5:
-            violations.append(
-                f"radial law fails the Gumbel MDA probe (max rel error {worst:.2f})"
-            )
-    return violations
 
 
 def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
@@ -252,7 +224,6 @@ class SampleBatch:
     n: int
     x: np.ndarray
     seed: int
-    u: float | None = None
 
 
 def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
@@ -268,7 +239,7 @@ def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
     return y
 
 
-def sample(spec: ModelSpec, n: int, seed: int, u: float | None = None) -> SampleBatch:
+def sample(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """Draw n risk vectors.
 
     Generation is chunked with per-chunk generators spawned from the
@@ -289,4 +260,4 @@ def sample(spec: ModelSpec, n: int, seed: int, u: float | None = None) -> Sample
         out[done:done + m] = spec.lam * np.exp(bg * y)
         done += m
     out.setflags(write=False)
-    return SampleBatch(n=n, x=out, seed=seed, u=u)
+    return SampleBatch(n=n, x=out, seed=seed)

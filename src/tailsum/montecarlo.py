@@ -11,20 +11,21 @@ Two estimators:
   with M_j / S_j the maximum / sum of the other margins and the
   conditional exceedance probability evaluated in closed form from the
   Gaussian copula of the log-risks (so it needs the ChiOfDim radial).
-  The conditioning vectors are drawn from a defensive mixture of the
-  nominal law and a mean-shifted copy, and reweighted by the exact
-  likelihood ratio.  This keeps the estimator unbiased while cutting
-  the variance by orders of magnitude for strongly positive
-  correlation, where the plain decomposition is dominated by rare
-  conditioning draws.  The shift sits at the mode of the integrand of
-  each margin.  Its search is deterministic and runs once per distinct
-  set of margin inputs, so exchangeable margins share one search.  It
-  evaluates the integrand on batches of points in one vectorised call:
-  a bracketing line search along the all-ones line (the whole search
-  at d = 2 and for exchangeable margins, where the mode is usually the
-  kink where two pieces of the threshold meet), then, for other models,
-  Newton steps from a finite-difference model on the integrand and on
-  the kinks near the current point (see ``_find_shift``).
+  The conditioning vectors are drawn from a defensive mixture, weight
+  1/2, of the nominal law and a mean-shifted copy (Hesterberg 1995), and
+  reweighted by the exact likelihood ratio.  This keeps the estimator
+  unbiased while cutting the variance by orders of magnitude for
+  strongly positive correlation, where the plain decomposition is
+  dominated by rare conditioning draws.  The shift sits at the mode of
+  the integrand of each margin.  Its search is deterministic and runs
+  once per distinct set of margin inputs, so exchangeable margins share
+  one search.  It evaluates the integrand on batches of points in one
+  vectorised call: a bracketing line search along the all-ones line (the
+  whole search at d = 2 and for exchangeable margins, where the mode is
+  usually the kink where two pieces of the threshold meet), then, for
+  other models, Newton steps from a finite-difference model on the
+  integrand and on the kinks near the current point (see
+  ``_find_shift``).
   Its 2d coordinates per draw (d normals, d mixture uniforms) come from
   randomised quasi-Monte Carlo: K >= 16 blocks of the same unscrambled
   Sobol points, each under its own random digital shift.  The integrand
@@ -75,7 +76,7 @@ ESTIMATOR_CONDITIONAL = "conditional_max"
 # Defensive-mixture weight of the mean-shifted component.  Bounds the
 # likelihood ratio by 1/(1-mix), so a misplaced shift can at most double
 # the second moment relative to the plain estimator.
-DEFAULT_MIX = 0.5
+_MIX = 0.5
 
 _U64 = (1 << 64) - 1
 
@@ -205,11 +206,9 @@ class _ConditionalPlan:
     shift: np.ndarray       # (d, d-1) importance mean shifts
     tilt_vec: np.ndarray    # (d, d-1) Sigma_{-j}^{-1} shift_j
     tilt_const: np.ndarray  # (d,) 0.5 * shift_j' Sigma_{-j}^{-1} shift_j
-    mix: float
 
 
-def _conditional_plan(spec: ModelSpec, u: float, tilt: bool,
-                      mix: float) -> _ConditionalPlan:
+def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
     d = spec.d
     sig = spec.sigma.entries
     others = np.empty((d, d - 1), dtype=np.int64)
@@ -237,15 +236,13 @@ def _conditional_plan(spec: ModelSpec, u: float, tilt: bool,
                 raise DomainError("degenerate conditional law (sigma too close "
                                   "to singular for the conditional estimator)")
             sd = math.sqrt(s2)
-            m = (_find_shift(spec, u, j, oth, a, sd, sub) if tilt
-                 else np.zeros(d - 1))
-            tv = np.linalg.solve(sub, m) if np.any(m != 0.0) else m
+            m = _find_shift(spec, u, j, oth, a, sd, sub)
+            tv = np.linalg.solve(sub, m)
             constants[key] = (a, sd, m, tv, 0.5 * float(m @ tv))
         alpha[j], cond_sd[j], shift[j], tilt_vec[j], tilt_const[j] = constants[key]
     return _ConditionalPlan(others=others, alpha=alpha, cond_sd=cond_sd,
                             shift=shift, tilt_vec=tilt_vec,
-                            tilt_const=tilt_const,
-                            mix=mix if np.any(shift != 0.0) else 0.0)
+                            tilt_const=tilt_const)
 
 
 def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
@@ -454,18 +451,18 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
 
 
 def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
-                       workers: int | None = None, tilt: bool = True,
-                       mix: float = DEFAULT_MIX) -> MCEstimate:
+                       workers: int | None = None) -> MCEstimate:
     """Conditional largest-claim estimate of P(sum of risks > u).
 
     Unbiased wherever the probability is representable in double
     precision.  Where the merged value underflows to 0.0 (probabilities
     far below 1e-300) it raises DomainError instead; the log-space forms
     ``asymptotics.log_first_order`` and
-    ``approximate(spec, u).log_second_order`` reach deeper.  ``tilt=False``
-    selects the plain decomposition (no importance sampling); the
-    default tilted form is required for usable precision at strong
-    positive correlation or deep thresholds.
+    ``approximate(spec, u).log_second_order`` reach deeper.  The
+    conditioning draws come from a defensive mixture, weight 1/2, of the
+    nominal law and its copy shifted to the mode of each margin's
+    integrand; where that mode is the origin the shift is zero and every
+    weight is exactly 1.
     Needs the ChiOfDim radial (Gaussian copula of the log-risks).  The
     draws are randomised Sobol blocks (see the module docstring), so n
     is rounded up to a whole number of blocks; the returned ``n`` is the
@@ -473,8 +470,6 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     """
     if n < 1:
         raise InvalidParams(f"sample size must be >= 1, got {n}")
-    if not 0.0 <= mix < 1.0:
-        raise InvalidParams(f"mix must lie in [0, 1), got {mix}")
     if not spec.is_gaussian_copula():
         raise WrongRadialLaw(
             "conditional_max_mc needs the ChiOfDim radial matching the "
@@ -489,7 +484,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
         return MCEstimate(value=value, stderr=0.0, n=n,
                           estimator=ESTIMATOR_CONDITIONAL, seed=seed,
                           elapsed=time.perf_counter() - start)
-    plan = _conditional_plan(spec, u, tilt, mix)
+    plan = _conditional_plan(spec, u)
     chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
     d = spec.d
@@ -505,12 +500,11 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             e = _lattice_ndtri(base[:d], *_draw_shift(d, rng), tables)
             y = (chol @ e).T
             del e  # freed before the mixture rows: peak memory as with PCG
-            umix = (_shift_rows(base[d:], *_draw_shift(d, rng)).T
-                    if plan.mix > 0.0 else None)
+            umix = _shift_rows(base[d:], *_draw_shift(d, rng)).T
             w = np.empty(block)
             _kernels.conditional_chunk(y, umix, w, u, spec.lam, bg, plan.others,
                                        plan.alpha, plan.cond_sd, plan.shift,
-                                       plan.tilt_vec, plan.tilt_const, plan.mix)
+                                       plan.tilt_vec, plan.tilt_const, _MIX)
             means.append(float(np.mean(w)))
         return means
 

@@ -183,16 +183,9 @@ class CorrelationMatrix:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_chol", _cholesky(m))
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def cholesky(self) -> np.ndarray:
         """Lower-triangular L with L @ L.T equal to the matrix."""
         return self._chol
-
-    def submatrix(self, idx: np.ndarray) -> np.ndarray:
-        return self.entries[np.ix_(idx, idx)]
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:

@@ -247,10 +247,6 @@ class ScalingBundle:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def n_margins(self) -> int:
-        return len(self.lam)
-
     def exp_scale(self, u: float) -> float:
         return exp_scale(u, self.law)
 
@@ -392,7 +388,7 @@ def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,
     """
     check_threshold(u, 1.0)
     lu = math.log(u)
-    d = bundle.n_margins
+    d = len(bundle.lam)
     rows = []
     for j in range(d):
         for i in range(d):

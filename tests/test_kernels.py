@@ -129,6 +129,11 @@ class TestConditionalChunk:
         # plain (mix=0) integrand recomputed straight from the definition
         inputs = make_conditional_inputs(m=512, d=2, rho=0.3, u=8.0, mix=0.0)
         out = run_conditional(inputs)
+        # a zero shift gives every draw weight exactly 1 at mix 0.5 too
+        zero = {key: np.zeros_like(inputs[key])
+                for key in ("shift", "tilt_vec", "tilt_const")}
+        assert np.array_equal(run_conditional({**inputs, **zero, "mix": 0.5}),
+                              out)
         y = inputs["y"]
         expected = np.zeros(len(y))
         for j in range(2):

@@ -157,37 +157,40 @@ class TestConditional:
         with pytest.raises(DomainError, match="underflows"):
             conditional_max_mc(ModelSpec.standard(1, 0.0), 1e300, 1000, seed=1)
 
-    # (model, u, n, seed, tilt) -> (value, stderr) with the lattice inverse
-    # normal and the vectorised shift search.
+    # (model, u, n, seed) -> (value, stderr) with the lattice inverse
+    # normal and the vectorised shift search.  table3 at u = 1e6 has a zero
+    # shift, so every mixture weight is exactly 1.
     GOLDEN = [
-        ("table1", 10.0, 10**5, 11, True,
+        ("table1", 10.0, 10**5, 11,
          0.05207111597879311, 1.2004398110803927e-05),
-        ("d2_rho0.5", 30.0, 50_000, 6, False,
-         0.0016558919358503645, 3.8926340469669735e-06),
-        ("d2_rho0.3", 50.0, 2**19, 2, True,
+        ("d2_rho0.5", 30.0, 50_000, 6,
+         0.0016556908839278914, 4.519061373630966e-07),
+        ("d2_rho0.3", 50.0, 2**19, 2,
          0.00015468036887439279, 4.663816658040247e-09),
-        ("d2_rho0.9", 1000.0, 2**20, 3, True,
+        ("d2_rho0.9", 1000.0, 2**20, 3,
          1.1028054273663452e-10, 4.2819495675257545e-15),
-        ("d5_rho0.5", 1e4, 150_000, 8, True,
+        ("d5_rho0.5", 1e4, 150_000, 8,
          1.5658766750343745e-19, 7.220447374587275e-23),
-        ("heterogeneous3", 20.0, 100_000, 9, True,
+        ("heterogeneous3", 20.0, 100_000, 9,
          0.03708716486943611, 4.6754213352841196e-06),
+        ("table3", 1e6, 100_000, 12,
+         2.0549681250181145e-43, 1.984632129136729e-51),
     ]
 
-    @pytest.mark.parametrize("model, u, n, seed, tilt, value, stderr", GOLDEN,
+    @pytest.mark.parametrize("model, u, n, seed, value, stderr", GOLDEN,
                              ids=[g[0] for g in GOLDEN])
     def test_seeded_estimates_match_golden_values(self, model, u, n, seed,
-                                                  tilt, value, stderr):
-        if model == "table1":
-            spec = load_config("table1").build_model()
+                                                  value, stderr):
+        if model in ("table1", "table3"):
+            spec = load_config(model).build_model()
         elif model == "heterogeneous3":
             spec = _heterogeneous3()
         else:
             d, rho = model.split("_rho")
             spec = ModelSpec.standard(int(d[1:]), float(rho))
-        est = conditional_max_mc(spec, u, n, seed, tilt=tilt)
-        assert est.value == pytest.approx(value, rel=1e-12)
-        assert est.stderr == pytest.approx(stderr, rel=1e-9)
+        est = conditional_max_mc(spec, u, n, seed)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-9, abs=0.0)
 
     def test_matches_quadrature_oracle_small_u(self, standard_spec):
         spec = standard_spec(0.0)
@@ -201,12 +204,6 @@ class TestConditional:
         est = conditional_max_mc(spec, 5.0, 10**5, seed=22)
         assert abs(est.value - truth) <= 3 * est.stderr
         assert matches_printed(truth, "0.121", slack=1.0)
-
-    def test_untilted_also_unbiased(self, standard_spec):
-        spec = standard_spec(0.5)
-        truth = sum_tail_dblquad(0.5, 10.0)
-        est = conditional_max_mc(spec, 10.0, 10**5, seed=23, tilt=False)
-        assert abs(est.value - truth) <= 3 * est.stderr
 
     def test_deep_tail_one_percent_precision(self, standard_spec):
         spec = standard_spec(0.9)
@@ -349,7 +346,7 @@ class TestRqmc:
         assert block <= max(1, min(65536, n / 16)) < 2 * block
         assert blocks >= 16
         assert blocks == 16 or blocks * block - n < block
-        est = conditional_max_mc(standard_spec(0.5), 10.0, n, seed=3, tilt=False)
+        est = conditional_max_mc(standard_spec(0.5), 10.0, n, seed=3)
         assert est.n == blocks * block == rounded
 
     def test_shifted_points_stay_inside_the_unit_interval(self):
@@ -535,7 +532,7 @@ class TestShiftSearch:
                                             sigma, searched):
         spec = self._spec(lam, beta, sigma)
         calls = self._counting(monkeypatch)
-        plan = _conditional_plan(spec, 20.0, True, 0.5)
+        plan = _conditional_plan(spec, 20.0)
         assert calls == searched
         own = [_find_shift(spec, 20.0, j, *self._margin(spec, j))
                for j in range(spec.d)]
@@ -553,7 +550,7 @@ class TestShiftSearch:
     def test_search_reaches_the_former_optimum(self, lam, beta, sigma,
                                                searched, former):
         spec = self._spec(lam, beta, sigma)
-        plan = _conditional_plan(spec, 20.0, True, 0.5)
+        plan = _conditional_plan(spec, 20.0)
         for j in range(spec.d):
             assert self._value_at(spec, 20.0, j, plan.shift[j]) >= former[j] - 1e-8
 
@@ -587,7 +584,7 @@ class TestShiftSearch:
         spec = ModelSpec(d=len(lam), lam=lam, beta=beta, gamma=gamma,
                          sigma=CorrelationMatrix(np.array(sigma)),
                          radial=make_radial("ChiOfDim", len(lam)))
-        plan = _conditional_plan(spec, u, True, 0.5)
+        plan = _conditional_plan(spec, u)
         for j in range(spec.d):
             assert self._value_at(spec, u, j, plan.shift[j]) >= former[j] - 1e-8
 
@@ -596,9 +593,10 @@ class TestShiftSearch:
     def test_no_shift_unless_the_mode_beats_the_origin_by_1e_9(self, u, shifted):
         # d = 2, rho = 0: the mode is the kink at log(u / 2), next to the
         # origin; the log-integrand gains about 1e-11 and 1e-8 there
-        plan = _conditional_plan(ModelSpec.standard(2, 0.0), u, True, 0.5)
+        plan = _conditional_plan(ModelSpec.standard(2, 0.0), u)
         assert bool(np.any(plan.shift != 0.0)) == shifted
-        assert plan.mix == (0.5 if shifted else 0.0)
+        assert bool(np.any(plan.tilt_vec != 0.0)) == shifted
+        assert bool(np.any(plan.tilt_const != 0.0)) == shifted
 
     def test_table1_shifts_sit_on_the_kink(self):
         # d = 2: the mode is where the other margin is half of u
@@ -607,7 +605,7 @@ class TestShiftSearch:
         spec = config.build_model()
         assert list(config.u_list) == list(self.NELDER_MEAD_TABLE1)
         for u in config.u_list:
-            plan = _conditional_plan(spec, u, True, 0.5)
+            plan = _conditional_plan(spec, u)
             for j in range(2):
                 o = 1 - j
                 kink = math.log(u / (2.0 * spec.lam[o])) / (spec.beta[o] * spec.gamma)
@@ -619,7 +617,7 @@ class TestShiftSearch:
     def test_equicorrelated_shift_is_on_the_ones_line(self, monkeypatch, u):
         spec = ModelSpec.standard(5, 0.5)
         calls = self._counting(monkeypatch)
-        plan = _conditional_plan(spec, u, True, 0.5)
+        plan = _conditional_plan(spec, u)
         assert calls == [0]
         assert np.all(plan.shift == plan.shift[0, 0])
         assert self._value_at(spec, u, 0, plan.shift[0]) >= self.NELDER_MEAD_D5[u]
