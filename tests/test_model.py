@@ -8,8 +8,9 @@ import pytest
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      ModelSpec, NotPositiveDefinite, approximate, equicorrelation,
-                     make_radial, marginal_pdf, marginal_tail, sample,
-                     validate_inputs)
+                     make_radial, marginal_pdf, marginal_tail, probe_mda_limit,
+                     sample, validate_inputs)
+from tailsum.cli import ConfigError, RunConfig
 from tailsum.model import _draw_chunk, marginal_log_pdf, marginal_log_tail
 
 mp.mp.dps = 40
@@ -43,6 +44,17 @@ _SIGMAS = {
 
 
 class TestValidation:
+    def test_standard_spec_is_valid(self):
+        spec = ModelSpec.standard(2, 0.9)
+        assert validate_inputs(spec.d, spec.lam, spec.beta, spec.gamma,
+                               spec.sigma.entries) == []
+
+    def test_strict_mda_passes_for_chi(self):
+        # the radial Gumbel-MDA probe at the thresholds a model check uses
+        radial = ModelSpec.standard(2, 0.0).radial
+        rows = probe_mda_limit(radial, [8.0, 32.0], [-1.0, 0.0, 1.0])
+        assert max(r.rel_error for r in rows) <= 0.5
+
     def test_unit_diagonal_violation_reported(self):
         bad = np.array([[1.0, 0.2], [0.2, 0.5]])
         violations = validate_inputs(2, [1, 1], [1, 1], 1.0, bad)
@@ -91,6 +103,16 @@ class TestValidation:
         violations = validate_inputs(2, params["lam"], params["beta"],
                                      params["gamma"], np.eye(2))
         assert any(f"{name} must be finite" in v for v in violations)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_validate_reports_non_finite_parameter(self, name, value):
+        # a model config as read from a file is validated before building
+        params = {"lam": (1.0, 1.0), "beta": (1.0, 1.0), "gamma": 1.0}
+        params[name] = value if name == "gamma" else (value, 1.0)
+        config = RunConfig(d=2, rho=0.0, **params)
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            config.build_model()
 
     def test_beta_order_normalized(self):
         sigma = np.array([[1.0, 0.3], [0.3, 1.0]])

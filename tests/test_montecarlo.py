@@ -205,6 +205,15 @@ class TestConditional:
         assert abs(est.value - truth) <= 3 * est.stderr
         assert matches_printed(truth, "0.121", slack=1.0)
 
+    def test_untilted_also_unbiased(self, standard_spec):
+        # at u = 2 the mode is the origin: the plan has a zero shift and
+        # every draw is untilted
+        spec = standard_spec(0.5)
+        assert not np.any(_conditional_plan(spec, 2.0).shift)
+        truth = sum_tail_dblquad(0.5, 2.0)
+        est = conditional_max_mc(spec, 2.0, 10**5, seed=23)
+        assert abs(est.value - truth) <= 3 * est.stderr
+
     def test_deep_tail_one_percent_precision(self, standard_spec):
         spec = standard_spec(0.9)
         est = conditional_max_mc(spec, 1000.0, 2 * 10**5, seed=24)
