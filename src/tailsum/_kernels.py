@@ -28,16 +28,17 @@ def crude_chunk(y, u, lam, bg) -> int:
     return int(np.count_nonzero(sm > u))
 
 
-def conditional_chunk(y, umix, out, u, lam, bg, others, alpha, cond_sd,
+def conditional_chunk(y, shifted, out, u, lam, bg, others, alpha, cond_sd,
                       shift, tilt_vec, tilt_const, mix):
     """Per-draw integrand of the conditional largest-claim estimator.
 
     For each draw (row of the correlated standard-normal matrix ``y``)
     accumulates, over margins j, the importance weight times the
     conditional probability that margin j exceeds both the remaining gap
-    to u and the largest other margin.  ``umix`` supplies the uniforms
-    selecting the defensive-mixture component; ``mix`` is the shifted
-    component's weight.  Writes the per-draw sums into ``out``.
+    to u and the largest other margin.  For margin j the other margins
+    are shifted by ``shift[j]`` on the rows ``shifted[j]`` (a slice: the
+    shifted defensive-mixture component, with weight ``mix``, the share
+    of the rows) and nominal on the rest.  Writes the sums into ``out``.
 
     The weight of a draw is 1 / (mix * e^q + 1 - mix), with q the log
     likelihood ratio of the shifted component; an overflowing e^q gives
@@ -46,21 +47,20 @@ def conditional_chunk(y, umix, out, u, lam, bg, others, alpha, cond_sd,
     """
     m, d = y.shape
     yt = y.T
-    yk = np.empty(m)        # other margin k, shifted on picked draws
+    yk = np.empty(m)        # other margin k, plus the shift on ``rows``
     xk = np.empty(m)        # lam_k * exp(bg_k * yk)
     sm = np.empty(m)        # sum of the other margins, then z
     mx = np.empty(m)        # max of the other margins
     mu = np.empty(m)        # conditional mean of log-margin j
     tmp = np.empty(m)
-    picked = np.empty(m, dtype=bool)
     q = np.empty(m)         # log likelihood ratio, then the mixture density
     out[:] = 0.0
     for j in range(d):
-        np.less(umix[:, j], mix, out=picked)
+        rows = shifted[j]
         for idx, k in enumerate(others[j]):
             first = idx == 0
-            np.multiply(picked, shift[j, idx], out=yk)
-            yk += yt[k]
+            yk[:] = yt[k]
+            yk[rows] += shift[j, idx]
             if first:
                 np.multiply(yk, tilt_vec[j, idx], out=q)
             else:

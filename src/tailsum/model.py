@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams, NotPositiveDefinite
 from .numerics import (CorrelationMatrix, _margin_violations, _sigma_violations,
-                       adaptive_quad, check_threshold, equicorrelation,
+                       adaptive_quad, check_draws, check_threshold, equicorrelation,
                        gamma_function, std_normal_log_tail, std_normal_tail)
 from .radial import RadialLaw, ScalingBundle, make_radial
 
@@ -246,8 +246,7 @@ def sample(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     seed, so any worker-level parallelism over chunks cannot change the
     result.
     """
-    if n < 1:
-        raise InvalidParams(f"sample size must be >= 1, got {n}")
+    n, seed = check_draws(n, seed)
     chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
     out = np.empty((n, spec.d))

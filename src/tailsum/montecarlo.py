@@ -12,28 +12,24 @@ Two estimators:
   conditional exceedance probability evaluated in closed form from the
   Gaussian copula of the log-risks (so it needs the ChiOfDim radial).
   The conditioning vectors are drawn from a defensive mixture, weight
-  1/2, of the nominal law and a mean-shifted copy (Hesterberg 1995), and
-  reweighted by the exact likelihood ratio.  This keeps the estimator
-  unbiased while cutting the variance by orders of magnitude for
-  strongly positive correlation, where the plain decomposition is
-  dominated by rare conditioning draws.  The shift sits at the mode of
-  the integrand of each margin.  Its search is deterministic and runs
-  once per distinct set of margin inputs, so exchangeable margins share
-  one search.  It evaluates the integrand on batches of points in one
-  vectorised call: a bracketing line search along the all-ones line (the
-  whole search at d = 2 and for exchangeable margins, where the mode is
-  usually the kink where two pieces of the threshold meet), then, for
-  other models, Newton steps from a finite-difference model on the
-  integrand and on the kinks near the current point (see
-  ``_find_shift``).
-  Its 2d coordinates per draw (d normals, d mixture uniforms) come from
-  randomised quasi-Monte Carlo: K >= 16 blocks of the same unscrambled
-  Sobol points, each under its own random digital shift.  The integrand
-  is smooth in the normals, so a block mean is far more precise than the
-  mean of as many independent draws; the blocks are independent and
-  unbiased, so the estimate is their mean and the standard error is
-  their sample standard deviation over sqrt(K).  n is rounded up to
-  K * block, with block the largest power of two <= min(2^16, n/16).
+  1/2, of the nominal law and a copy shifted to the mode of each
+  margin's integrand (Hesterberg 1995), and reweighted by the exact
+  likelihood ratio: still unbiased, and orders of magnitude less
+  variance for strongly positive correlation, where the plain
+  decomposition is dominated by rare conditioning draws.  The shift
+  search (``_find_shift``) is deterministic and vectorised, and runs
+  once per distinct set of margin inputs.
+  Its d normals per draw come from randomised quasi-Monte Carlo: K >= 16
+  blocks of the same unscrambled Sobol points, each under its own random
+  digital shift.  The mixture is stratified: in each block every margin
+  draws from the shifted component on one half of the points (in Sobol
+  order, the half picked by a fair bit per margin and block) and from
+  the nominal law on the other.  Each half is itself a shifted net, so a
+  block mean is far more precise than the mean of as many independent
+  draws; the blocks are independent and unbiased, so the estimate is
+  their mean and the standard error is their sample standard deviation
+  over sqrt(K).  n is rounded up to K * block, with block the largest
+  power of two <= min(2^16, n/16).
   In one block and one row every point sits at the same offset inside
   its cell of the 2^16-cell digit lattice, so the normals come from a
   Taylor polynomial of the inverse normal about the cell midpoints,
@@ -64,7 +60,7 @@ from scipy.special import log_ndtr, ndtri
 from . import _kernels
 from .errors import DomainError, InvalidParams, WrongRadialLaw
 from .model import SAMPLE_CHUNK, ModelSpec, _draw_chunk, marginal_tail
-from .numerics import check_threshold
+from .numerics import check_draws, check_threshold
 
 __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
            "get_estimator", "worker_count", "ESTIMATOR_CRUDE",
@@ -73,12 +69,10 @@ __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
 ESTIMATOR_CRUDE = "crude"
 ESTIMATOR_CONDITIONAL = "conditional_max"
 
-# Defensive-mixture weight of the mean-shifted component.  Bounds the
-# likelihood ratio by 1/(1-mix), so a misplaced shift can at most double
-# the second moment relative to the plain estimator.
+# Defensive-mixture weight of the mean-shifted component, which
+# ``_shifted_halves`` gives half of each block.  Bounds the likelihood
+# ratio by 1/(1-mix): a misplaced shift at most doubles the second moment.
 _MIX = 0.5
-
-_U64 = (1 << 64) - 1
 
 # A randomised block holds at most 2^_SOBOL_BITS Sobol points (=
 # SAMPLE_CHUNK, so a chunk holds whole blocks); an estimate has at least
@@ -167,9 +161,7 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
     Uses the same chunked draw scheme as ``model.sample``, so the hit
     count equals the frequency over that batch.
     """
-    if n < 2:
-        raise InvalidParams(f"crude_mc needs n >= 2 draws for a standard "
-                            f"error, got {n}")
+    n, seed = check_draws(n, seed, least=2)  # one draw has no stderr
     check_threshold(u, -math.inf)
     workers = worker_count(workers)
     start = time.perf_counter()
@@ -380,23 +372,16 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
     Deterministic and vectorised: every step evaluates h on a batch of
     points in one call.  It starts with a line search along the all-ones
     direction over t in [-t_max, t_max], with t_max past the point where
-    one other margin alone reaches u.  When the other margins
-    are exchangeable (equal lam and beta, equicorrelated Sigma_-j, equal
+    one other margin alone reaches u.  When the other margins are
+    exchangeable (equal lam and beta, equicorrelated Sigma_-j, equal
     covariances with margin j; always so at d = 2) the integrand is
     symmetric in them and this is the result; at d = 2 the mode is
-    usually the kink x = u - x.
-
-    Otherwise a line search along the regression direction Sigma_-j alpha
-    may give a better start, and rounds follow until one gains at most
-    _GAIN_TOL.  A round runs ``_newton_search`` on h.  The mode usually
-    sits on a kink, where two or more pieces of the threshold
-    max(x_1, ..., x_k, u - sum x) are equal, and no straight line climbs
-    along a curved kink.  So the round then takes the pieces within
-    _KINK_TOL of the largest and runs ``_newton_search`` in the
-    parameters of ``_kink_map`` for that set, on which h is smooth, and
-    for each set with one piece fewer when there are more than two.
-    Falls back to no shift when nothing beats the origin by more than
-    1e-9.
+    usually the kink x = u - x.  Otherwise ``_climb`` runs from that
+    point and, as the climb is local, from the best point of a line
+    search along the regression direction Sigma_-j alpha and along each
+    coordinate axis; the highest mode is kept (the earliest unless a
+    later one is higher by more than _GAIN_TOL).  No shift unless the
+    mode beats the origin by more than 1e-9.
     """
     k = len(oth)
     h = _integrand_log(spec, u, j, oth, alpha, sd, sub)
@@ -413,41 +398,55 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
     exchangeable = all(len(set(part.tolist())) <= 1 for part in (
         lam_o, bg_o, sub[~np.eye(k, dtype=bool)], spec.sigma.entries[oth, j]))
     if not exchangeable:
+        y, best = _climb(h, u, lam_o, bg_o, y, best)
         reg = sub @ alpha
-        norm = float(np.max(np.abs(reg)))
-        if norm > 1e-12:
-            y_reg, h_reg = _line_search(h, np.zeros(k), reg / norm, h0,
-                                        -t_max, t_max)
-            if h_reg > best:
-                y, best = y_reg, h_reg
-        for _ in range(_MAX_STEPS):
-            start = best
-            y, best = _newton_search(h, y, best)
-            log_x = np.log(lam_o) + bg_o * y
-            rest = u - float(np.sum(np.exp(log_x)))
-            log_t = np.append(log_x, math.log(rest) if rest > 0.0 else -math.inf)
-            active = np.flatnonzero(log_t >= np.max(log_t) - _KINK_TOL)
-            kinks = [active]
-            if len(active) > 2:
-                kinks += [np.delete(active, n) for n in range(len(active))]
-            for kink in kinks:
-                on_max = np.isin(np.arange(k), kink)
-                on_rest = k in kink
-                if len(kink) < 2 or (on_rest and on_max.all()):
-                    continue  # no kink, or a single point
-                embed = _kink_map(u, lam_o, bg_o, on_max, on_rest)
-                q = y[~on_max]
-                if not on_rest:
-                    q = np.append(np.max(log_t[kink]), q)
-                q, value = _newton_search(lambda p: h(embed(p)), q,
-                                          float(h(embed(q[None, :]))[0]))
-                if value > best:
-                    y, best = embed(q[None, :])[0], value
-            if best - start <= _GAIN_TOL:
-                break
+        for v in (reg / max(float(np.max(np.abs(reg))), 1e-300), *np.eye(k)):
+            y_v, h_v = _climb(h, u, lam_o, bg_o, *_line_search(
+                h, np.zeros(k), v, h0, -t_max, t_max))
+            if h_v > best + _GAIN_TOL:  # not one mode reached twice
+                y, best = y_v, h_v
     if best <= h0 + 1e-9:
         return np.zeros(k)
     return y
+
+
+def _climb(h, u: float, lam_o: np.ndarray, bg_o: np.ndarray, y: np.ndarray,
+           best: float) -> tuple[np.ndarray, float]:
+    """The point reached, and its value, by rounds from y (``best`` = h(y))
+    until one gains at most _GAIN_TOL.  A round runs ``_newton_search`` on
+    h.  The mode usually sits on a kink, where two or more pieces of the
+    threshold max(x_1, ..., x_k, u - sum x) are equal, and no straight
+    line climbs along a curved kink.  So the round then runs it in the
+    parameters of ``_kink_map`` (where h is smooth) for the pieces within
+    _KINK_TOL of the largest, and for each set with one piece fewer when
+    there are more than two."""
+    k = len(y)
+    for _ in range(_MAX_STEPS):
+        start = best
+        y, best = _newton_search(h, y, best)
+        log_x = np.log(lam_o) + bg_o * y
+        rest = u - float(np.sum(np.exp(log_x)))
+        log_t = np.append(log_x, math.log(rest) if rest > 0.0 else -math.inf)
+        active = np.flatnonzero(log_t >= np.max(log_t) - _KINK_TOL)
+        kinks = [active]
+        if len(active) > 2:
+            kinks += [np.delete(active, n) for n in range(len(active))]
+        for kink in kinks:
+            on_max = np.isin(np.arange(k), kink)
+            on_rest = k in kink
+            if len(kink) < 2 or (on_rest and on_max.all()):
+                continue  # no kink, or a single point
+            embed = _kink_map(u, lam_o, bg_o, on_max, on_rest)
+            q = y[~on_max]
+            if not on_rest:
+                q = np.append(np.max(log_t[kink]), q)
+            q, value = _newton_search(lambda p: h(embed(p)), q,
+                                      float(h(embed(q[None, :]))[0]))
+            if value > best:
+                y, best = embed(q[None, :])[0], value
+        if best - start <= _GAIN_TOL:
+            break
+    return y, best
 
 
 def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
@@ -461,15 +460,14 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     ``approximate(spec, u).log_second_order`` reach deeper.  The
     conditioning draws come from a defensive mixture, weight 1/2, of the
     nominal law and its copy shifted to the mode of each margin's
-    integrand; where that mode is the origin the shift is zero and every
-    weight is exactly 1.
+    integrand, each on a fixed half of every block; where that mode is the
+    origin the shift is zero and every weight is exactly 1.
     Needs the ChiOfDim radial (Gaussian copula of the log-risks).  The
     draws are randomised Sobol blocks (see the module docstring), so n
-    is rounded up to a whole number of blocks; the returned ``n`` is the
-    number of draws made.
+    (an integer >= 1; seed is one >= 0) is rounded up to a whole number
+    of blocks; the returned ``n`` is the number of draws made.
     """
-    if n < 1:
-        raise InvalidParams(f"sample size must be >= 1, got {n}")
+    n, seed = check_draws(n, seed)
     if not spec.is_gaussian_copula():
         raise WrongRadialLaw(
             "conditional_max_mc needs the ChiOfDim radial matching the "
@@ -489,7 +487,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     bg = spec.beta * spec.gamma
     d = spec.d
     block, blocks = _block_layout(n)
-    base = _sobol_base(2 * d)[:, :block]
+    base = _sobol_base(d)[:, :block]
     # built here, before any pool thread reads them
     tables = _ndtri_tables(_lattice_classes(block))
 
@@ -497,12 +495,12 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
         means = []
         for block_seed in child.spawn(m // block):
             rng = np.random.default_rng(block_seed)
-            e = _lattice_ndtri(base[:d], *_draw_shift(d, rng), tables)
-            y = (chol @ e).T
-            del e  # freed before the mixture rows: peak memory as with PCG
-            umix = _shift_rows(base[d:], *_draw_shift(d, rng)).T
+            h = rng.integers(0, 1 << _SOBOL_BITS, size=(d, 1), dtype=np.uint16)
+            k = rng.integers(0, 1 << 36, size=(d, 1))  # the digital shift
+            y = (chol @ _lattice_ndtri(base, h, k, tables)).T
+            shifted = _shifted_halves(block, rng.integers(0, 2, size=d))
             w = np.empty(block)
-            _kernels.conditional_chunk(y, umix, w, u, spec.lam, bg, plan.others,
+            _kernels.conditional_chunk(y, shifted, w, u, spec.lam, bg, plan.others,
                                        plan.alpha, plan.cond_sd, plan.shift,
                                        plan.tilt_vec, plan.tilt_const, _MIX)
             means.append(float(np.mean(w)))
@@ -513,6 +511,16 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     return MCEstimate(value=_check_underflow(value, u), stderr=stderr,
                       n=blocks * block, estimator=ESTIMATOR_CONDITIONAL,
                       seed=seed, elapsed=time.perf_counter() - start)
+
+
+def _shifted_halves(block: int, bits: np.ndarray) -> list[slice]:
+    """Per margin, the rows of a block drawn from the shifted component:
+    the first half (in Sobol order) where its bit is 0, else the second;
+    a one-row block is its first half.  Each half of the first 2^b Sobol
+    points is a net (the second is the first XOR one direction number),
+    so under the block's digital shift every row is uniform."""
+    mid = (block + 1) // 2
+    return [slice(mid, block) if bit else slice(0, mid) for bit in bits.tolist()]
 
 
 def _check_underflow(value: float, u: float) -> float:
@@ -569,29 +577,6 @@ def _sobol_base(dim: int) -> np.ndarray:
         h *= 2
     base.setflags(write=False)
     return base
-
-
-def _draw_shift(rows: int, rng: np.random.Generator):
-    """A random digital shift for ``rows`` rows: 16-bit XOR masks h and
-    in-cell offsets k < 2^36, each (rows, 1)."""
-    h = rng.integers(0, 1 << _SOBOL_BITS, size=(rows, 1), dtype=np.uint16)
-    k = rng.integers(0, 1 << 36, size=(rows, 1))
-    return h, k
-
-
-def _shift_rows(rows: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(rows XOR h + (k + 1/2) 2^-36) 2^-16 as float64, row by row.
-
-    A digital shift: h flips the 16 digits the points carry and k < 2^36
-    fills the digits below them, so each point is uniform on (0, 1) while
-    the block keeps its net structure.  Every sum is exact and lies in
-    [2^-53, 1 - 2^-53]; a uniform offset in [0, 1) added to the digits
-    could round up to 1.0, where ndtri is inf.
-    """
-    x = np.bitwise_xor(rows, h).astype(np.float64)
-    x += (k + 0.5) * 2.0 ** -36
-    x *= 2.0 ** -_SOBOL_BITS
-    return x
 
 
 @functools.lru_cache(maxsize=1)
@@ -654,12 +639,15 @@ def _lattice_classes(block: int) -> int:
 
 def _lattice_ndtri(rows: np.ndarray, h: np.ndarray, k: np.ndarray,
                    tables) -> np.ndarray:
-    """ndtri(_shift_rows(rows, h, k)), for rows holding the digits of the
-    first 2^b Sobol points, as (len(rows), 2^b) float64, with ``tables``
-    from ``_ndtri_tables(_lattice_classes(2^b))``.
+    """ndtri((rows XOR h + (k + 1/2) 2^-36) 2^-16), row by row, for rows
+    holding the digits of the first 2^b Sobol points, as (len(rows), 2^b)
+    float64, with ``tables`` from ``_ndtri_tables(_lattice_classes(2^b))``.
 
-    Such a row holds each of the digits i 2^(16-b) once, so after the XOR
-    its cells j = D XOR h are exactly the 2^b cells j = h mod 2^(16-b), and
+    That is a digital shift: h flips the 16 digits and k < 2^36 fills
+    those below, so every point is uniform on (0, 1) (never 0 or 1, where
+    ndtri is infinite) while the block keeps its net structure.  Such a
+    row holds each of the digits i 2^(16-b) once, so after the XOR its
+    cells j = D XOR h are exactly the 2^b cells j = h mod 2^(16-b), and
     every point lies at the same offset (k + 1/2) 2^-36 inside its cell.
     The Taylor polynomial of ``_ndtri_tables`` in the one shared delta is
     evaluated once on those cells (exact ndtri in the tail cells) and
@@ -730,7 +718,8 @@ def mc_table(spec: ModelSpec, u_list: Sequence[float], n: int, seed: int,
     if len(u_list) == 0:
         raise InvalidParams("u_list must not be empty")
     run = get_estimator(estimator)
-    return [run(spec, u, n, (seed ^ idx) & _U64, workers=workers)
+    seed = check_draws(n, seed)[1]
+    return [run(spec, u, n, seed ^ idx, workers=workers)
             for idx, u in enumerate(u_list)]
 
 

@@ -8,12 +8,13 @@ rows of the benchmark tables go to ~1e-43 and beyond) remain usable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, NotPositiveDefinite, QuadratureError
+from .errors import DomainError, InvalidParams, NotPositiveDefinite, QuadratureError
 
 __all__ = [
     "CorrelationMatrix",
@@ -37,6 +38,15 @@ def check_threshold(u: float, lower: float = 0.0) -> None:
     if not (math.isfinite(u) and u > lower):
         bound = "positive" if lower == 0.0 else f"> {lower:g}"
         raise DomainError(f"threshold u must be finite and {bound}, got {u}")
+
+
+def check_draws(n, seed, least: int = 1) -> tuple[int, int]:
+    """n and seed as Python ints: integers of any type (numpy's too), with
+    n >= ``least`` and seed >= 0; InvalidParams otherwise."""
+    for name, value, low in (("n", n, least), ("seed", seed, 0)):
+        if not hasattr(type(value), "__index__") or operator.index(value) < low:
+            raise InvalidParams(f"need an integer {name} >= {low}, got {value!r}")
+    return operator.index(n), operator.index(seed)
 
 
 # Rounding slack for the symmetry and range of a correlation matrix read

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erfc
 
 from tailsum import _kernels
+from tailsum.montecarlo import _shifted_halves
 
 
 def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
@@ -14,7 +15,7 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
     """Kernel arguments for an equicorrelated standard model, or, with
     ``heterogeneous``, for distinct lam/bg/shift per margin and a random
     correlation matrix, so that a per-column index mix-up changes the
-    result."""
+    result.  The margins' half bits alternate 0, 1, 0, ..."""
     rng = np.random.default_rng(seed)
     if heterogeneous:
         a = rng.standard_normal((d, d + 2))
@@ -32,7 +33,7 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
         shift = np.full((d, d - 1), 1.3)
     chol = np.linalg.cholesky(sig)
     y = np.ascontiguousarray(rng.standard_normal((m, d)) @ chol.T)
-    umix = np.ascontiguousarray(rng.random((m, d)))
+    bits = np.arange(d) % 2
     others = np.array([[i for i in range(d) if i != j] for j in range(d)],
                       dtype=np.int64)
     alpha = np.empty((d, d - 1))
@@ -46,14 +47,18 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
         cond_sd[j] = math.sqrt(1.0 - cross @ alpha[j])
         tilt_vec[j] = np.linalg.solve(sub, shift[j])
         tilt_const[j] = 0.5 * shift[j] @ tilt_vec[j]
-    return dict(y=y, umix=umix, u=u, lam=lam, bg=bg, others=others,
+    return dict(y=y, bits=bits, u=u, lam=lam, bg=bg, others=others,
                 alpha=alpha, cond_sd=cond_sd, shift=shift,
                 tilt_vec=tilt_vec, tilt_const=tilt_const, mix=mix)
 
 
 def run_conditional(inputs):
-    out = np.empty(inputs["y"].shape[0])
-    _kernels.conditional_chunk(inputs["y"], inputs["umix"], out, inputs["u"],
+    m, d = inputs["y"].shape
+    # mix 0 is the plain decomposition: no row is shifted
+    shifted = (_shifted_halves(m, inputs["bits"]) if inputs["mix"] > 0.0
+               else [slice(0, 0)] * d)
+    out = np.empty(m)
+    _kernels.conditional_chunk(inputs["y"], shifted, out, inputs["u"],
                                inputs["lam"], inputs["bg"], inputs["others"],
                                inputs["alpha"], inputs["cond_sd"],
                                inputs["shift"], inputs["tilt_vec"],
@@ -61,17 +66,20 @@ def run_conditional(inputs):
     return out
 
 
-def conditional_loop(y, umix, u, lam, bg, others, alpha, cond_sd, shift,
+def conditional_loop(y, bits, u, lam, bg, others, alpha, cond_sd, shift,
                      tilt_vec, tilt_const, mix):
     """The integrand one draw, one margin and one other margin at a time,
-    with the overflow-safe form of the mixture weight."""
+    with the overflow-safe form of the mixture weight.  Row i is shifted
+    for margin j when it lies in the first half of the rows (the single
+    row of a one-row block) and bits[j] is 0, or in the second half and
+    bits[j] is 1."""
     m, d = y.shape
     tilted = mix > 0.0
     out = np.empty(m)
     for i in range(m):
         acc = 0.0
         for j in range(d):
-            picked = tilted and umix[i, j] < mix
+            picked = tilted and (i < (m + 1) // 2) == (bits[j] == 0)
             q = mx = sm = mu_c = 0.0
             for k in range(d - 1):
                 o = others[j, k]
@@ -124,6 +132,20 @@ class TestConditionalChunk:
         assert expected.min() > 0.0
         np.testing.assert_allclose(run_conditional(inputs), expected,
                                    rtol=1e-12, atol=0.0)
+
+    def test_a_one_row_block_is_shifted_on_a_zero_bit(self):
+        # one row draws from the shifted component where the bit is 0 and
+        # from the nominal law where it is 1
+        inputs = make_conditional_inputs(m=1, d=2, u=12.0)
+        outs = []
+        for bit in (0, 1):
+            inputs["bits"] = np.full(2, bit)
+            rows = _shifted_halves(1, inputs["bits"])
+            assert [len(range(1)[r]) for r in rows] == [1 - bit] * 2
+            outs.append(run_conditional(inputs))
+            np.testing.assert_allclose(outs[-1], conditional_loop(**inputs),
+                                       rtol=1e-12, atol=0.0)
+        assert outs[0] != outs[1]
 
     def test_untilted_matches_direct_formula(self):
         # plain (mix=0) integrand recomputed straight from the definition

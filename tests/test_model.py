@@ -12,6 +12,7 @@ from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      sample, validate_inputs)
 from tailsum.cli import ConfigError, RunConfig
 from tailsum.model import _draw_chunk, marginal_log_pdf, marginal_log_tail
+from test_montecarlo import BAD_RUNS
 
 mp.mp.dps = 40
 
@@ -256,6 +257,12 @@ class TestSampling:
         b = sample(spec, 5000, seed=7)
         np.testing.assert_array_equal(a.x, b.x)
         assert np.all(a.x > 0)
+
+    @pytest.mark.parametrize("n, seed, match", BAD_RUNS)
+    def test_rejects_non_integral_n_and_bad_seeds(self, standard_spec, n,
+                                                  seed, match):
+        with pytest.raises(InvalidParams, match=match):
+            sample(standard_spec(0.5), n, seed)
 
     def test_different_seeds_differ(self, standard_spec):
         spec = standard_spec(0.5)

@@ -20,8 +20,8 @@ from tailsum.cli import load_config
 from tailsum.montecarlo import (_block_layout, _conditional_plan, _find_shift,
                                 _integrand_log, _kink_map, _lattice_classes,
                                 _lattice_ndtri, _line_search, _ndtri_tables,
-                                _newton_search, _shift_rows, _sobol_base,
-                                get_estimator, worker_count)
+                                _newton_search, _sobol_base, get_estimator,
+                                worker_count)
 from tailsum.numerics import std_normal_log_tail
 
 
@@ -47,6 +47,24 @@ def sum_tail_dblquad(rho, u, lam=(1.0, 1.0), bg=(1.0, 1.0)):
     b, _ = integrate.dblquad(density, -14.0, hi, y2_low, 14.0,
                              epsabs=1e-13, epsrel=1e-10)
     return a + b
+
+
+def shift_rows(rows, h, k):
+    """Oracle of the digitally shifted points of ``_lattice_ndtri``:
+    (rows XOR h + (k + 1/2) 2^-36) 2^-16 as float64, row by row."""
+    x = np.bitwise_xor(rows, h).astype(np.float64)
+    x += (k + 0.5) * 2.0 ** -36
+    x *= 2.0 ** -16
+    return x
+
+
+# (n, seed, message) that both estimators reject with InvalidParams
+BAD_RUNS = [(2.5, 1, "integer n"), (np.float64(1000.0), 1, "integer n"),
+            ("1000", 1, "integer n"), (None, 1, "integer n"),
+            (1000, -1, "integer seed >= 0, got -1"),
+            (1000, 1.5, "integer seed >= 0, got 1.5"),
+            (1000, np.int64(-2), "integer seed >= 0"),
+            (1000, None, "integer seed")]
 
 
 class TestCrude:
@@ -108,6 +126,18 @@ class TestCrude:
         with pytest.raises(DomainError, match="threshold u must be finite"):
             crude_mc(standard_spec(0.0), u, 1000, seed=1)
 
+    @pytest.mark.parametrize("n, seed, match", BAD_RUNS)
+    def test_rejects_non_integral_n_and_bad_seeds(self, standard_spec, n,
+                                                  seed, match):
+        with pytest.raises(InvalidParams, match=match):
+            crude_mc(standard_spec(0.5), 10.0, n, seed)
+
+    def test_accepts_numpy_integers(self, standard_spec):
+        est = crude_mc(standard_spec(0.5), 10.0, np.int64(1000), np.uint32(3))
+        assert est == replace(crude_mc(standard_spec(0.5), 10.0, 1000, 3),
+                              elapsed=est.elapsed)
+        assert type(est.n) is int and type(est.seed) is int
+
     def test_rejects_single_draw(self, standard_spec):
         # one draw has no standard error
         with pytest.raises(InvalidParams, match="n >= 2"):
@@ -130,6 +160,22 @@ class TestConditional:
     def test_rejects_non_finite_threshold(self, standard_spec, u):
         with pytest.raises(DomainError, match="threshold u must be finite"):
             conditional_max_mc(standard_spec(0.5), u, 1000, seed=1)
+
+    @pytest.mark.parametrize("n, seed, match", BAD_RUNS)
+    def test_rejects_non_integral_n_and_bad_seeds(self, standard_spec, n,
+                                                  seed, match):
+        for spec in (standard_spec(0.5), ModelSpec.standard(1, 0.0)):
+            with pytest.raises(InvalidParams, match=match):
+                conditional_max_mc(spec, 10.0, n, seed)
+        with pytest.raises(InvalidParams, match=match):
+            mc_table(standard_spec(0.5), [10.0], n, seed)
+
+    def test_accepts_numpy_integers(self, standard_spec):
+        est = conditional_max_mc(standard_spec(0.5), 10.0, np.int64(1000),
+                                 np.uint32(3))
+        assert est == replace(conditional_max_mc(standard_spec(0.5), 10.0,
+                                                 1000, 3), elapsed=est.elapsed)
+        assert type(est.n) is int and type(est.seed) is int
 
     def test_stderr_survives_tiny_weights(self):
         # estimate ~5.6e-228: the squared weights underflow unless each
@@ -158,21 +204,22 @@ class TestConditional:
             conditional_max_mc(ModelSpec.standard(1, 0.0), 1e300, 1000, seed=1)
 
     # (model, u, n, seed) -> (value, stderr) with the lattice inverse
-    # normal and the vectorised shift search.  table3 at u = 1e6 has a zero
-    # shift, so every mixture weight is exactly 1.
+    # normal, the vectorised shift search and each margin's shifted
+    # component on a fixed half of every block.  table3 at u = 1e6 has a
+    # zero shift, so every mixture weight is exactly 1.
     GOLDEN = [
         ("table1", 10.0, 10**5, 11,
-         0.05207111597879311, 1.2004398110803927e-05),
+         0.05206840838256172, 6.750491245125377e-06),
         ("d2_rho0.5", 30.0, 50_000, 6,
-         0.0016556908839278914, 4.519061373630966e-07),
+         0.0016558063175646945, 2.7473647632838865e-07),
         ("d2_rho0.3", 50.0, 2**19, 2,
-         0.00015468036887439279, 4.663816658040247e-09),
+         0.0001546877068711453, 2.6170595425928486e-09),
         ("d2_rho0.9", 1000.0, 2**20, 3,
-         1.1028054273663452e-10, 4.2819495675257545e-15),
+         1.1027437381054036e-10, 1.7304309759258062e-15),
         ("d5_rho0.5", 1e4, 150_000, 8,
-         1.5658766750343745e-19, 7.220447374587275e-23),
+         1.5651550390256862e-19, 6.431002621930139e-23),
         ("heterogeneous3", 20.0, 100_000, 9,
-         0.03708716486943611, 4.6754213352841196e-06),
+         0.03708602199759687, 4.9885787263452965e-06),
         ("table3", 1e6, 100_000, 12,
          2.0549681250181145e-43, 1.984632129136729e-51),
     ]
@@ -213,6 +260,41 @@ class TestConditional:
         truth = sum_tail_dblquad(0.5, 2.0)
         est = conditional_max_mc(spec, 2.0, 10**5, seed=23)
         assert abs(est.value - truth) <= 3 * est.stderr
+
+    def test_one_row_blocks_unbiased_over_many_seeds(self, standard_spec):
+        # n = 16: sixteen one-row blocks, each shifted with probability 1/2
+        # (the plan has a shift); the mean of 200 seeded estimates against
+        # the quadrature oracle, within 3 standard errors of that mean
+        spec = standard_spec(0.9)
+        assert np.all(_conditional_plan(spec, 10.0).shift > 1.0)
+        truth = sum_tail_dblquad(0.9, 10.0)
+        values = []
+        for seed in range(200):
+            est = conditional_max_mc(spec, 10.0, 16, seed)
+            assert est.n == 16
+            values.append(est.value)
+        sem = np.std(values, ddof=1) / math.sqrt(len(values))
+        assert abs(np.mean(values) - truth) <= 3 * sem
+
+    # table1 relative stderr at n = 2^20, seeds 1-4, when every draw picked
+    # its mixture component from a Sobol coordinate of its own
+    FORMER_REL_STDERR = {
+        100.0: [2.909655617899537e-05, 2.515423341795919e-05,
+                3.223769155591736e-05, 2.9678103597969558e-05],
+        1e4: [4.892771469675528e-05, 3.714291400284961e-05,
+              4.488105700908248e-05, 3.8887815160913144e-05],
+    }
+
+    @pytest.mark.parametrize("u, bound", [(100.0, 0.75), (1e4, 0.6)])
+    def test_fixed_halves_beat_the_random_pick_on_table1(self, u, bound):
+        # root mean square over the seeds; measured 0.72 at u = 100 and
+        # 0.37 at u = 1e4
+        spec = load_config("table1").build_model()
+        rel = [est.stderr / est.value for est in
+               (conditional_max_mc(spec, u, 2**20, seed) for seed in range(1, 5))]
+        former = self.FORMER_REL_STDERR[u]
+        assert (math.sqrt(np.mean(np.square(rel)))
+                <= bound * math.sqrt(np.mean(np.square(former))))
 
     def test_deep_tail_one_percent_precision(self, standard_spec):
         spec = standard_spec(0.9)
@@ -360,9 +442,9 @@ class TestRqmc:
 
     def test_shifted_points_stay_inside_the_unit_interval(self):
         base = _sobol_base(4)
-        top = _shift_rows(base, np.full((4, 1), 0xFFFF, dtype=np.uint16),
+        top = shift_rows(base, np.full((4, 1), 0xFFFF, dtype=np.uint16),
                           np.full((4, 1), 2**36 - 1))
-        bottom = _shift_rows(base, np.zeros((4, 1), dtype=np.uint16),
+        bottom = shift_rows(base, np.zeros((4, 1), dtype=np.uint16),
                              np.zeros((4, 1), dtype=np.int64))
         for x in (top, bottom):
             assert 0.0 < x.min() and x.max() < 1.0
@@ -392,10 +474,11 @@ class TestLatticeNdtri:
         rng = np.random.default_rng(bits)
         shifts = [(np.full((4, 1), h, dtype=np.uint16), np.full((4, 1), k))
                   for h in (0, 0xFFFF) for k in (0, 2**36 - 1)]
-        shifts += [montecarlo._draw_shift(4, rng) for _ in range(8)]
+        shifts += [(rng.integers(0, 2**16, size=(4, 1), dtype=np.uint16),
+                    rng.integers(0, 2**36, size=(4, 1))) for _ in range(8)]
         for h, k in shifts:
             got = _lattice_ndtri(rows, h, k, tables)
-            expected = ndtri(_shift_rows(rows, h, k))
+            expected = ndtri(shift_rows(rows, h, k))
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - expected)) <= 1e-14
             cell = np.bitwise_xor(rows, h)
@@ -567,7 +650,8 @@ class TestShiftSearch:
     # former search's log-integrand per margin.  On d4_u3176 and d4_u325300
     # a Newton step stops within about 1e-5 of a kink; on d4_u4738 the
     # start along the regression direction decides which local mode is
-    # reached.  (lam, beta, gamma, u, sigma, former)
+    # reached; on d4_u474.9 only a start along a coordinate axis reaches
+    # margin 2's highest mode.  (lam, beta, gamma, u, sigma, former)
     SWEEP_MODELS = {
         "d4_u3176": ([1.0] * 4, [1.196, 1.273, 0.684, 1.578], 1.119, 3176.0,
                      [[1.0, 0.007, 0.294, -0.114], [0.007, 1.0, -0.599, 0.085],
@@ -585,6 +669,12 @@ class TestShiftSearch:
                       [0.018, 0.706, 1.0, -0.042], [0.332, 0.313, -0.042, 1.0]],
                      [-57.982919418773335, -56.13464158663879,
                       -56.23276385061163, -57.88757296126463]),
+        "d4_u474.9": ([2.052, 1.927, 0.984, 2.56], [1.195, 1.192, 0.746, 1.09],
+                      0.761, 474.9,
+                      [[1.0, 0.659, -0.172, 0.4], [0.659, 1.0, 0.184, 0.29],
+                       [-0.172, 0.184, 1.0, -0.451], [0.4, 0.29, -0.451, 1.0]],
+                      [-18.23639191197353, -18.28782830949116,
+                       -21.73855554515432, -55.83454571094191]),
     }
 
     @pytest.mark.parametrize("name", list(SWEEP_MODELS))
@@ -596,6 +686,35 @@ class TestShiftSearch:
         plan = _conditional_plan(spec, u)
         for j in range(spec.d):
             assert self._value_at(spec, u, j, plan.shift[j]) >= former[j] - 1e-8
+
+    @pytest.mark.parametrize("name, j, bound", [("d4_u325300", 3, -372.5),
+                                                ("d4_u474.9", 2, -21.33)])
+    def test_search_reaches_the_higher_mode(self, name, j, bound):
+        # the former search climbed only from the better of the all-ones
+        # and regression starts and stopped at -397.02 and -21.74; on the
+        # first model the other of those starts climbs higher, on the
+        # second only a start along a coordinate axis does
+        lam, beta, gamma, u, sigma, _ = self.SWEEP_MODELS[name]
+        spec = ModelSpec(d=4, lam=lam, beta=beta, gamma=gamma,
+                         sigma=CorrelationMatrix(np.array(sigma)),
+                         radial=make_radial("ChiOfDim", 4))
+        plan = _conditional_plan(spec, u)
+        assert self._value_at(spec, u, j, plan.shift[j]) >= bound
+
+    @pytest.mark.parametrize("model", ["table1", "d5"])
+    def test_exchangeable_models_climb_nowhere(self, monkeypatch, model):
+        # the workloads' models: the all-ones line search is the whole
+        # search, with no climb from any start
+        climbs = []
+        monkeypatch.setattr(montecarlo, "_climb",
+                            lambda *args: climbs.append(args) or args[-2:])
+        if model == "table1":
+            spec, us = load_config("table1").build_model(), [10.0, 1e4, 1e6]
+        else:
+            spec, us = ModelSpec.standard(5, 0.5), [100.0, 1e4]
+        for u in us:
+            _conditional_plan(spec, u)
+        assert climbs == []
 
     @pytest.mark.parametrize("u, shifted", [(2.0 * (1.0 + 1e-11), False),
                                             (2.0 * (1.0 + 1e-8), True)])
@@ -695,6 +814,13 @@ class TestMcTable:
         table = mc_table(spec, [10.0, 30.0], 20_000, seed=9)
         assert table[1].value == conditional_max_mc(spec, 30.0, 20_000,
                                                     seed=9 ^ 1).value
+
+    def test_seeds_above_64_bits_are_kept(self, standard_spec):
+        spec = standard_spec(0.5)
+        row = mc_table(spec, [10.0], 1000, seed=2**64 + 5)[0]
+        assert row.seed == 2**64 + 5
+        assert row.value == conditional_max_mc(spec, 10.0, 1000, 2**64 + 5).value
+        assert row.value != conditional_max_mc(spec, 10.0, 1000, 5).value
 
     def test_empty_list_rejected(self, standard_spec):
         with pytest.raises(InvalidParams):
