@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DomainError, InvalidParams, WrongRadialLaw
+from .errors import DomainError, InvalidParams
 from .model import ModelSpec, coordinate_tail, marginal_log_pdf, marginal_log_tail
-from .numerics import (_margin_violations, _sigma_violations, check_threshold,
-                       gamma_function)
+from .numerics import (_LOG_SQRT_2PI, _margin_violations, _sigma_violations,
+                       check_threshold, gamma_function, lognormal_log_pdf)
 from .radial import RadialLaw, ScalingBundle
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
 
 VARIANT_DENSITY = "density_form"
 VARIANT_LIMIT = "limit_form"
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,26 +193,20 @@ def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> f
     if problems:
         raise InvalidParams("; ".join(problems))
     bg = beta * gamma
-    z = np.log(u / lam) / bg
-    log_pdf = -0.5 * z * z - np.log(u * bg) - _LOG_SQRT_2PI
     return _log_total(_log_pair_formula(lam, beta, gamma, sigma, u, bg * bg,
-                                        log_pdf))
+                                        lognormal_log_pdf(u, np.log(lam), bg)))
 
 
 def lognormal_correction(spec: ModelSpec, u: float) -> float:
     """Closed-form correction for a model with log-normal margins.
 
-    Valid for arbitrarily large u; requires the ChiOfDim radial.
+    Valid for arbitrarily large u; needs the ChiOfDim(d) radial.
     """
     return math.exp(log_lognormal_correction(spec, u))
 
 
 def log_lognormal_correction(spec: ModelSpec, u: float) -> float:
-    if spec.radial.kind != "ChiOfDim":
-        raise WrongRadialLaw(
-            "the log-normal closed form needs the ChiOfDim radial, "
-            f"got {spec.radial.kind}"
-        )
+    spec.require_gaussian_copula("the log-normal closed form")
     return log_lognormal_pair_correction(spec.lam, spec.beta, spec.gamma,
                                          spec.sigma.entries, u)
 

@@ -20,9 +20,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
+
+import numpy as np
 
 from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, angular_reduction_check,
                           approximate)
@@ -30,7 +33,7 @@ from .diagnostics import DiagnosticsRow, McOptions, build_table
 from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      NotPositiveDefinite, QuadratureError, TailsumError,
                      WrongRadialLaw)
-from .model import ModelSpec, validate_inputs
+from .model import ModelSpec, marginal_log_tail, validate_inputs
 from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, get_estimator
 from .numerics import CorrelationMatrix
 from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
@@ -44,6 +47,7 @@ _NUMERIC_ERRORS = (QuadratureError, NoFiniteLimit, FloatingPointError)
 BUNDLED = ("table1", "table2", "table3", "table4")
 
 _VARIANTS = {"density": VARIANT_DENSITY, "limit": VARIANT_LIMIT}
+_ESTIMATORS = {"crude": ESTIMATOR_CRUDE, "conditional": ESTIMATOR_CONDITIONAL}
 
 
 class ConfigError(InvalidParams):
@@ -88,9 +92,8 @@ class RunConfig:
         mc = dict(raw.get("mc", {}))
         output = dict(raw.get("output", {}))
         radial = dict(model.get("radial", {}))
-        d = int(model.get("d", 2))
         return cls(
-            d=d,
+            d=_config_int(model.get("d", 2), "model.d"),
             lam=tuple(model.get("lambda", ())),
             beta=tuple(model.get("beta", ())),
             gamma=float(model.get("gamma", 1.0)),
@@ -100,8 +103,8 @@ class RunConfig:
             radial_params=tuple(radial.get("params", ())),
             u_list=tuple(raw.get("u_list", ())),
             mc_estimator=mc.get("estimator", "conditional"),
-            mc_n=int(mc.get("n", 10**6)),
-            mc_seed=int(mc.get("seed", 1234567)),
+            mc_n=_config_int(mc.get("n", 10**6), "mc.n"),
+            mc_seed=_config_int(mc.get("seed", 1234567), "mc.seed"),
             variant=raw.get("variant", "density"),
             epsilon_c=float(raw.get("epsilon_c", 1.0)),
             out_format=output.get("format", "csv"),
@@ -128,8 +131,6 @@ class RunConfig:
         }
 
     def sigma_entries(self):
-        import numpy as np
-
         if self.rho is not None:
             m = np.full((self.d, self.d), self.rho)
             np.fill_diagonal(m, 1.0)
@@ -148,20 +149,23 @@ class RunConfig:
                          radial=radial)
 
     def mc_options(self, workers: int | None = None) -> McOptions:
-        if self.mc_n < 1:
-            raise ConfigError(f"mc.n must be >= 1, got {self.mc_n}")
-        if self.mc_estimator not in ("crude", "conditional"):
+        if self.mc_estimator not in _ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.mc_estimator!r}")
-        estimator = (ESTIMATOR_CRUDE if self.mc_estimator == "crude"
-                     else ESTIMATOR_CONDITIONAL)
-        return McOptions(estimator=estimator, n=self.mc_n, seed=self.mc_seed,
-                         workers=workers)
+        return McOptions(estimator=_ESTIMATORS[self.mc_estimator], n=self.mc_n,
+                         seed=self.mc_seed, workers=workers)
+
+
+def _config_int(value, key: str) -> int:
+    """An integer entry; integral floats count (JSON may write 1e6)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(name_or_path: str) -> RunConfig:
     """Load a config from a file path or a bundled name (table1..table4)."""
-    import os
-
     if os.path.exists(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -239,13 +243,11 @@ def cmd_table(cfg: RunConfig, args) -> int:
     mc_opts = None if args.no_mc else cfg.mc_options(args.workers)
     rows = build_table(spec, cfg.u_list, mc_opts, c=cfg.epsilon_c,
                        variant=_VARIANTS[cfg.variant])
-    out_path = args.out or cfg.out_path
-    fmt = args.format or cfg.out_format
-    writer = write_csv if fmt == "csv" else write_markdown
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    writer = write_csv if cfg.out_format == "csv" else write_markdown
+    if cfg.out_path:
+        with open(cfg.out_path, "w", encoding="utf-8") as fh:
             writer(rows, fh)
-        print(f"wrote {len(rows)} rows to {out_path} ({fmt})")
+        print(f"wrote {len(rows)} rows to {cfg.out_path} ({cfg.out_format})")
     else:
         writer(rows, sys.stdout)
     return 0
@@ -312,8 +314,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
               f"{'PASS' if worst < 0.15 else 'WARN'} (threshold 0.15)")
 
     print("\n[2] margin MDA probe: P(X>u+x*e*(u))/P(X>u) vs exp(-x) (margin 1)")
-    from .model import marginal_log_tail
-
     for u in (1e4, 1e8):
         rows = probe_margin_mda_limit(
             bundle, 0, [u], [-2.0, -1.0, 0.0, 1.0, 2.0],
@@ -357,8 +357,38 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _parse_u_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+# (flag, the subcommands that read it, its argparse settings); a dest
+# naming a RunConfig field overrides that field of the config
+_FLAGS = (
+    ("--u", "table approx mc", dict(type=_parse_u_list,
+                                    help="threshold(s), comma separated")),
+    ("--n", "table mc", dict(type=int, dest="mc_n", help="MC sample count")),
+    ("--seed", "table mc", dict(type=int, dest="mc_seed", help="MC seed")),
+    ("--estimator", "table mc", dict(choices=("crude", "conditional"),
+                                     dest="mc_estimator")),
+    ("--workers", "table mc", dict(type=int, help="worker threads (default "
+                                   "TAILSUM_THREADS or 1; never changes results)")),
+    ("--variant", "table approx", dict(choices=("limit", "density", "both"))),
+    ("--epsilon-c", "table", dict(type=float,
+                                  help="slack constant of the epsilon measure")),
+    ("--out", "table", dict(dest="out_path", help="output file path")),
+    ("--format", "table", dict(choices=("csv", "markdown"), dest="out_format")),
+    ("--no-mc", "table", dict(action="store_true", help="skip the Monte Carlo column")),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an invalid argument: exit 1
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tailsum",
         description="Tail asymptotics and rare-event Monte Carlo for sums "
                     "of dependent log-elliptical risks.")
@@ -370,50 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="config file path or bundled name "
                             "(table1..table4)")
-        p.add_argument("--u", type=_parse_u_list, default=None,
-                       help="threshold(s), comma separated")
-        p.add_argument("--n", type=int, default=None, help="MC sample count")
-        p.add_argument("--seed", type=int, default=None, help="MC seed")
-        p.add_argument("--estimator", choices=("crude", "conditional"),
-                       default=None)
-        p.add_argument("--variant", choices=("limit", "density", "both"),
-                       default=None)
-        p.add_argument("--epsilon-c", type=float, default=None,
-                       help="slack constant of the epsilon measure")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "markdown"), default=None)
-        p.add_argument("--no-mc", action="store_true",
-                       help="skip the Monte Carlo column")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default TAILSUM_THREADS or 1; "
-                            "never changes results)")
+        for flag, commands, settings in _FLAGS:
+            if name in commands.split():
+                p.add_argument(flag, **settings)
     return parser
 
 
-def _parse_u_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.u is not None and args.command == "table":
+    names = {f.name for f in fields(RunConfig)}
+    updates = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    if args.command == "table" and args.u is not None:
         updates["u_list"] = tuple(args.u)
-    if args.n is not None:
-        updates["mc_n"] = args.n
-    if args.seed is not None:
-        updates["mc_seed"] = args.seed
-    if args.estimator is not None:
-        updates["mc_estimator"] = args.estimator
-    if args.variant is not None:
-        updates["variant"] = args.variant
-    if args.epsilon_c is not None:
-        updates["epsilon_c"] = args.epsilon_c
     return replace(cfg, **updates) if updates else cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _apply_overrides(cfg, args)

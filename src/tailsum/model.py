@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams, NotPositiveDefinite
+from .errors import DomainError, InvalidParams, NotPositiveDefinite, WrongRadialLaw
 from .numerics import (CorrelationMatrix, _margin_violations, _sigma_violations,
                        adaptive_quad, check_draws, check_threshold, equicorrelation,
-                       gamma_function, std_normal_log_tail, std_normal_tail)
+                       gamma_function, is_integer_at_least, lognormal_log_pdf,
+                       std_normal_log_tail, std_normal_tail)
 from .radial import RadialLaw, ScalingBundle, make_radial
 
 __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
@@ -48,8 +49,8 @@ class ModelSpec:
     permutation: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParams(f"dimension must be >= 1, got {self.d}")
+        if not is_integer_at_least(self.d, 1):
+            raise InvalidParams(f"dimension must be an integer >= 1, got {self.d!r}")
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         problems = (_margin_violations(self.d, lam, beta, self.gamma)
@@ -81,7 +82,15 @@ class ModelSpec:
                              gamma=self.gamma)
 
     def is_gaussian_copula(self) -> bool:
+        """The one test for the closed forms: log-risks jointly Gaussian."""
         return self.radial.kind == "ChiOfDim" and self.radial.params[0] == self.d
+
+    def require_gaussian_copula(self, what: str) -> None:
+        """WrongRadialLaw naming ``what``, the law and d, unless Gaussian."""
+        if not self.is_gaussian_copula():
+            raise WrongRadialLaw(
+                f"{what} needs the ChiOfDim radial matching the dimension "
+                f"(got {self.radial!r} with d={self.d})")
 
 
 def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
@@ -91,12 +100,8 @@ def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
     invariant is reported as a string.  An empty list means a ModelSpec
     can be built from the inputs.
     """
-    try:
-        d = int(d)
-    except (TypeError, ValueError):
-        return [f"dimension must be an integer, got {d!r}"]
-    if d < 1:
-        return [f"dimension must be >= 1, got {d}"]
+    if not is_integer_at_least(d, 1):
+        return [f"dimension must be an integer >= 1, got {d!r}"]
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     m = np.asarray(sigma, dtype=float)
@@ -123,13 +128,14 @@ def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
 
 
 def marginal_log_tail(spec: ModelSpec, j: int, u: float) -> float:
-    """log P(X_j > u); exact normal complement for the ChiOfDim radial.
+    """log P(X_j > u); exact normal complement under the Gaussian copula.
 
-    Other radial laws take the log of ``coordinate_tail``, which is linear:
-    once it underflows to 0.0 this raises DomainError.
+    Other radial laws, ChiOfDim(k) with k != d included, take the log of
+    ``coordinate_tail``, which is linear: once it underflows to 0.0 this
+    raises DomainError.
     """
     w = _margin_w(spec, j, u)
-    if spec.radial.kind == "ChiOfDim":
+    if spec.is_gaussian_copula():
         return std_normal_log_tail(w)
     return _log_positive(coordinate_tail(spec.radial, spec.d, w),
                          "P(X_j > u)", spec, j, u)
@@ -151,11 +157,11 @@ def _log_positive(value: float, what: str, spec: ModelSpec, j: int,
 def marginal_tail(spec: ModelSpec, j: int, u: float) -> float:
     """P(X_j > u).
 
-    ChiOfDim radial: the exact log-normal tail.  Other radial laws:
+    Gaussian copula: the exact log-normal tail.  Other radial laws:
     ``coordinate_tail`` at w = log(u/lam_j)/(beta_j*gamma).
     """
     w = _margin_w(spec, j, u)
-    if spec.radial.kind == "ChiOfDim":
+    if spec.is_gaussian_copula():
         return std_normal_tail(w)
     return coordinate_tail(spec.radial, spec.d, w)
 
@@ -192,23 +198,24 @@ def coordinate_tail(law: RadialLaw, d: int, w: float) -> float:
 def marginal_pdf(spec: ModelSpec, j: int, u: float) -> float:
     """Density of X_j at u.
 
-    Log-normal closed form for the ChiOfDim radial; otherwise a central
+    Log-normal closed form under the Gaussian copula; otherwise a central
     difference of the marginal tail with relative step 1e-5 (the step
     balancing truncation against cancellation in double precision).
     """
     _margin_w(spec, j, u)
-    if spec.radial.kind == "ChiOfDim":
+    if spec.is_gaussian_copula():
         return math.exp(marginal_log_pdf(spec, j, u))
     h = 1e-5 * u
     return (marginal_tail(spec, j, u - h) - marginal_tail(spec, j, u + h)) / (2.0 * h)
 
 
 def marginal_log_pdf(spec: ModelSpec, j: int, u: float) -> float:
-    """log density of X_j at u (ChiOfDim radial only has a closed form)."""
-    z = _margin_w(spec, j, u)
-    if spec.radial.kind == "ChiOfDim":
-        bg = spec.beta[j] * spec.gamma
-        return -0.5 * z * z - math.log(u * bg) - 0.5 * math.log(2.0 * math.pi)
+    """log density of X_j at u (a closed form under the Gaussian copula
+    only: X_j is log-normal with parameters log(lam_j), beta_j*gamma)."""
+    _margin_w(spec, j, u)
+    if spec.is_gaussian_copula():
+        return float(lognormal_log_pdf(u, math.log(spec.lam[j]),
+                                       spec.beta[j] * spec.gamma))
     return _log_positive(marginal_pdf(spec, j, u), "the density of X_j",
                          spec, j, u)
 

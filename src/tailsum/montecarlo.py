@@ -10,7 +10,7 @@ Two estimators:
 
   with M_j / S_j the maximum / sum of the other margins and the
   conditional exceedance probability evaluated in closed form from the
-  Gaussian copula of the log-risks (so it needs the ChiOfDim radial).
+  Gaussian copula of the log-risks (so it needs the ChiOfDim(d) radial).
   The conditioning vectors are drawn from a defensive mixture, weight
   1/2, of the nominal law and a copy shifted to the mode of each
   margin's integrand (Hesterberg 1995), and reweighted by the exact
@@ -58,7 +58,7 @@ import scipy
 from scipy.special import log_ndtr, ndtri
 
 from . import _kernels
-from .errors import DomainError, InvalidParams, WrongRadialLaw
+from .errors import DomainError, InvalidParams
 from .model import SAMPLE_CHUNK, ModelSpec, _draw_chunk, marginal_tail
 from .numerics import check_draws, check_threshold
 
@@ -214,10 +214,9 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
     # bytes of those, exchangeable margins share them and one shift search.
     constants: dict[bytes, tuple] = {}
     for j in range(d):
-        on = np.arange(d) != j
-        oth = np.flatnonzero(on)
+        oth = np.flatnonzero(np.arange(d) != j)
         others[j] = oth
-        sub = sig[on][:, on]
+        sub = sig[np.ix_(oth, oth)]
         cross = sig[oth, j]
         key = np.concatenate(([spec.lam[j], spec.beta[j]], spec.lam[oth],
                               spec.beta[oth], sub.ravel(), cross)).tobytes()
@@ -462,18 +461,13 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     nominal law and its copy shifted to the mode of each margin's
     integrand, each on a fixed half of every block; where that mode is the
     origin the shift is zero and every weight is exactly 1.
-    Needs the ChiOfDim radial (Gaussian copula of the log-risks).  The
+    Needs the ChiOfDim(d) radial (Gaussian copula of the log-risks).  The
     draws are randomised Sobol blocks (see the module docstring), so n
     (an integer >= 1; seed is one >= 0) is rounded up to a whole number
     of blocks; the returned ``n`` is the number of draws made.
     """
     n, seed = check_draws(n, seed)
-    if not spec.is_gaussian_copula():
-        raise WrongRadialLaw(
-            "conditional_max_mc needs the ChiOfDim radial matching the "
-            f"dimension (got {spec.radial!r} with d={spec.d}); "
-            "use crude_mc instead"
-        )
+    spec.require_gaussian_copula("conditional_max_mc")
     check_threshold(u)
     workers = worker_count(workers)
     start = time.perf_counter()

@@ -40,11 +40,17 @@ def check_threshold(u: float, lower: float = 0.0) -> None:
         raise DomainError(f"threshold u must be finite and {bound}, got {u}")
 
 
+def is_integer_at_least(value, low: int) -> bool:
+    """The integer rule for counts: an integer of any type (numpy's too),
+    never a float however integral, and >= ``low``."""
+    return hasattr(type(value), "__index__") and operator.index(value) >= low
+
+
 def check_draws(n, seed, least: int = 1) -> tuple[int, int]:
-    """n and seed as Python ints: integers of any type (numpy's too), with
-    n >= ``least`` and seed >= 0; InvalidParams otherwise."""
+    """n and seed as Python ints, by the integer rule with n >= ``least``
+    and seed >= 0; InvalidParams otherwise."""
     for name, value, low in (("n", n, least), ("seed", seed, 0)):
-        if not hasattr(type(value), "__index__") or operator.index(value) < low:
+        if not is_integer_at_least(value, low):
             raise InvalidParams(f"need an integer {name} >= {low}, got {value!r}")
     return operator.index(n), operator.index(seed)
 
@@ -119,14 +125,16 @@ def lognormal_pdf(u: float, mu: float = 0.0, sigma: float = 1.0) -> float:
     return math.exp(lognormal_log_pdf(u, mu, sigma))
 
 
-def lognormal_log_pdf(u: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """Log-density at u of exp(N(mu, sigma^2)); u must be positive."""
-    if u <= 0.0:
+def lognormal_log_pdf(u, mu=0.0, sigma=1.0):
+    """Log-density at u of exp(N(mu, sigma^2)), elementwise over arrays
+    that broadcast; u and sigma must be positive."""
+    u, mu, sigma = (np.asarray(a, dtype=float) for a in (u, mu, sigma))
+    if np.any(u <= 0.0):
         raise DomainError(f"log-normal density is defined for u > 0, got {u}")
-    if sigma <= 0.0:
+    if np.any(sigma <= 0.0):
         raise DomainError(f"sigma must be positive, got {sigma}")
-    z = (math.log(u) - mu) / sigma
-    return -0.5 * z * z - math.log(u * sigma) - _LOG_SQRT_2PI
+    z = (np.log(u) - mu) / sigma
+    return -0.5 * z * z - np.log(u * sigma) - _LOG_SQRT_2PI
 
 
 def gamma_function(s: float) -> float:
@@ -157,7 +165,7 @@ def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
     Raises QuadratureError when the reported error estimate exceeds the
     tolerance relative to the result (guards against silent failure on
     integrands spanning hundreds of orders of magnitude).  scipy.integrate
-    is imported here, on first use: only radial laws other than ChiOfDim
+    is imported here, on first use: only models without a Gaussian copula
     need quadrature.
     """
     from scipy import integrate

@@ -33,7 +33,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import _margin_violations, check_threshold, std_normal_log_tail
+from .numerics import (_margin_violations, check_threshold, lognormal_log_pdf,
+                       lognormal_pdf, std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
@@ -173,17 +174,13 @@ def _make_lognormal_log_radius() -> RadialLaw:
     def tail(r: float) -> float:
         return math.exp(log_tail(r))
 
-    def _log_density(r: float) -> float:
-        lr = math.log(r)
-        return -0.5 * lr * lr - lr - 0.5 * math.log(2.0 * math.pi)
-
     def density(r: float) -> float:
-        return math.exp(_log_density(r)) if r > 0 else 0.0
+        return lognormal_pdf(r) if r > 0 else 0.0
 
     def scaling(r: float) -> float:
         if r <= 0.0:
             raise DomainError("scaling needs r > 0")
-        return math.exp(log_tail(r) - _log_density(r))
+        return math.exp(log_tail(r) - lognormal_log_pdf(r))
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return np.exp(rng.standard_normal(size))

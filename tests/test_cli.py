@@ -287,6 +287,141 @@ class TestVerifyCommand:
         assert "[5]" in out and "ratio" in out
 
 
+class TestConfigIntegers:
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "d", 2.7), ("mc", "n", 65536.9), ("mc", "seed", 3.5),
+        ("model", "d", "2"), ("mc", "n", math.inf)])
+    def test_non_integral_value_exits_1_naming_the_key(self, run_cli, tmp_path,
+                                                        section, key, value):
+        raw = load_config("table3").to_dict()
+        raw[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("mc", "--config", str(path), "--u", "10")
+        assert code == 1
+        assert out == ""
+        assert f"{section}.{key} must be an integer, got {value!r}" in err
+
+    def test_integral_floats_are_integers(self, run_cli, tmp_path):
+        outs = []
+        for d, n, seed in ((2, 65536, 3), (2.0, 65536.0, 3.0)):
+            raw = load_config("table3").to_dict()
+            raw["model"]["d"], raw["mc"]["n"], raw["mc"]["seed"] = d, n, seed
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(raw))
+            cfg = load_config(str(path))
+            assert (cfg.d, cfg.mc_n, cfg.mc_seed) == (2, 65536, 3)
+            assert all(type(v) is int for v in (cfg.d, cfg.mc_n, cfg.mc_seed))
+            code, out, _ = run_cli("mc", "--config", str(path), "--u", "10")
+            assert code == 0
+            outs.append([ln for ln in out.splitlines() if "elapsed" not in ln])
+        assert outs[0] == outs[1]
+
+    def test_json_exponent_notation_reads_as_an_integer(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": {"d": 2}, "mc": {"n": 1e6, "seed": 7}}')
+        assert load_config(str(path)).mc_n == 10**6
+
+    def test_zero_n_in_the_config_exits_1(self, run_cli, tmp_path):
+        raw = load_config("table3").to_dict()
+        raw["mc"]["n"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli("mc", "--config", str(path), "--u", "10")
+        assert code == 1
+        assert "need an integer n >= 1, got 0" in err
+
+
+@pytest.fixture()
+def usage_error(capsys):
+    """Exit code and output of a command line that argparse rejects."""
+    def invoke(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    return invoke
+
+
+class TestFlags:
+    # each flag with a value it accepts, and the subcommands that read it
+    FLAGS = {
+        "--u": (["10"], {"table", "approx", "mc"}),
+        "--n": (["1000"], {"table", "mc"}),
+        "--seed": (["5"], {"table", "mc"}),
+        "--estimator": (["crude"], {"table", "mc"}),
+        "--workers": (["2"], {"table", "mc"}),
+        "--variant": (["density"], {"table", "approx"}),
+        "--epsilon-c": (["0.5"], {"table"}),
+        "--out": (["out.csv"], {"table"}),
+        "--format": (["markdown"], {"table"}),
+        "--no-mc": ([], {"table"}),
+    }
+
+    @pytest.mark.parametrize("command", ["table", "approx", "mc", "verify"])
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, usage_error,
+                                                           command, flag):
+        from tailsum.cli import build_parser
+
+        value, commands = self.FLAGS[flag]
+        argv = [command, "--config", "table3", flag, *value]
+        if command in commands:
+            args = build_parser().parse_args(argv)
+            assert args.command == command
+        else:
+            code, out, err = usage_error(*argv)
+            assert code == 1
+            assert out == ""
+            assert f"unrecognized arguments: {flag}" in err
+
+    def test_flags_override_the_config(self):
+        from tailsum.cli import _apply_overrides, build_parser
+
+        args = build_parser().parse_args(
+            ["table", "--config", "table3", "--u", "10,20", "--n", "1000",
+             "--seed", "5", "--estimator", "crude", "--variant", "limit",
+             "--epsilon-c", "0.5", "--out", "t.md", "--format", "markdown"])
+        cfg = _apply_overrides(load_config("table3"), args)
+        assert (cfg.u_list, cfg.mc_n, cfg.mc_seed, cfg.mc_estimator, cfg.variant,
+                cfg.epsilon_c, cfg.out_path, cfg.out_format) == (
+            (10.0, 20.0), 1000, 5, "crude", "limit", 0.5, "t.md", "markdown")
+        assert _apply_overrides(load_config("table3"), build_parser().parse_args(
+            ["table", "--config", "table3"])) == load_config("table3")
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--config", "table3", "--u", "10", "--estimator", "foo"],
+        ["approx", "--config", "table1", "--u", "10", "--variant", "nope"],
+        ["mc", "--config", "table3", "--u", "10", "--n", "1e6"],
+        ["approx", "--config", "table1", "--u", "ten"],
+        ["frobnicate"],
+        [],
+    ], ids=["bad_choice", "bad_variant", "float_n", "bad_u", "unknown_command",
+            "no_command"])
+    def test_usage_errors_exit_1(self, usage_error, argv):
+        code, out, err = usage_error(*argv)
+        assert code == 1
+        assert out == ""
+        assert "usage: tailsum" in err and "error:" in err
+
+    def test_help_exits_0(self, usage_error):
+        code, out, _ = usage_error("mc", "--help")
+        assert code == 0
+        assert "--workers" in out and "--variant" not in out
+
+    def test_process_exit_code(self):
+        # the installed entry point passes main's exit status to the shell
+        import subprocess
+        import sys
+
+        proc = subprocess.run([sys.executable, "-m", "tailsum.cli", "verify",
+                               "--config", "table3", "--n", "5"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --n 5" in proc.stderr
+
+
 def test_csv_formatting_rules():
     row = DiagnosticsRow(u=10.0, asympt1=0.5, asympt2=0.0005, mc=None,
                          mc_stderr=None, ratio1=None, ratio2=None,

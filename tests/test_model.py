@@ -1,17 +1,20 @@
 """Model construction, marginals, and sampling contracts."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
-                     ModelSpec, NotPositiveDefinite, approximate, equicorrelation,
+                     ModelSpec, NotPositiveDefinite, WrongRadialLaw, approximate,
+                     conditional_max_mc, equicorrelation, lognormal_correction,
                      make_radial, marginal_pdf, marginal_tail, probe_mda_limit,
-                     sample, validate_inputs)
+                     sample, std_normal_tail, validate_inputs)
 from tailsum.cli import ConfigError, RunConfig
-from tailsum.model import _draw_chunk, marginal_log_pdf, marginal_log_tail
+from tailsum.model import (_draw_chunk, coordinate_tail, marginal_log_pdf,
+                           marginal_log_tail)
 from test_montecarlo import BAD_RUNS
 
 mp.mp.dps = 40
@@ -64,6 +67,22 @@ class TestValidation:
     def test_dimension_violation(self):
         violations = validate_inputs(0, [], [], 1.0, np.empty((0, 0)))
         assert any("dimension" in v for v in violations)
+
+    @pytest.mark.parametrize("d", [2.7, 2.0, "2", None, 0, -1])
+    def test_dimension_must_be_an_integer(self, d):
+        # the integer rule of the n/seed checks: no float, however integral
+        violations = validate_inputs(d, [1.0, 1.0], [1.0, 1.0], 1.0, np.eye(2))
+        assert violations == [f"dimension must be an integer >= 1, got {d!r}"]
+        with pytest.raises(InvalidParams, match="dimension must be an integer"):
+            ModelSpec(d=d, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                      sigma=equicorrelation(2, 0.0),
+                      radial=make_radial("ChiOfDim", 2))
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert validate_inputs(np.int64(2), [1.0, 1.0], [1.0, 1.0], 1.0,
+                               np.eye(2)) == []
+        ModelSpec(d=np.int64(2), lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                  sigma=equicorrelation(2, 0.0), radial=make_radial("ChiOfDim", 2))
 
     def test_not_positive_definite_reported(self):
         bad = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -321,3 +340,96 @@ class TestSampling:
                 p = marginal_tail(spec, j, u)
                 freq = float(np.mean(batch.x[:, j] > u))
                 assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (j, w)
+
+
+class TestGaussianCopulaDecision:
+    """ChiOfDim(k) with k != d is a valid elliptical model whose log-risks
+    are not Gaussian: every accessor takes the quadrature path, and the
+    closed forms refuse it."""
+
+    # (d, k, lam, beta, gamma, sigma)
+    MODELS = {
+        "d2_chi3": (2, 3, [1.0, 1.0], [1.0, 1.0], 1.0, [[1.0, 0.0], [0.0, 1.0]]),
+        "d2_chi5": (2, 5, [2.0, 0.5], [1.5, 1.0], 0.8, [[1.0, 0.5], [0.5, 1.0]]),
+        "d3_chi2": (3, 2, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0,
+                    [[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]]),
+        "d3_chi4": (3, 4, [0.5, 2.0, 1.0], [1.0, 1.5, 0.7], 0.8,
+                    [[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]]),
+    }
+
+    @classmethod
+    def _spec(cls, name):
+        d, k, lam, beta, gamma, sigma = cls.MODELS[name]
+        return spec_with(lam, beta, sigma, gamma=gamma,
+                         radial=make_radial("ChiOfDim", k))
+
+    @staticmethod
+    def _coordinate_density(law, d, w):
+        """Density at w > 0 of R * T (T a sphere coordinate), by its own
+        quadrature: int f_R(w/t) h(t)/t dt with t = sin(s)."""
+        from scipy import integrate
+
+        const = math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d - 1) / 2.0))
+
+        def f(s):
+            t = math.sin(s)
+            return law.density(w / t) / t * const * math.cos(s) ** (d - 2) if t > 0 else 0.0
+
+        return integrate.quad(f, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-11)[0]
+
+    def test_only_the_matching_chi_dimension_is_gaussian(self):
+        for name in self.MODELS:
+            assert not self._spec(name).is_gaussian_copula()
+        assert ModelSpec.standard(2, 0.0).is_gaussian_copula()
+        assert ModelSpec.standard(3, 0.3).is_gaussian_copula()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_accessors_match_quadrature(self, name):
+        spec = self._spec(name)
+        bg = spec.beta * spec.gamma
+        for j in range(spec.d):
+            for u in (spec.lam[j] * 3.0, spec.lam[j] * 30.0):
+                w = math.log(u / spec.lam[j]) / bg[j]
+                tail = coordinate_tail(spec.radial, spec.d, w)
+                pdf = self._coordinate_density(spec.radial, spec.d, w) / (u * bg[j])
+                assert marginal_tail(spec, j, u) == pytest.approx(tail, rel=1e-12)
+                assert marginal_log_tail(spec, j, u) == pytest.approx(
+                    math.log(tail), rel=1e-12)
+                assert marginal_pdf(spec, j, u) == pytest.approx(pdf, rel=1e-6)
+                assert marginal_log_pdf(spec, j, u) == pytest.approx(
+                    math.log(pdf), abs=1e-6)
+                # and not the log-normal closed form
+                assert abs(marginal_tail(spec, j, u) - std_normal_tail(w)) > 1e-3 * tail
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_marginal_tail_matches_sample_frequency(self, name):
+        spec = self._spec(name)
+        n = 200_000
+        batch = sample(spec, n, seed=5)
+        for j in range(spec.d):
+            u = spec.lam[j] * 10.0
+            p = marginal_tail(spec, j, u)
+            freq = float(np.mean(batch.x[:, j] > u))
+            assert abs(freq - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), j
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_first_order_is_the_sum_of_the_quadrature_tails(self, name):
+        spec = self._spec(name)
+        bg = spec.beta * spec.gamma
+        for u in (10.0, 100.0):
+            tails = [coordinate_tail(spec.radial, spec.d,
+                                     math.log(u / spec.lam[j]) / bg[j])
+                     for j in range(spec.d)]
+            assert approximate(spec, u).first_order == pytest.approx(
+                math.fsum(tails), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_closed_forms_refuse_with_one_message(self, name):
+        spec = self._spec(name)
+        law = re.escape(f"(got {spec.radial!r} with d={spec.d})")
+        with pytest.raises(WrongRadialLaw, match="^the log-normal closed form "
+                           "needs the ChiOfDim radial matching the dimension " + law):
+            lognormal_correction(spec, 100.0)
+        with pytest.raises(WrongRadialLaw, match="^conditional_max_mc needs the "
+                           "ChiOfDim radial matching the dimension " + law):
+            conditional_max_mc(spec, 100.0, 1000, seed=1)

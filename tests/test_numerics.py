@@ -88,6 +88,23 @@ class TestLognormalPdf:
         with pytest.raises(DomainError):
             lognormal_pdf(-1.0)
 
+    def test_log_pdf_takes_arrays(self):
+        from tailsum.numerics import lognormal_log_pdf
+
+        u = np.array([0.5, 1.0, 10.0, 1e12])
+        mu = np.array([0.0, 1.0, -0.7, 2.0])
+        sigma = np.array([1.0, 0.5, 2.0, 0.04])
+        out = lognormal_log_pdf(u, mu, sigma)
+        assert out.shape == (4,)
+        for i in range(4):
+            assert out[i] == lognormal_log_pdf(u[i], mu[i], sigma[i])
+            assert math.exp(out[i]) == pytest.approx(
+                lognormal_pdf(u[i], mu[i], sigma[i]), rel=1e-15)
+        with pytest.raises(DomainError):
+            lognormal_log_pdf(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            lognormal_log_pdf(1.0, 0.0, np.array([1.0, -1.0]))
+
 
 class TestGammaFunction:
     @pytest.mark.parametrize("s,expected", [(1.0, 1.0), (0.5, math.sqrt(math.pi)),
