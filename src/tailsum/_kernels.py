@@ -1,10 +1,10 @@
 """Hot-loop kernels of the Monte Carlo estimators, in numpy.
 
-Both kernels work one margin (a column of the log-coordinate block) at
-a time, accumulating into a fixed set of length-m buffers with in-place
-ufuncs.  That avoids fancy-index copies of the other margins and
-reductions over a short inner axis, which dominate a row-wise
-formulation.
+Both kernels work one margin (a column of the log-coordinates, or one
+other margin of a conditional term) at a time, accumulating into a
+fixed set of length-m buffers with in-place ufuncs.  That avoids
+fancy-index copies of the other margins and reductions over a short
+inner axis, which dominate a row-wise formulation.
 """
 
 import math
@@ -28,11 +28,15 @@ def crude_chunk(y, u, lam, bg) -> int:
     return int(np.count_nonzero(sm > u))
 
 
-def conditional_chunk(y, shifted, out, u, lam, bg, others, alpha, cond_sd,
-                      shift, tilt_vec, tilt_const, mix):
+def conditional_chunk(e, shifted, out, u, lam, bg, others, factor, alpha,
+                      cond_sd, shift, tilt_vec, tilt_const, mix):
     """Per-draw integrand of the conditional largest-claim estimator.
 
-    For each draw (row of the correlated standard-normal matrix ``y``)
+    Each draw is a column of the (d, m) independent standard normals
+    ``e``.  Margin j conditions on the other margins y_-j = L_j e_-j,
+    with L_j = chol(Sigma_-j) and e_-j the rows ``others[j]`` of e:
+    ``factor[j]`` is L_j with its columns moved to ``others[j]`` (zero in
+    column j), so y_-j = factor[j] @ e.  For each draw the kernel
     accumulates, over margins j, the importance weight times the
     conditional probability that margin j exceeds both the remaining gap
     to u and the largest other margin.  For margin j the other margins
@@ -40,13 +44,17 @@ def conditional_chunk(y, shifted, out, u, lam, bg, others, alpha, cond_sd,
     shifted defensive-mixture component, with weight ``mix``, the share
     of the rows) and nominal on the rest.  Writes the sums into ``out``.
 
+    Row idx of L_j is zero past column idx, so in ``factor[j]`` it is zero
+    past column k = ``others[j][idx]``: the other margin k is the product
+    of its first k + 1 entries with the first k + 1 rows of e, and for
+    idx = 0 the single entry times row k.
+
     The weight of a draw is 1 / (mix * e^q + 1 - mix), with q the log
     likelihood ratio of the shifted component; an overflowing e^q gives
     weight 0, the limit of the exact value.  The weight is exactly 1 at a
     zero shift, where q = 0.
     """
-    m, d = y.shape
-    yt = y.T
+    d, m = e.shape
     yk = np.empty(m)        # other margin k, plus the shift on ``rows``
     xk = np.empty(m)        # lam_k * exp(bg_k * yk)
     sm = np.empty(m)        # sum of the other margins, then z
@@ -59,7 +67,10 @@ def conditional_chunk(y, shifted, out, u, lam, bg, others, alpha, cond_sd,
         rows = shifted[j]
         for idx, k in enumerate(others[j]):
             first = idx == 0
-            yk[:] = yt[k]
+            if first:
+                np.multiply(e[k], factor[j, 0, k], out=yk)
+            else:
+                np.matmul(factor[j, idx, :k + 1], e[:k + 1], out=yk)
             yk[rows] += shift[j, idx]
             if first:
                 np.multiply(yk, tilt_vec[j, idx], out=q)

@@ -11,7 +11,8 @@ Subcommands:
 
 Configs are JSON files; the bundled names table1..table4 reproduce the
 four reference tables and differ only in the correlation.  Exit codes:
-0 success, 1 invalid config or arguments, 2 numerical failure.
+0 success, 1 invalid config or arguments (or standard output closed
+before the output was written), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
                      probe_mda_limit, probe_o_regular_variation)
 
 _CONFIG_ERRORS = (InvalidParams, DomainError, NotPositiveDefinite,
-                  WrongRadialLaw, ValueError, KeyError, TypeError, OSError,
+                  WrongRadialLaw, ValueError, KeyError, TypeError,
                   json.JSONDecodeError)
 _NUMERIC_ERRORS = (QuadratureError, NoFiniteLimit, FloatingPointError)
 
@@ -165,10 +166,15 @@ def _config_int(value, key: str) -> int:
 
 
 def load_config(name_or_path: str) -> RunConfig:
-    """Load a config from a file path or a bundled name (table1..table4)."""
+    """Load a config from a file path or a bundled name (table1..table4);
+    ConfigError if the file cannot be read."""
     if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(name_or_path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {name_or_path!r}: "
+                              f"{exc}") from exc
     elif name_or_path in BUNDLED:
         text = resources.files("tailsum").joinpath(
             f"configs/{name_or_path}.json").read_text(encoding="utf-8")
@@ -245,7 +251,11 @@ def cmd_table(cfg: RunConfig, args) -> int:
                        variant=_VARIANTS[cfg.variant])
     writer = write_csv if cfg.out_format == "csv" else write_markdown
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(cfg.out_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out_path!r}: {exc}") from exc
+        with fh:
             writer(rows, fh)
         print(f"wrote {len(rows)} rows to {cfg.out_path} ({cfg.out_format})")
     else:
@@ -419,7 +429,17 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _apply_overrides(cfg, args)
-        return args.fn(cfg, args)
+        code = args.fn(cfg, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``tailsum table | head -1``): as the signal
+        # module's documentation advises, point stdout at devnull so that
+        # the flush at exit raises nothing either, and print no message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,13 @@ Two estimators:
   their mean and the standard error is their sample standard deviation
   over sqrt(K).  n is rounded up to K * block, with block the largest
   power of two <= min(2^16, n/16).
+  Each margin's term is drawn through its own conditional factor: margin
+  j's conditioning vector y_-j ~ N(0, Sigma_-j) is chol(Sigma_-j) applied
+  to the d - 1 Sobol coordinates other than j, not d - 1 rows of one
+  draw chol(Sigma) e.  Its term depends on y_-j alone, so it sees a net
+  in d - 1 dimensions rather than a slanted projection of the d-dim one
+  (at d = 2 a 1-D shifted net), which lowers its effective dimension
+  (Caflisch, Morokoff & Owen 1997).  At Sigma = I the two agree.
   In one block and one row every point sits at the same offset inside
   its cell of the 2^16-cell digit lattice, so the normals come from a
   Taylor polynomial of the inverse normal about the cell midpoints,
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +68,7 @@ from scipy.special import log_ndtr, ndtri
 from . import _kernels
 from .errors import DomainError, InvalidParams
 from .model import SAMPLE_CHUNK, ModelSpec, _draw_chunk, marginal_tail
-from .numerics import check_draws, check_threshold
+from .numerics import check_draws, check_threshold, is_integer_at_least
 
 __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
            "get_estimator", "worker_count", "ESTIMATOR_CRUDE",
@@ -120,22 +128,23 @@ def worker_count(workers: int | None = None) -> int:
 
     The count only affects wall time; estimates are identical for any
     value by construction.  InvalidParams unless the count given is a
-    positive integer.
+    positive integer by the integer rule (2.0 is not one); the variable
+    is parsed as an integer literal ("2", not "2.5").
     """
-    source = "workers"
+    source, given = "workers", workers
     if workers is None:
-        workers = os.environ.get("TAILSUM_THREADS")
-        if not workers:
+        given = os.environ.get("TAILSUM_THREADS")
+        if not given:
             return 1
         source = "TAILSUM_THREADS"
-    try:
-        count = int(workers)
-    except (TypeError, ValueError):
-        count = 0
-    if count < 1:
+        try:
+            workers = int(given)
+        except ValueError:
+            pass
+    if not is_integer_at_least(workers, 1):
         raise InvalidParams(f"{source} must be a positive integer, "
-                            f"got {workers!r}")
-    return count
+                            f"got {given!r}")
+    return operator.index(workers)
 
 
 def _run_chunks(n: int, seed: int, workers: int | None, task):
@@ -193,6 +202,7 @@ class _ConditionalPlan:
     """Per-margin constants of the conditional estimator at one (spec, u)."""
 
     others: np.ndarray      # (d, d-1) indices of the other margins
+    factor: np.ndarray      # (d, d-1, d) chol(Sigma_-j) in columns others[j]
     alpha: np.ndarray       # (d, d-1) conditional-mean coefficients
     cond_sd: np.ndarray     # (d,)
     shift: np.ndarray       # (d, d-1) importance mean shifts
@@ -204,6 +214,7 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
     d = spec.d
     sig = spec.sigma.entries
     others = np.empty((d, d - 1), dtype=np.int64)
+    factor = np.zeros((d, d - 1, d))
     alpha = np.empty((d, d - 1))
     cond_sd = np.empty(d)
     shift = np.empty((d, d - 1))
@@ -229,10 +240,12 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
             sd = math.sqrt(s2)
             m = _find_shift(spec, u, j, oth, a, sd, sub)
             tv = np.linalg.solve(sub, m)
-            constants[key] = (a, sd, m, tv, 0.5 * float(m @ tv))
-        alpha[j], cond_sd[j], shift[j], tilt_vec[j], tilt_const[j] = constants[key]
-    return _ConditionalPlan(others=others, alpha=alpha, cond_sd=cond_sd,
-                            shift=shift, tilt_vec=tilt_vec,
+            constants[key] = (np.linalg.cholesky(sub), a, sd, m, tv,
+                              0.5 * float(m @ tv))
+        (factor[j][:, oth], alpha[j], cond_sd[j], shift[j], tilt_vec[j],
+         tilt_const[j]) = constants[key]
+    return _ConditionalPlan(others=others, factor=factor, alpha=alpha,
+                            cond_sd=cond_sd, shift=shift, tilt_vec=tilt_vec,
                             tilt_const=tilt_const)
 
 
@@ -477,7 +490,6 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
                           estimator=ESTIMATOR_CONDITIONAL, seed=seed,
                           elapsed=time.perf_counter() - start)
     plan = _conditional_plan(spec, u)
-    chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
     d = spec.d
     block, blocks = _block_layout(n)
@@ -491,12 +503,13 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             rng = np.random.default_rng(block_seed)
             h = rng.integers(0, 1 << _SOBOL_BITS, size=(d, 1), dtype=np.uint16)
             k = rng.integers(0, 1 << 36, size=(d, 1))  # the digital shift
-            y = (chol @ _lattice_ndtri(base, h, k, tables)).T
+            e = _lattice_ndtri(base, h, k, tables)
             shifted = _shifted_halves(block, rng.integers(0, 2, size=d))
             w = np.empty(block)
-            _kernels.conditional_chunk(y, shifted, w, u, spec.lam, bg, plan.others,
-                                       plan.alpha, plan.cond_sd, plan.shift,
-                                       plan.tilt_vec, plan.tilt_const, _MIX)
+            _kernels.conditional_chunk(e, shifted, w, u, spec.lam, bg,
+                                       plan.others, plan.factor, plan.alpha,
+                                       plan.cond_sd, plan.shift, plan.tilt_vec,
+                                       plan.tilt_const, _MIX)
             means.append(float(np.mean(w)))
         return means
 

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -95,6 +96,37 @@ class TestTableCommand:
         assert code == 0
         assert out.startswith("| u |")
         assert "0.673" in out  # second order at u=2
+
+    def test_closed_stdout_is_not_a_config_error(self, capsys, monkeypatch,
+                                                 tmp_path):
+        # ``tailsum table | head -1``: the reader is gone, so the writes
+        # raise BrokenPipeError; exit 1 with nothing on stderr
+        class ClosedPipe(io.TextIOBase):
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            code = main(["table", "--config", "table1", "--no-mc",
+                         "--format", "markdown"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_unreadable_config_and_unwritable_out_are_config_errors(
+            self, run_cli, tmp_path):
+        code, _, err = run_cli("table", "--config", str(tmp_path), "--no-mc")
+        assert code == 1
+        assert err.startswith("invalid config: cannot read config")
+        code, _, err = run_cli("table", "--config", "table3", "--no-mc",
+                               "--out", str(tmp_path / "missing" / "t.csv"))
+        assert code == 1
+        assert err.startswith("invalid config: cannot write")
 
     def test_u_override(self, run_cli):
         code, out, _ = run_cli("table", "--config", "table3", "--no-mc",

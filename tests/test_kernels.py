@@ -15,7 +15,9 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
     """Kernel arguments for an equicorrelated standard model, or, with
     ``heterogeneous``, for distinct lam/bg/shift per margin and a random
     correlation matrix, so that a per-column index mix-up changes the
-    result.  The margins' half bits alternate 0, 1, 0, ..."""
+    result.  The margins' half bits alternate 0, 1, 0, ...  ``e`` holds
+    the independent normals, one column per draw, and ``sub_chol[j]`` is
+    chol(Sigma_-j), margin j's conditioning factor."""
     rng = np.random.default_rng(seed)
     if heterogeneous:
         a = rng.standard_normal((d, d + 2))
@@ -31,11 +33,11 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
         lam = np.full(d, 1.0)
         bg = np.full(d, 1.0)
         shift = np.full((d, d - 1), 1.3)
-    chol = np.linalg.cholesky(sig)
-    y = np.ascontiguousarray(rng.standard_normal((m, d)) @ chol.T)
+    e = rng.standard_normal((d, m))
     bits = np.arange(d) % 2
     others = np.array([[i for i in range(d) if i != j] for j in range(d)],
                       dtype=np.int64)
+    sub_chol = np.empty((d, d - 1, d - 1))
     alpha = np.empty((d, d - 1))
     cond_sd = np.empty(d)
     tilt_vec = np.empty((d, d - 1))
@@ -43,37 +45,67 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
     for j in range(d):
         sub = sig[np.ix_(others[j], others[j])]
         cross = sig[others[j], j]
+        sub_chol[j] = np.linalg.cholesky(sub)
         alpha[j] = np.linalg.solve(sub, cross)
         cond_sd[j] = math.sqrt(1.0 - cross @ alpha[j])
         tilt_vec[j] = np.linalg.solve(sub, shift[j])
         tilt_const[j] = 0.5 * shift[j] @ tilt_vec[j]
-    return dict(y=y, bits=bits, u=u, lam=lam, bg=bg, others=others,
-                alpha=alpha, cond_sd=cond_sd, shift=shift,
-                tilt_vec=tilt_vec, tilt_const=tilt_const, mix=mix)
+    return dict(e=e, bits=bits, u=u, lam=lam, bg=bg, others=others,
+                sub_chol=sub_chol, sig=sig, alpha=alpha, cond_sd=cond_sd,
+                shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const, mix=mix)
 
 
 def run_conditional(inputs):
-    m, d = inputs["y"].shape
+    d, m = inputs["e"].shape
     # mix 0 is the plain decomposition: no row is shifted
     shifted = (_shifted_halves(m, inputs["bits"]) if inputs["mix"] > 0.0
                else [slice(0, 0)] * d)
+    # the plan's layout: chol(Sigma_-j) in the columns others[j]
+    factor = np.zeros((d, d - 1, d))
+    for j in range(d):
+        factor[j][:, inputs["others"][j]] = inputs["sub_chol"][j]
     out = np.empty(m)
-    _kernels.conditional_chunk(inputs["y"], shifted, out, inputs["u"],
+    _kernels.conditional_chunk(inputs["e"], shifted, out, inputs["u"],
                                inputs["lam"], inputs["bg"], inputs["others"],
-                               inputs["alpha"], inputs["cond_sd"],
+                               factor, inputs["alpha"], inputs["cond_sd"],
                                inputs["shift"], inputs["tilt_vec"],
                                inputs["tilt_const"], inputs["mix"])
     return out
 
 
-def conditional_loop(y, bits, u, lam, bg, others, alpha, cond_sd, shift,
+def per_margin_vectors(e, others, sub_chol):
+    """Margin j's conditioning vectors y_-j = chol(Sigma_-j) e_-j, built
+    one draw and one entry at a time: (d, m, d-1)."""
+    d, m = e.shape
+    ys = np.zeros((d, m, d - 1))
+    for j in range(d):
+        for i in range(m):
+            for a in range(d - 1):
+                ys[j, i, a] = math.fsum(sub_chol[j, a, b] * e[others[j, b], i]
+                                        for b in range(a + 1))
+    return ys
+
+
+def loop_reference(inputs, ys=None):
+    """``conditional_loop`` on the inputs, with the per-margin vectors
+    unless ``ys`` is given."""
+    if ys is None:
+        ys = per_margin_vectors(inputs["e"], inputs["others"],
+                                inputs["sub_chol"])
+    keys = ("bits", "u", "lam", "bg", "others", "alpha", "cond_sd", "shift",
+            "tilt_vec", "tilt_const", "mix")
+    return conditional_loop(ys, **{key: inputs[key] for key in keys})
+
+
+def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
                      tilt_vec, tilt_const, mix):
     """The integrand one draw, one margin and one other margin at a time,
-    with the overflow-safe form of the mixture weight.  Row i is shifted
-    for margin j when it lies in the first half of the rows (the single
-    row of a one-row block) and bits[j] is 0, or in the second half and
-    bits[j] is 1."""
-    m, d = y.shape
+    with the overflow-safe form of the mixture weight; ys[j, i] are the
+    other margins of margin j in draw i.  Row i is shifted for margin j
+    when it lies in the first half of the rows (the single row of a
+    one-row block) and bits[j] is 0, or in the second half and bits[j]
+    is 1."""
+    d, m = ys.shape[:2]
     tilted = mix > 0.0
     out = np.empty(m)
     for i in range(m):
@@ -83,7 +115,7 @@ def conditional_loop(y, bits, u, lam, bg, others, alpha, cond_sd, shift,
             q = mx = sm = mu_c = 0.0
             for k in range(d - 1):
                 o = others[j, k]
-                yk = y[i, o] + (shift[j, k] if picked else 0.0)
+                yk = ys[j, i, k] + (shift[j, k] if picked else 0.0)
                 q += tilt_vec[j, k] * yk
                 xk = lam[o] * math.exp(bg[o] * yk)
                 sm += xk
@@ -128,10 +160,24 @@ class TestConditionalChunk:
     def test_matches_loop_reference(self, d, mix, heterogeneous):
         inputs = make_conditional_inputs(m=300, d=d, u=12.0, mix=mix,
                                          seed=d, heterogeneous=heterogeneous)
-        expected = conditional_loop(**inputs)
+        expected = loop_reference(inputs)
         assert expected.min() > 0.0
         np.testing.assert_allclose(run_conditional(inputs), expected,
                                    rtol=1e-12, atol=0.0)
+
+    def test_each_margin_conditions_through_its_own_factor(self):
+        # on a heterogeneous d=4 Sigma the kernel matches the per-margin
+        # reference, and not one that takes margin j's conditioning vector
+        # from the rows others[j] of chol(Sigma) e
+        inputs = make_conditional_inputs(m=200, d=4, u=12.0, seed=11,
+                                         heterogeneous=True)
+        out = run_conditional(inputs)
+        np.testing.assert_allclose(out, loop_reference(inputs),
+                                   rtol=1e-12, atol=0.0)
+        y = (np.linalg.cholesky(inputs["sig"]) @ inputs["e"]).T
+        wrong = loop_reference(inputs, ys=np.stack(
+            [y[:, others] for others in inputs["others"]]))
+        assert not np.allclose(out, wrong, rtol=1e-3, atol=0.0)
 
     def test_a_one_row_block_is_shifted_on_a_zero_bit(self):
         # one row draws from the shifted component where the bit is 0 and
@@ -143,7 +189,7 @@ class TestConditionalChunk:
             rows = _shifted_halves(1, inputs["bits"])
             assert [len(range(1)[r]) for r in rows] == [1 - bit] * 2
             outs.append(run_conditional(inputs))
-            np.testing.assert_allclose(outs[-1], conditional_loop(**inputs),
+            np.testing.assert_allclose(outs[-1], loop_reference(inputs),
                                        rtol=1e-12, atol=0.0)
         assert outs[0] != outs[1]
 
@@ -156,10 +202,11 @@ class TestConditionalChunk:
                 for key in ("shift", "tilt_vec", "tilt_const")}
         assert np.array_equal(run_conditional({**inputs, **zero, "mix": 0.5}),
                               out)
-        y = inputs["y"]
-        expected = np.zeros(len(y))
+        # at d = 2 margin j's conditioning vector is the normal e_(1-j)
+        e = inputs["e"]
+        expected = np.zeros(e.shape[1])
         for j in range(2):
-            yo = y[:, 1 - j]
+            yo = e[1 - j]
             xo = np.exp(yo)
             t = np.maximum(xo, 8.0 - xo)
             z = (np.log(t) - 0.3 * yo) / math.sqrt(1 - 0.09)
@@ -169,7 +216,7 @@ class TestConditionalChunk:
     def test_weights_bounded_by_mixture(self):
         inputs = make_conditional_inputs(mix=0.5)
         out = run_conditional(inputs)
-        d = inputs["y"].shape[1]
+        d = inputs["e"].shape[0]
         # each of the d per-margin terms is (weight <= 1/(1-mix)) * prob <= 2
         assert np.all(out >= 0.0)
         assert np.all(out <= 2.0 * d)

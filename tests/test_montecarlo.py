@@ -204,22 +204,23 @@ class TestConditional:
             conditional_max_mc(ModelSpec.standard(1, 0.0), 1e300, 1000, seed=1)
 
     # (model, u, n, seed) -> (value, stderr) with the lattice inverse
-    # normal, the vectorised shift search and each margin's shifted
-    # component on a fixed half of every block.  table3 at u = 1e6 has a
+    # normal, the vectorised shift search, each margin's shifted component
+    # on a fixed half of every block and each margin's conditioning vector
+    # drawn through chol(Sigma_-j).  table3 (Sigma = I) at u = 1e6 has a
     # zero shift, so every mixture weight is exactly 1.
     GOLDEN = [
         ("table1", 10.0, 10**5, 11,
-         0.05206840838256172, 6.750491245125377e-06),
+         0.05206033961463809, 4.487268340905687e-08),
         ("d2_rho0.5", 30.0, 50_000, 6,
-         0.0016558063175646945, 2.7473647632838865e-07),
+         0.00165630592673174, 7.224695288543722e-09),
         ("d2_rho0.3", 50.0, 2**19, 2,
-         0.0001546877068711453, 2.6170595425928486e-09),
+         0.00015468568532193212, 3.225903146653616e-11),
         ("d2_rho0.9", 1000.0, 2**20, 3,
-         1.1027437381054036e-10, 1.7304309759258062e-15),
+         1.102741856296842e-10, 7.343107117781015e-18),
         ("d5_rho0.5", 1e4, 150_000, 8,
-         1.5651550390256862e-19, 6.431002621930139e-23),
+         1.5648622125730968e-19, 4.669047285880974e-23),
         ("heterogeneous3", 20.0, 100_000, 9,
-         0.03708602199759687, 4.9885787263452965e-06),
+         0.03709150906851496, 3.3258717568895305e-06),
         ("table3", 1e6, 100_000, 12,
          2.0549681250181145e-43, 1.984632129136729e-51),
     ]
@@ -296,6 +297,25 @@ class TestConditional:
         assert (math.sqrt(np.mean(np.square(rel)))
                 <= bound * math.sqrt(np.mean(np.square(former))))
 
+    # relative stderr at n = 2^18, seeds 1-4, when every margin took its
+    # conditioning vector from the rows of one draw chol(Sigma) e
+    SHARED_FACTOR_REL_STDERR = {
+        ("table2", 300.0): [2.9831088185269172e-05, 2.499192841131513e-05,
+                            3.7843745791938605e-05, 2.9694928589709345e-05],
+        ("table1", 1e4): [3.8530330880697386e-05, 6.366418309487527e-05,
+                          4.019451763254189e-05, 4.270770968168055e-05],
+    }
+
+    @pytest.mark.parametrize("config, u", list(SHARED_FACTOR_REL_STDERR))
+    def test_per_margin_factors_beat_the_shared_factor(self, config, u):
+        # root mean square over the seeds, at most half the former one
+        spec = load_config(config).build_model()
+        rel = [est.stderr / est.value for est in
+               (conditional_max_mc(spec, u, 2**18, seed) for seed in range(1, 5))]
+        former = self.SHARED_FACTOR_REL_STDERR[config, u]
+        assert (math.sqrt(np.mean(np.square(rel)))
+                <= 0.5 * math.sqrt(np.mean(np.square(former))))
+
     def test_deep_tail_one_percent_precision(self, standard_spec):
         spec = standard_spec(0.9)
         est = conditional_max_mc(spec, 1000.0, 2 * 10**5, seed=24)
@@ -351,7 +371,7 @@ class TestConditional:
                 for w in (1, 2, 8)]
         assert len({e.value for e in ests}) == 1
 
-    @pytest.mark.parametrize("workers", [0, -3, "two"])
+    @pytest.mark.parametrize("workers", [0, -3, "two", 2.7, 1.9, 2.0])
     def test_bad_worker_count_rejected(self, standard_spec, workers):
         spec = standard_spec(0.5)
         match = f"workers must be a positive integer, got {workers!r}"
@@ -365,7 +385,7 @@ class TestConditional:
             conditional_max_mc(ModelSpec.standard(1, 0.0), 10.0, 1000, seed=1,
                                workers=workers)
 
-    @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5"])
+    @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5", "2.5"])
     def test_bad_env_thread_count_rejected(self, standard_spec, monkeypatch, env):
         monkeypatch.setenv("TAILSUM_THREADS", env)
         match = f"TAILSUM_THREADS must be a positive integer, got {env!r}"
@@ -381,6 +401,11 @@ class TestConditional:
         monkeypatch.setenv("TAILSUM_THREADS", "4")
         env = conditional_max_mc(spec, 30.0, 10**5, seed=43)
         assert env.value == base.value
+
+    def test_env_thread_count_is_an_integer_literal(self, monkeypatch):
+        monkeypatch.setenv("TAILSUM_THREADS", "2")
+        assert worker_count() == 2
+        assert worker_count(np.int64(3)) == 3
 
 
 class TestRqmc:
