@@ -2,7 +2,7 @@
 
 Both kernels work one margin (a column of the log-coordinates, or one
 other margin of a conditional term) at a time, accumulating into a
-fixed set of length-m buffers with in-place ufuncs.  That avoids
+fixed set of buffers with in-place ufuncs.  That avoids
 fancy-index copies of the other margins and reductions over a short
 inner axis, which dominate a row-wise formulation.
 """
@@ -13,19 +13,30 @@ import numpy as np
 from scipy.special import erfc
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Rows per pass of ``crude_chunk``.  Its two 128 KB buffers keep a
+# chunk's heap use below the level at which malloc hands memory back
+# (see ``model._draw_chunk``).
+_CRUDE_ROWS = 1 << 14
 
 
 def crude_chunk(y, u, lam, bg) -> int:
     """Number of draws (rows of the log-coordinates ``y``) whose risk sum
-    sum_j lam_j * exp(bg_j * y_j) exceeds u."""
-    xk = np.empty(len(y))
-    sm = np.zeros(len(y))
-    for k in range(y.shape[1]):
-        np.multiply(y[:, k], bg[k], out=xk)
-        np.exp(xk, out=xk)
-        xk *= lam[k]
-        sm += xk
-    return int(np.count_nonzero(sm > u))
+    sum_j lam_j * exp(bg_j * y_j) exceeds u, taken _CRUDE_ROWS rows at a
+    time."""
+    xk = np.empty(min(len(y), _CRUDE_ROWS))
+    sm = np.empty_like(xk)
+    hits = 0
+    for start in range(0, len(y), _CRUDE_ROWS):
+        rows = y[start:start + _CRUDE_ROWS]
+        x, s = xk[:len(rows)], sm[:len(rows)]
+        s[:] = 0.0
+        for k in range(y.shape[1]):
+            np.multiply(rows[:, k], bg[k], out=x)
+            np.exp(x, out=x)
+            x *= lam[k]
+            s += x
+        hits += int(np.count_nonzero(s > u))
+    return hits
 
 
 def conditional_chunk(e, shifted, out, u, lam, bg, others, factor, alpha,

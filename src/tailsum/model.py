@@ -28,6 +28,8 @@ __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
 # Fixed chunk length for sample generation; part of the reproducibility
 # contract (results depend on it, never on the worker count).
 SAMPLE_CHUNK = 1 << 16
+# Columns per BLAS product in ``_draw_chunk``.
+_PRODUCT_COLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +75,8 @@ class ModelSpec:
     @classmethod
     def standard(cls, d: int, rho: float, radial: RadialLaw | None = None) -> "ModelSpec":
         """Equicorrelated standard model: lam = beta = gamma = 1."""
-        return cls(d=d, lam=np.ones(d), beta=np.ones(d), gamma=1.0,
-                   sigma=equicorrelation(d, rho),
+        sigma = equicorrelation(d, rho)  # checks d before np.ones reads it
+        return cls(d=d, lam=np.ones(d), beta=np.ones(d), gamma=1.0, sigma=sigma,
                    radial=radial or make_radial("ChiOfDim", d))
 
     def scaling_bundle(self) -> ScalingBundle:
@@ -121,8 +123,8 @@ def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
 def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
     """Check j and u; return w = log(u/lam_j)/(beta_j*gamma), the
     threshold of margin j on the scale of its log-coordinate."""
-    if not 0 <= j < spec.d:
-        raise DomainError(f"margin index {j} out of range for d={spec.d}")
+    if not (is_integer_at_least(j, 0) and j < spec.d):
+        raise DomainError(f"margin index {j!r} out of range for d={spec.d}")
     check_threshold(u)
     return math.log(u / spec.lam[j]) / (spec.beta[j] * spec.gamma)
 
@@ -233,25 +235,53 @@ class SampleBatch:
     seed: int
 
 
+def _chunk_rng(child: np.random.SeedSequence) -> np.random.Generator:
+    """The generator of one sample chunk: SFC64 seeded by the chunk's
+    spawned child, shared by ``sample`` and ``montecarlo.crude_mc`` so
+    their draws match."""
+    return np.random.Generator(np.random.SFC64(child))
+
+
 def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
                 chol: np.ndarray) -> np.ndarray:
-    """m draws of the log-coordinates y (X = lam * exp(beta*gamma*y)): under
-    the Gaussian copula y = e @ chol.T is exactly N(0, Sigma) for normals e;
-    other radial laws then rescale each row to y = R * A * (e / |e|)."""
-    e = rng.standard_normal((m, spec.d))
-    y = e @ chol.T
-    if not spec.is_gaussian_copula():
-        norms = np.sqrt(np.einsum("ij,ij->i", e, e))
-        y *= (spec.radial.sampler(rng, m) / norms)[:, None]
-    return y
+    """m draws of the log-coordinates y (X = lam * exp(beta*gamma*y)).
+
+    The normals e are drawn as a (d, m) array, one draw per column, and
+    y = chol @ e is formed by BLAS products: under the Gaussian copula
+    exactly N(0, Sigma).  Other radial laws then rescale each draw to
+    y = R * A * (e / |e|), the norm taken over each column of e.
+    Returns the (m, d) transposed view, so rows are draws and each
+    margin is a contiguous column.
+
+    The product overwrites e, _PRODUCT_COLS columns at a time through a
+    small buffer, so a chunk holds one (d, m) block.  glibc's malloc
+    returns freed heap memory to the operating system once it exceeds
+    twice the largest block freed so far; with y as a second block a
+    chunk crosses that line, and every chunk then page-faults its memory
+    in again (half the wall time of a d = 2 run on one worker).
+    """
+    e = rng.standard_normal((spec.d, m))
+    gaussian = spec.is_gaussian_copula()
+    if not gaussian:
+        scale = spec.radial.sampler(rng, m) / np.sqrt(np.einsum("ij,ij->j", e, e))
+    buf = np.empty((spec.d, min(m, _PRODUCT_COLS)))
+    for start in range(0, m, _PRODUCT_COLS):
+        cols = e[:, start:start + _PRODUCT_COLS]
+        out = buf[:, :cols.shape[1]]
+        np.matmul(chol, cols, out=out)
+        cols[...] = out
+    if not gaussian:
+        e *= scale
+    return e.T
 
 
 def sample(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """Draw n risk vectors.
 
-    Generation is chunked with per-chunk generators spawned from the
+    Generation is chunked: each chunk of SAMPLE_CHUNK draws has its own
+    SFC64 generator (``_chunk_rng``) seeded by a child spawned from the
     seed, so any worker-level parallelism over chunks cannot change the
-    result.
+    result.  ``montecarlo.crude_mc`` draws the same stream.
     """
     n, seed = check_draws(n, seed)
     chol = spec.sigma.cholesky()
@@ -261,8 +291,7 @@ def sample(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     done = 0
     for child in children:
         m = min(SAMPLE_CHUNK, n - done)
-        rng = np.random.default_rng(child)
-        y = _draw_chunk(spec, rng, m, chol)
+        y = _draw_chunk(spec, _chunk_rng(child), m, chol)
         out[done:done + m] = spec.lam * np.exp(bg * y)
         done += m
     out.setflags(write=False)

@@ -42,11 +42,14 @@ Two estimators:
   Taylor polynomial of the inverse normal about the cell midpoints,
   evaluated once per used cell (exact ndtri in the tail cells).
 
-Determinism: work is split into fixed-size chunks with per-chunk
-generators spawned from the seed (and, for the conditional estimator,
-one child per block); results are merged in index order with exact
-(fsum) accumulation, so estimates are bit-identical for any worker
-count.
+Determinism: work is split into fixed-size chunks, each with a child
+seed spawned from the seed.  ``crude_mc`` draws each chunk as
+``model.sample`` does: an SFC64 generator on the child and one (d, m)
+block of normals, a draw per column.  The conditional estimator spawns
+one grandchild per block and keeps numpy's ``default_rng`` (PCG64) for
+its digital shift and mixture bits.  Results are merged in index order
+with exact (fsum) accumulation, so estimates are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from scipy.special import log_ndtr, ndtri
 
 from . import _kernels
 from .errors import DomainError, InvalidParams
-from .model import SAMPLE_CHUNK, ModelSpec, _draw_chunk, marginal_tail
+from .model import SAMPLE_CHUNK, ModelSpec, _chunk_rng, _draw_chunk, marginal_tail
 from .numerics import check_draws, check_threshold, is_integer_at_least
 
 __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
@@ -167,8 +170,9 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
              workers: int | None = None) -> MCEstimate:
     """Empirical frequency of {sum of risks > u} over n model draws.
 
-    Uses the same chunked draw scheme as ``model.sample``, so the hit
-    count equals the frequency over that batch.
+    Uses the same chunked draw scheme as ``model.sample``: per chunk an
+    SFC64 generator from the chunk's spawned seed and one (d, m) block of
+    normals, so the hit count equals the frequency over that batch.
     """
     n, seed = check_draws(n, seed, least=2)  # one draw has no stderr
     check_threshold(u, -math.inf)
@@ -178,9 +182,8 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
     bg = spec.beta * spec.gamma
 
     def task(child, m):
-        rng = np.random.default_rng(child)
-        return _kernels.crude_chunk(_draw_chunk(spec, rng, m, chol), u,
-                                    spec.lam, bg)
+        return _kernels.crude_chunk(_draw_chunk(spec, _chunk_rng(child), m, chol),
+                                    u, spec.lam, bg)
 
     hits = sum(_run_chunks(n, seed, workers, task))
     p = hits / n

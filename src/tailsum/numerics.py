@@ -225,12 +225,18 @@ def cholesky_factor(m: CorrelationMatrix | np.ndarray) -> np.ndarray:
 
 
 def equicorrelation(d: int, rho: float) -> CorrelationMatrix:
-    """The d x d correlation matrix with every off-diagonal entry rho."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    lo = -1.0 / (d - 1) if d > 1 else -1.0
-    if not lo < rho < 1.0 and d > 1:
-        raise DomainError(f"equicorrelation with d={d} needs rho in ({lo:.3f}, 1)")
+    """The d x d correlation matrix with every off-diagonal entry rho.
+
+    d follows the integer rule (InvalidParams); rho must be finite, and
+    for d > 1 lie in (-1/(d-1), 1), where the matrix is positive definite
+    (DomainError).
+    """
+    if not is_integer_at_least(d, 1):
+        raise InvalidParams(f"dimension must be an integer >= 1, got {d!r}")
+    lo, hi = (-1.0 / (d - 1), 1.0) if d > 1 else (-math.inf, math.inf)
+    if not lo < rho < hi:
+        raise DomainError(f"equicorrelation with d={d} needs a finite rho "
+                          f"in ({lo:.3f}, {hi:g}), got {rho!r}")
     m = np.full((d, d), float(rho))
     np.fill_diagonal(m, 1.0)
     return CorrelationMatrix(m)

@@ -107,7 +107,7 @@ def _chi_log_density(r: float, d: int) -> float:
 
 
 def _make_chi(d: int) -> RadialLaw:
-    if d < 1 or d != int(d):
+    if not 1 <= d < math.inf or d != int(d):
         raise InvalidParams(f"ChiOfDim needs an integer dimension >= 1, got {d}")
     d = int(d)
 
@@ -142,8 +142,9 @@ def _make_chi(d: int) -> RadialLaw:
 
 
 def _make_weibull(tau: float, scale: float = 1.0) -> RadialLaw:
-    if tau <= 0.0 or scale <= 0.0:
-        raise InvalidParams(f"WeibullTail needs tau > 0 and scale > 0, got ({tau}, {scale})")
+    if not (0.0 < tau < math.inf and 0.0 < scale < math.inf):
+        raise InvalidParams("WeibullTail needs finite tau > 0 and scale > 0, "
+                            f"got ({tau}, {scale})")
 
     def log_tail(r: float) -> float:
         return -((r / scale) ** tau) if r > 0 else 0.0

@@ -236,6 +236,23 @@ class TestApproxCommand:
 
 
 class TestMcCommand:
+    @pytest.mark.parametrize("params", [[math.nan], [math.inf], [2.0, math.nan]],
+                             ids=["nan", "inf", "2-nan"])
+    def test_non_finite_weibull_config_exits_1(self, run_cli, tmp_path, params):
+        # json writes and reads NaN and Infinity: the law must refuse them,
+        # not let crude_mc return 0 +- 1e-4
+        raw = {"model": {"d": 2, "rho": 0.3,
+                         "radial": {"kind": "WeibullTail", "params": params}},
+               "u_list": [5.0]}
+        path = tmp_path / "weibull.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("mc", "--config", str(path), "--u", "5",
+                                 "--n", "10000", "--seed", "1",
+                                 "--estimator", "crude")
+        assert code == 1
+        assert out == ""
+        assert "WeibullTail needs finite tau > 0 and scale > 0" in err
+
     def test_prints_estimate(self, run_cli):
         code, out, _ = run_cli("mc", "--config", "table3", "--u", "10",
                                "--n", "30000", "--seed", "7")

@@ -152,6 +152,16 @@ class TestCrudeChunk:
                 assert 0 < expected < len(y)
                 assert _kernels.crude_chunk(y, u, lam, bg) == expected, (d, lam, bg)
 
+    def test_counts_rows_in_every_pass(self):
+        # more rows than one pass of the kernel, the last pass partial, in
+        # the (m, d) transposed view that model._draw_chunk returns
+        rows = _kernels._CRUDE_ROWS
+        m = 2 * rows + 5
+        y = np.zeros((2, m)).T
+        hit = [0, rows - 1, rows, 2 * rows, m - 1]
+        y[hit, 1] = 3.0  # 1 + e^3 > 10 > 2
+        assert _kernels.crude_chunk(y, 10.0, np.ones(2), np.ones(2)) == len(hit)
+
 
 class TestConditionalChunk:
     @pytest.mark.parametrize("heterogeneous", [False, True])

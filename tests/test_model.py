@@ -13,8 +13,8 @@ from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      make_radial, marginal_pdf, marginal_tail, probe_mda_limit,
                      sample, std_normal_tail, validate_inputs)
 from tailsum.cli import ConfigError, RunConfig
-from tailsum.model import (_draw_chunk, coordinate_tail, marginal_log_pdf,
-                           marginal_log_tail)
+from tailsum.model import (_chunk_rng, _draw_chunk, coordinate_tail,
+                           marginal_log_pdf, marginal_log_tail)
 from test_montecarlo import BAD_RUNS
 
 mp.mp.dps = 40
@@ -52,6 +52,18 @@ class TestValidation:
         spec = ModelSpec.standard(2, 0.9)
         assert validate_inputs(spec.d, spec.lam, spec.beta, spec.gamma,
                                spec.sigma.entries) == []
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, "2", 0])
+    def test_standard_dimension_follows_integer_rule(self, d):
+        with pytest.raises(InvalidParams,
+                           match=f"^dimension must be an integer >= 1, got {re.escape(repr(d))}$"):
+            ModelSpec.standard(d, 0.3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_standard_rejects_non_finite_rho(self, d, rho):
+        with pytest.raises(DomainError, match="needs a finite rho"):
+            ModelSpec.standard(d, rho)
 
     def test_strict_mda_passes_for_chi(self):
         # the radial Gumbel-MDA probe at the thresholds a model check uses
@@ -188,6 +200,14 @@ class TestMarginals:
         with pytest.raises(DomainError):
             marginal_tail(standard_spec(0.0), 5, 1.0)
 
+    @pytest.mark.parametrize("j", [0.5, 1.0, -1, 2, "0"])
+    @pytest.mark.parametrize("fn", [marginal_tail, marginal_log_tail,
+                                    marginal_pdf, marginal_log_pdf])
+    def test_margin_index_follows_integer_rule(self, standard_spec, fn, j):
+        with pytest.raises(DomainError,
+                           match=f"^margin index {re.escape(repr(j))} out of range for d=2$"):
+            fn(standard_spec(0.0), j, 10.0)
+
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("fn", [marginal_tail, marginal_log_tail,
                                     marginal_pdf, marginal_log_pdf])
@@ -317,12 +337,34 @@ class TestSampling:
         assert float(np.var(y)) == pytest.approx(1.0, abs=0.01)
 
     def test_gaussian_copula_draw_is_correlated_normals(self):
-        # pins the conditional estimator's stream: normals, then @ chol.T
+        # pins the stream of sample and crude_mc: per chunk an SFC64
+        # generator on the spawned child, the normals as a (d, m) array
+        # with one draw per column, then y = chol @ e
         spec = ModelSpec.standard(3, 0.5)
         chol = spec.sigma.cholesky()
-        y = _draw_chunk(spec, np.random.default_rng(8), 1000, chol)
-        expected = np.random.default_rng(8).standard_normal((1000, 3)) @ chol.T
+        child, = np.random.SeedSequence(8).spawn(1)
+        e = np.random.Generator(np.random.SFC64(child)).standard_normal((3, 1000))
+        expected = (chol @ e).T
+        y = _draw_chunk(spec, _chunk_rng(child), 1000, chol)
         np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(sample(spec, 1000, seed=8).x, np.exp(expected))
+
+    def test_other_radial_draw_is_rescaled_per_draw(self):
+        # row i is R_i * chol @ e_i / |e_i|, built one draw at a time from
+        # the same generator's normals and radii: a norm taken over the
+        # wrong axis of e fails this
+        law = make_radial("WeibullTail", 1.5, 2.0)
+        spec = ModelSpec.standard(3, 0.4, radial=law)
+        chol = spec.sigma.cholesky()
+        m = 500
+        y = _draw_chunk(spec, np.random.Generator(np.random.SFC64(3)), m, chol)
+        rng = np.random.Generator(np.random.SFC64(3))
+        e = rng.standard_normal((3, m))
+        r = law.sampler(rng, m)
+        expected = np.array([r[i] * (chol @ e[:, i]) / math.sqrt(math.fsum(e[:, i] ** 2))
+                             for i in range(m)])
+        assert y.shape == (m, 3)
+        np.testing.assert_allclose(y, expected, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("radial", [make_radial("WeibullTail", 2.0, 1.5),
                                         make_radial("LognormalLogRadius")],

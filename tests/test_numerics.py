@@ -5,6 +5,7 @@ in the test itself (50 decimal digits), never from the implementation.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tailsum import (CorrelationMatrix, DomainError, NotPositiveDefinite,
+from tailsum import (CorrelationMatrix, DomainError, InvalidParams, NotPositiveDefinite,
                      cholesky_factor, equicorrelation, gamma_function,
                      lognormal_pdf, sphere_marginal_density,
                      std_normal_log_tail, std_normal_tail)
@@ -203,3 +204,18 @@ class TestCorrelationMatrix:
         assert m.entries[0, 1] == -0.4
         with pytest.raises(DomainError):
             equicorrelation(3, -0.6)  # not positive definite for d=3
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, "2", 0])
+    def test_equicorrelation_dimension_follows_integer_rule(self, d):
+        with pytest.raises(InvalidParams,
+                           match=f"^dimension must be an integer >= 1, got {re.escape(repr(d))}$"):
+            equicorrelation(d, 0.3)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_equicorrelation_rejects_non_finite_rho(self, d, rho):
+        with pytest.raises(DomainError, match="needs a finite rho"):
+            equicorrelation(d, rho)
+
+    def test_equicorrelation_d1_takes_any_finite_rho(self):
+        np.testing.assert_array_equal(equicorrelation(1, 5.0).entries, [[1.0]])

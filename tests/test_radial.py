@@ -68,6 +68,18 @@ class TestMakeRadial:
         with pytest.raises(InvalidParams):
             make_radial("NoSuchLaw")
 
+    @pytest.mark.parametrize("params", [(math.nan,), (math.inf,), (-math.inf,),
+                                        (2.0, math.nan), (2.0, math.inf),
+                                        (2.0, 0.0)])
+    def test_weibull_needs_finite_positive_params(self, params):
+        with pytest.raises(InvalidParams, match="needs finite tau > 0 and scale > 0"):
+            make_radial("WeibullTail", *params)
+
+    @pytest.mark.parametrize("dim", [math.nan, math.inf, 2.5])
+    def test_chi_needs_a_finite_integer_dimension(self, dim):
+        with pytest.raises(InvalidParams, match="ChiOfDim needs an integer dimension"):
+            make_radial("ChiOfDim", dim)
+
     @pytest.mark.parametrize("law", ALL_LAWS, ids=repr)
     def test_tail_shape(self, law):
         grid = np.geomspace(0.05, 50.0, 60)
