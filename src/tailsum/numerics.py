@@ -8,6 +8,7 @@ rows of the benchmark tables go to ~1e-43 and beyond) remain usable.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -44,6 +45,11 @@ def is_integer_at_least(value, low: int) -> bool:
     """The integer rule for counts: an integer of any type (numpy's too),
     never a float however integral, and >= ``low``."""
     return hasattr(type(value), "__index__") and operator.index(value) >= low
+
+
+def is_real(value) -> bool:
+    """A real number of any type (numpy's too), not a string or a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_draws(n, seed, least: int = 1) -> tuple[int, int]:
@@ -227,12 +233,14 @@ def cholesky_factor(m: CorrelationMatrix | np.ndarray) -> np.ndarray:
 def equicorrelation(d: int, rho: float) -> CorrelationMatrix:
     """The d x d correlation matrix with every off-diagonal entry rho.
 
-    d follows the integer rule (InvalidParams); rho must be finite, and
-    for d > 1 lie in (-1/(d-1), 1), where the matrix is positive definite
-    (DomainError).
+    d follows the integer rule and rho must be a real number
+    (InvalidParams); rho must be finite, and for d > 1 lie in
+    (-1/(d-1), 1), where the matrix is positive definite (DomainError).
     """
     if not is_integer_at_least(d, 1):
         raise InvalidParams(f"dimension must be an integer >= 1, got {d!r}")
+    if not is_real(rho):
+        raise InvalidParams(f"rho must be a real number, got {rho!r}")
     lo, hi = (-1.0 / (d - 1), 1.0) if d > 1 else (-math.inf, math.inf)
     if not lo < rho < hi:
         raise DomainError(f"equicorrelation with d={d} needs a finite rho "

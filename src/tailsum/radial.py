@@ -33,8 +33,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import (_margin_violations, check_threshold, lognormal_log_pdf,
-                       lognormal_pdf, std_normal_log_tail)
+from .numerics import (_margin_violations, check_threshold, is_real,
+                       lognormal_log_pdf, lognormal_pdf, std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
@@ -194,7 +194,12 @@ def make_radial(kind: str, *params) -> RadialLaw:
 
     kind is one of "ChiOfDim" (one integer parameter), "WeibullTail"
     (tau and optional scale) or "LognormalLogRadius" (no parameters).
+    Every parameter must be a real number, not a string or a bool.
     """
+    for param in params:
+        if not is_real(param):
+            raise InvalidParams(f"{kind} parameters must be real numbers, "
+                                f"got {param!r}")
     if kind == "ChiOfDim":
         if len(params) != 1:
             raise InvalidParams("ChiOfDim takes exactly one parameter (the dimension)")

@@ -1,6 +1,7 @@
 """Estimator kernels against per-row reference loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ class TestCrudeChunk:
     def test_counts_rows_in_every_pass(self):
         # more rows than one pass of the kernel, the last pass partial, in
         # the (m, d) transposed view that model._draw_chunk returns
-        rows = _kernels._CRUDE_ROWS
+        rows = _kernels._PASS
         m = 2 * rows + 5
         y = np.zeros((2, m)).T
         hit = [0, rows - 1, rows, 2 * rows, m - 1]
@@ -174,6 +175,50 @@ class TestConditionalChunk:
         assert expected.min() > 0.0
         np.testing.assert_allclose(run_conditional(inputs), expected,
                                    rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("m", [300, 301])
+    def test_passes_split_the_shifted_halves(self, monkeypatch, m, d,
+                                             heterogeneous):
+        # 64 columns per pass: each half's edge falls inside a pass and the
+        # last pass is partial; the result is the one-pass result, bit for bit
+        inputs = make_conditional_inputs(m=m, d=d, u=12.0, seed=d,
+                                         heterogeneous=heterogeneous)
+        whole = run_conditional(inputs)
+        width = 64
+        monkeypatch.setattr(_kernels, "_PASS", width)
+        mid = (m + 1) // 2
+        assert mid % width != 0 and m % width != 0
+        out = run_conditional(inputs)
+        np.testing.assert_allclose(out, loop_reference(inputs),
+                                   rtol=1e-12, atol=0.0)
+        assert np.array_equal(out, whole)
+
+    def test_scratch_memory_is_one_pass_wide(self, monkeypatch):
+        # numpy reports its array data to tracemalloc: the kernel's own
+        # allocations at d = 5 and m = 2^16 stay within a bound set by
+        # the pass width, not by m
+        inputs = make_conditional_inputs(m=1 << 16, d=5, u=12.0)
+        kernel = _kernels.conditional_chunk
+        peaks = []
+
+        def traced(*args):
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                kernel(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        monkeypatch.setattr(_kernels, "conditional_chunk", traced)
+        run_conditional(inputs)
+        assert 0 < peaks[0] < 8 * _kernels._PASS * 8
 
     def test_each_margin_conditions_through_its_own_factor(self):
         # on a heterogeneous d=4 Sigma the kernel matches the per-margin

@@ -9,7 +9,7 @@ import pytest
 from tailsum import (DomainError, InvalidParams, NoFiniteLimit, ScalingBundle,
                      exp_scale, make_radial, probe_condition_rho,
                      probe_mda_limit, probe_o_regular_variation)
-from tailsum.numerics import adaptive_quad
+from tailsum.numerics import adaptive_quad, equicorrelation
 
 mp.mp.dps = 40
 
@@ -79,6 +79,21 @@ class TestMakeRadial:
     def test_chi_needs_a_finite_integer_dimension(self, dim):
         with pytest.raises(InvalidParams, match="ChiOfDim needs an integer dimension"):
             make_radial("ChiOfDim", dim)
+
+    @pytest.mark.parametrize("build, args", [
+        (make_radial, ("WeibullTail", "x")),
+        (make_radial, ("WeibullTail", None)),
+        (make_radial, ("ChiOfDim", "2")),
+        (make_radial, ("WeibullTail", "2")),
+        (make_radial, ("WeibullTail", True)),
+        (make_radial, ("WeibullTail", 2.0, False)),
+        (equicorrelation, (2, "0.5")),
+        (equicorrelation, (2, False)),
+    ], ids=["weibull-x", "weibull-None", "chi-'2'", "weibull-'2'",
+            "weibull-True", "weibull-scale-False", "rho-'0.5'", "rho-False"])
+    def test_parameters_must_be_real_numbers(self, build, args):
+        with pytest.raises(InvalidParams, match="must be (a )?real numbers?, got"):
+            build(*args)
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=repr)
     def test_tail_shape(self, law):
