@@ -24,9 +24,8 @@ from .model import (ModelSpec, SampleBatch, marginal_pdf, marginal_tail,
                     sample, validate_inputs)
 from .montecarlo import (ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, MCEstimate,
                          conditional_max_mc, crude_mc, mc_table)
-from .numerics import (CorrelationMatrix, cholesky_factor, equicorrelation,
-                       gamma_function, lognormal_pdf, sphere_marginal_density,
-                       std_normal_log_tail, std_normal_tail)
+from .numerics import (CorrelationMatrix, equicorrelation, gamma_function,
+                       lognormal_pdf, std_normal_log_tail, std_normal_tail)
 from .radial import (MdaProbeRow, PairConditionRow, RadialLaw, ScalingBundle,
                      exp_scale, make_radial, probe_condition_rho,
                      probe_margin_mda_limit, probe_mda_limit,
@@ -47,9 +46,8 @@ __all__ = [
     "validate_inputs",
     "ESTIMATOR_CONDITIONAL", "ESTIMATOR_CRUDE", "MCEstimate",
     "conditional_max_mc", "crude_mc", "mc_table",
-    "CorrelationMatrix", "cholesky_factor", "equicorrelation",
-    "gamma_function", "lognormal_pdf", "sphere_marginal_density",
-    "std_normal_log_tail", "std_normal_tail",
+    "CorrelationMatrix", "equicorrelation", "gamma_function",
+    "lognormal_pdf", "std_normal_log_tail", "std_normal_tail",
     "MdaProbeRow", "PairConditionRow", "RadialLaw", "ScalingBundle",
     "exp_scale", "make_radial", "probe_condition_rho",
     "probe_margin_mda_limit", "probe_mda_limit", "probe_o_regular_variation",

@@ -33,7 +33,8 @@ from scipy.special import logsumexp
 from .errors import DomainError, InvalidParams
 from .model import ModelSpec, coordinate_tail, marginal_log_pdf, marginal_log_tail
 from .numerics import (_LOG_SQRT_2PI, _margin_violations, _sigma_violations,
-                       check_threshold, gamma_function, lognormal_log_pdf)
+                       check_threshold, gamma_function, is_integer_at_least,
+                       is_real, lognormal_log_pdf)
 from .radial import RadialLaw, ScalingBundle
 
 __all__ = [
@@ -220,10 +221,10 @@ def equicorrelated_correction(d: int, rho: float, u: float) -> float:
 
 
 def log_equicorrelated_correction(d: int, rho: float, u: float) -> float:
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
-    if not -1.0 < rho < 1.0:
-        raise DomainError(f"rho must lie in (-1, 1), got {rho}")
+    if not is_integer_at_least(d, 1):
+        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
+    if not (is_real(rho) and -1.0 < rho < 1.0):
+        raise DomainError(f"rho must be a real number in (-1, 1), got {rho!r}")
     check_threshold(u, 1.0)
     if d == 1:
         return -math.inf
@@ -261,8 +262,8 @@ def angular_reduction_check(law: RadialLaw, lam: float, beta: float,
     The ratio tends to 1 as u grows; returning both sides keeps the
     evidence inspectable.
     """
-    if d < 2:
-        raise DomainError(f"the reduction needs d >= 2, got {d}")
+    if not is_integer_at_least(d, 2):
+        raise DomainError(f"the reduction needs an integer d >= 2, got {d!r}")
     bundle = ScalingBundle(law=law, lam=[lam], beta=[beta], gamma=gamma)
     check_threshold(u, 1.0)            # the reduction divides by log u
     es = bundle.margin_scale(0, u)     # DomainError unless u > lam

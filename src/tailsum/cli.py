@@ -36,7 +36,7 @@ from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      WrongRadialLaw)
 from .model import ModelSpec, marginal_log_tail, validate_inputs
 from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, get_estimator
-from .numerics import CorrelationMatrix
+from .numerics import CorrelationMatrix, equicorrelation, is_real
 from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
                      probe_mda_limit, probe_o_regular_variation)
 
@@ -77,15 +77,20 @@ class RunConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        lam = self.lam or tuple(1.0 for _ in range(self.d))
-        beta = self.beta or tuple(1.0 for _ in range(self.d))
-        object.__setattr__(self, "lam", tuple(float(v) for v in lam))
-        object.__setattr__(self, "beta", tuple(float(v) for v in beta))
-        object.__setattr__(self, "sigma", tuple(tuple(float(v) for v in row)
-                                                for row in self.sigma))
-        object.__setattr__(self, "u_list", tuple(float(u) for u in self.u_list))
+        def reals(values, key):
+            return tuple(_config_real(v, key) for v in values)
+
         radial = self.radial_params or ((self.d,) if self.radial_kind == "ChiOfDim" else ())
-        object.__setattr__(self, "radial_params", tuple(radial))
+        for name, value in (
+                ("lam", reals(self.lam or (1.0,) * self.d, "model.lambda")),
+                ("beta", reals(self.beta or (1.0,) * self.d, "model.beta")),
+                ("sigma", tuple(reals(row, "model.sigma") for row in self.sigma)),
+                ("u_list", reals(self.u_list, "u_list")),
+                ("gamma", _config_real(self.gamma, "model.gamma")),
+                ("epsilon_c", _config_real(self.epsilon_c, "epsilon_c")),
+                ("rho", None if self.rho is None else _config_real(self.rho, "model.rho")),
+                ("radial_params", tuple(radial))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -97,8 +102,8 @@ class RunConfig:
             d=_config_int(model.get("d", 2), "model.d"),
             lam=tuple(model.get("lambda", ())),
             beta=tuple(model.get("beta", ())),
-            gamma=float(model.get("gamma", 1.0)),
-            rho=None if model.get("rho") is None else float(model["rho"]),
+            gamma=model.get("gamma", 1.0),
+            rho=model.get("rho"),
             sigma=tuple(tuple(r) for r in model.get("sigma", ())),
             radial_kind=radial.get("kind", "ChiOfDim"),
             radial_params=tuple(radial.get("params", ())),
@@ -107,7 +112,7 @@ class RunConfig:
             mc_n=_config_int(mc.get("n", 10**6), "mc.n"),
             mc_seed=_config_int(mc.get("seed", 1234567), "mc.seed"),
             variant=raw.get("variant", "density"),
-            epsilon_c=float(raw.get("epsilon_c", 1.0)),
+            epsilon_c=raw.get("epsilon_c", 1.0),
             out_format=output.get("format", "csv"),
             out_path=output.get("path"),
         )
@@ -131,22 +136,18 @@ class RunConfig:
             "output": {"format": self.out_format, "path": self.out_path},
         }
 
-    def sigma_entries(self):
-        if self.rho is not None:
-            m = np.full((self.d, self.d), self.rho)
-            np.fill_diagonal(m, 1.0)
-            return m
-        return np.asarray(self.sigma, dtype=float)
-
     def build_model(self) -> ModelSpec:
+        """The model; the rho rule of ``equicorrelation`` when rho is set,
+        ConfigError listing every other broken invariant."""
+        sigma = (equicorrelation(self.d, self.rho).entries
+                 if self.rho is not None else np.asarray(self.sigma, dtype=float))
         violations = validate_inputs(self.d, self.lam, self.beta, self.gamma,
-                                     self.sigma_entries())
+                                     sigma)
         if violations:
             raise ConfigError("invalid model config: " + "; ".join(violations))
         radial = make_radial(self.radial_kind, *self.radial_params)
         return ModelSpec(d=self.d, lam=list(self.lam), beta=list(self.beta),
-                         gamma=self.gamma,
-                         sigma=CorrelationMatrix(self.sigma_entries()),
+                         gamma=self.gamma, sigma=CorrelationMatrix(sigma),
                          radial=radial)
 
     def mc_options(self, workers: int | None = None) -> McOptions:
@@ -157,12 +158,20 @@ class RunConfig:
 
 
 def _config_int(value, key: str) -> int:
-    """An integer entry; integral floats count (JSON may write 1e6)."""
+    """An integer entry; integral floats count (JSON may write 1e6),
+    bools do not."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if not hasattr(type(value), "__index__"):
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _config_real(value, key: str) -> float:
+    """A real-number entry by ``numerics.is_real``: not a string or a bool."""
+    if not is_real(value):
+        raise ConfigError(f"{key} must be a real number, got {value!r}")
+    return float(value)
 
 
 def load_config(name_or_path: str) -> RunConfig:

@@ -16,12 +16,12 @@ from typing import Sequence
 
 from .asymptotics import VARIANT_DENSITY, approximate
 from .errors import DomainError
-from .model import ModelSpec
+from .model import ModelSpec, check_margin
 from .montecarlo import ESTIMATOR_CONDITIONAL, mc_table
 # perfbench/tracing.py wraps these bindings as layers; kept so that it
 # does not report them absent.
 from .montecarlo import conditional_max_mc, crude_mc  # noqa: F401
-from .numerics import check_threshold
+from .numerics import check_threshold, is_real
 
 __all__ = ["DiagnosticsRow", "McOptions", "rho_hat", "epsilon_measure",
            "EpsilonMeasure", "build_table"]
@@ -33,8 +33,9 @@ def rho_hat(spec: ModelSpec, j: int, u: float) -> float:
         1 - log(u / margin_scale_j(u)) / log(u)
 
     For standard log-normal margins this is 1 - log(log u)/log u.
-    Needs u > 1 and u above the margin's scale factor.
+    Needs a margin index j, u > 1 and u above the margin's scale factor.
     """
+    check_margin(spec, j)
     check_threshold(u, 1.0)
     bundle = spec.scaling_bundle()
     es = bundle.margin_scale(j, u)
@@ -59,8 +60,13 @@ def epsilon_measure(spec: ModelSpec, i: int, j: int, u: float,
 
     and is returned together with exp(epsilon).  The constant c is the
     caller's choice; no single value reproduces the published epsilon
-    columns (the one used there is not recoverable).
+    columns (the one used there is not recoverable), but must be a finite
+    real number.
     """
+    check_margin(spec, i)
+    check_margin(spec, j)
+    if not (is_real(c) and math.isfinite(c)):
+        raise DomainError(f"the epsilon measure needs a finite real c, got {c!r}")
     check_threshold(u, 1.0)
     rho = float(spec.sigma.entries[i, j])
     if not -1.0 < rho < 1.0:

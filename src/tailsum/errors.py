@@ -22,7 +22,7 @@ class WrongRadialLaw(TailsumError):
 
 
 class NoFiniteLimit(TailsumError):
-    """A numerically probed limit diverges or cannot be resolved."""
+    """A limit the asymptotics need is infinite for the radial law."""
 
 
 class QuadratureError(TailsumError):

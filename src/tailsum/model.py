@@ -120,11 +120,17 @@ def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
 # Marginals
 # ---------------------------------------------------------------------------
 
+def check_margin(spec: ModelSpec, j) -> None:
+    """DomainError unless j is a margin index of spec: an integer by the
+    integer rule, 0 <= j < d."""
+    if not (is_integer_at_least(j, 0) and j < spec.d):
+        raise DomainError(f"margin index {j!r} out of range for d={spec.d}")
+
+
 def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
     """Check j and u; return w = log(u/lam_j)/(beta_j*gamma), the
     threshold of margin j on the scale of its log-coordinate."""
-    if not (is_integer_at_least(j, 0) and j < spec.d):
-        raise DomainError(f"margin index {j!r} out of range for d={spec.d}")
+    check_margin(spec, j)
     check_threshold(u)
     return math.log(u / spec.lam[j]) / (spec.beta[j] * spec.gamma)
 
@@ -177,7 +183,13 @@ def coordinate_tail(law: RadialLaw, d: int, w: float) -> float:
     1/2 + int_0^1 (1 - tail_R(|w| / t)) h(t) dt, and 1/2 at w = 0.  The
     integral runs by adaptive quadrature after the substitution
     t = sin(s), which removes the d = 2 endpoint singularity of h.
+    h(t) = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * (1 - t^2)^((d-3)/2).
+    d follows the integer rule with d >= 2 and w must be finite
+    (DomainError).
     """
+    if not (is_integer_at_least(d, 2) and math.isfinite(w)):
+        raise DomainError("coordinate_tail needs an integer d >= 2 and a finite "
+                          f"w, got d={d!r}, w={w}")
     if w == 0.0:
         return 0.5
     below = w < 0.0

@@ -24,8 +24,6 @@ __all__ = [
     "lognormal_pdf",
     "lognormal_log_pdf",
     "gamma_function",
-    "sphere_marginal_density",
-    "cholesky_factor",
     "equicorrelation",
     "adaptive_quad",
 ]
@@ -43,8 +41,9 @@ def check_threshold(u: float, lower: float = 0.0) -> None:
 
 def is_integer_at_least(value, low: int) -> bool:
     """The integer rule for counts: an integer of any type (numpy's too),
-    never a float however integral, and >= ``low``."""
-    return hasattr(type(value), "__index__") and operator.index(value) >= low
+    never a float however integral nor a bool, and >= ``low``."""
+    return (hasattr(type(value), "__index__") and not isinstance(value, bool)
+            and operator.index(value) >= low)
 
 
 def is_real(value) -> bool:
@@ -150,20 +149,6 @@ def gamma_function(s: float) -> float:
     return math.gamma(s)
 
 
-def sphere_marginal_density(x: float, d: int) -> float:
-    """Density at x of one coordinate of a uniform point on the unit sphere in R^d.
-
-    h(x) = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * (1 - x^2)^((d-3)/2)
-    on (-1, 1).  Integrable singularity at the endpoints when d = 2.
-    """
-    if d < 2:
-        raise DomainError(f"sphere_marginal_density needs dimension >= 2, got {d}")
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"coordinate must lie strictly inside (-1, 1), got {x}")
-    const = gamma_function(d / 2.0) / (math.sqrt(math.pi) * gamma_function((d - 1) / 2.0))
-    return const * (1.0 - x * x) ** ((d - 3) / 2.0)
-
-
 def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
                   rel_tol: float = 1e-10, limit: int = 400) -> float:
     """Adaptive Gauss-Kronrod integration of f on [a, b].
@@ -204,30 +189,19 @@ class CorrelationMatrix:
         m = 0.5 * (m + m.T)
         np.fill_diagonal(m, 1.0)
         m.setflags(write=False)
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "matrix is not positive definite (Cholesky pivot <= 0)"
+            ) from exc
+        chol.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_chol", _cholesky(m))
+        object.__setattr__(self, "_chol", chol)
 
     def cholesky(self) -> np.ndarray:
         """Lower-triangular L with L @ L.T equal to the matrix."""
         return self._chol
-
-
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "matrix is not positive definite (Cholesky pivot <= 0)"
-        ) from exc
-    chol.setflags(write=False)
-    return chol
-
-
-def cholesky_factor(m: CorrelationMatrix | np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor; NotPositiveDefinite on failure."""
-    if isinstance(m, CorrelationMatrix):
-        return m.cholesky()
-    return _cholesky(np.asarray(m, dtype=float))
 
 
 def equicorrelation(d: int, rho: float) -> CorrelationMatrix:

@@ -1,21 +1,22 @@
 """Radial laws in the Gumbel max-domain of attraction and derived scalings.
 
 A radial law R feeds the stochastic representation exp(R * A * U) of the
-risk vector.  Each built-in law carries its tail, log-tail, density, a
-seeded sampler, and a scaling function chosen as the exact hazard-rate
+risk vector.  Each built-in law carries its log-tail, log-density, a
+seeded sampler, a scaling function chosen as the exact hazard-rate
 reciprocal tail/density, which is a valid Gumbel scaling wherever the law
-is in the Gumbel domain.
+is in the Gumbel domain, and the limit kappa = lim r * scaling(r).
 
 Three kinds are provided:
 
 * ``ChiOfDim(d)``   -- R = sqrt(chi-square with d degrees of freedom); the
   law for which exp(R * A * U) is multivariate log-normal.  For d = 2 the
-  tail is exp(-r^2/2) and the scaling is exactly 1/r.
+  tail is exp(-r^2/2) and the scaling is exactly 1/r; kappa = 1.
 * ``WeibullTail(tau, scale)`` -- tail exp(-(r/scale)^tau).  tau = 1 is the
   exponential law; ``WeibullTail(2, sqrt(2))`` coincides with ChiOfDim(2).
+  kappa is 0 for tau > 2, scale^2/2 for tau = 2 and infinite for tau < 2.
 * ``LognormalLogRadius``      -- R itself log-normal.  In the Gumbel
-  domain, but its induced scaling grows superlinearly, so the margin
-  scaling limit does not exist (probes report that).
+  domain, but its induced scaling grows superlinearly: kappa is infinite
+  and ``margin_scale_limit`` raises NoFiniteLimit.
 
 The derived scalings follow the threshold transform of the model: with
 ``scaling`` the radial scaling function b, ``exp_scale(u) = u * b(log u)``
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
 from .numerics import (_margin_violations, check_threshold, is_real,
-                       lognormal_log_pdf, lognormal_pdf, std_normal_log_tail)
+                       lognormal_log_pdf, std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
@@ -52,20 +54,27 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RadialLaw:
-    """A positive radial variable with tail, density, scaling and sampler.
+    """A positive radial variable: log-tail, log-density, scaling, sampler.
 
     ``scaling`` is the Gumbel auxiliary function b: the tail satisfies
-    tail(u + x*b(u))/tail(u) -> exp(-x).  ``sampler(rng, size)`` draws
+    tail(u + x*b(u))/tail(u) -> exp(-x).  ``scaling_limit`` is
+    kappa = lim r * b(r), possibly 0 or inf.  ``sampler(rng, size)`` draws
     from the law using the supplied numpy Generator.
     """
 
     kind: str
     params: tuple
-    tail: Callable[[float], float]
     log_tail: Callable[[float], float]
-    density: Callable[[float], float]
+    log_density: Callable[[float], float]
     scaling: Callable[[float], float]
+    scaling_limit: float
     sampler: Callable[[np.random.Generator, int], np.ndarray]
+
+    def tail(self, r: float) -> float:
+        return math.exp(self.log_tail(r))
+
+    def density(self, r: float) -> float:
+        return math.exp(self.log_density(r))
 
     def __repr__(self) -> str:  # params carry all identity
         inner = ", ".join(repr(p) for p in self.params)
@@ -111,15 +120,8 @@ def _make_chi(d: int) -> RadialLaw:
         raise InvalidParams(f"ChiOfDim needs an integer dimension >= 1, got {d}")
     d = int(d)
 
-    def log_tail(r: float) -> float:
-        return _chi_log_tail(r, d)
-
-    def tail(r: float) -> float:
-        return math.exp(log_tail(r)) if r > 0 else 1.0
-
-    def density(r: float) -> float:
-        return math.exp(_chi_log_density(r, d)) if r > 0 else 0.0
-
+    log_tail = partial(_chi_log_tail, d=d)
+    log_density = partial(_chi_log_density, d=d)
     if d == 2:
         def scaling(r: float) -> float:
             if r <= 0.0:
@@ -138,7 +140,8 @@ def _make_chi(d: int) -> RadialLaw:
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return np.sqrt(rng.chisquare(d, size))
 
-    return RadialLaw("ChiOfDim", (d,), tail, log_tail, density, scaling, sampler)
+    # b(r) = (1 + O(1/r^2)) / r
+    return RadialLaw("ChiOfDim", (d,), log_tail, log_density, scaling, 1.0, sampler)
 
 
 def _make_weibull(tau: float, scale: float = 1.0) -> RadialLaw:
@@ -149,13 +152,10 @@ def _make_weibull(tau: float, scale: float = 1.0) -> RadialLaw:
     def log_tail(r: float) -> float:
         return -((r / scale) ** tau) if r > 0 else 0.0
 
-    def tail(r: float) -> float:
-        return math.exp(log_tail(r))
-
-    def density(r: float) -> float:
+    def log_density(r: float) -> float:
         if r <= 0.0:
-            return 0.0
-        return tau * r ** (tau - 1.0) / scale**tau * tail(r)
+            return -math.inf
+        return math.log(tau / scale) + (tau - 1.0) * math.log(r / scale) + log_tail(r)
 
     def scaling(r: float) -> float:
         if r <= 0.0:
@@ -165,28 +165,30 @@ def _make_weibull(tau: float, scale: float = 1.0) -> RadialLaw:
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return scale * rng.standard_exponential(size) ** (1.0 / tau)
 
-    return RadialLaw("WeibullTail", (tau, scale), tail, log_tail, density, scaling, sampler)
+    # r * b(r) = scale^tau * r^(2 - tau) / tau
+    kappa = 0.0 if tau > 2.0 else 0.5 * scale * scale if tau == 2.0 else math.inf
+    return RadialLaw("WeibullTail", (tau, scale), log_tail, log_density, scaling,
+                     kappa, sampler)
 
 
 def _make_lognormal_log_radius() -> RadialLaw:
     def log_tail(r: float) -> float:
         return std_normal_log_tail(math.log(r)) if r > 0 else 0.0
 
-    def tail(r: float) -> float:
-        return math.exp(log_tail(r))
-
-    def density(r: float) -> float:
-        return lognormal_pdf(r) if r > 0 else 0.0
+    def log_density(r: float) -> float:
+        return float(lognormal_log_pdf(r)) if r > 0 else -math.inf
 
     def scaling(r: float) -> float:
         if r <= 0.0:
             raise DomainError("scaling needs r > 0")
-        return math.exp(log_tail(r) - lognormal_log_pdf(r))
+        return math.exp(log_tail(r) - log_density(r))
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return np.exp(rng.standard_normal(size))
 
-    return RadialLaw("LognormalLogRadius", (), tail, log_tail, density, scaling, sampler)
+    # b(r) ~ r / log r, so r * b(r) grows without bound
+    return RadialLaw("LognormalLogRadius", (), log_tail, log_density, scaling,
+                     math.inf, sampler)
 
 
 def make_radial(kind: str, *params) -> RadialLaw:
@@ -269,48 +271,16 @@ class ScalingBundle:
         return bg * u * self.exp_scale(v) / v
 
     def margin_scale_limit(self, j: int) -> float:
-        """Limit of log(u) * margin_scale(j, u) / u as u grows.
-
-        Closed form (gamma*beta_j)^2 for the ChiOfDim family; otherwise
-        probed on a geometric grid and extrapolated, raising NoFiniteLimit
-        when the probe grows without bound.
-        """
-        if self.law.kind == "ChiOfDim":
-            return (self.gamma * self.beta[j]) ** 2
-        return self._probe_limit(j)
-
-    def _probe_limit(self, j: int) -> float:
-        us = (1e6, 1e9, 1e12)
-        xs = [math.log(u) for u in us]
-        cs = [math.log(u) * self.margin_scale(j, u) / u for u in us]
-        d1, d2 = cs[0] - cs[1], cs[1] - cs[2]
-        scale = max(abs(c) for c in cs)
-        if scale == 0.0:
-            return 0.0
-        if abs(d2) <= 1e-3 * abs(cs[2]) and abs(d1) <= 1e-3 * abs(cs[2]):
-            return cs[2]
-        if cs[2] > cs[1] > cs[0]:
+        """Limit c_j = (gamma*beta_j)^2 * kappa of log(u) * margin_scale(j, u)/u,
+        kappa the law's ``scaling_limit``: the quotient is beta_j*gamma *
+        log(u) * b(log v) with log v = log(u/lam_j)/(beta_j*gamma), so lam_j
+        drops out.  NoFiniteLimit naming the law when kappa is infinite."""
+        kappa = self.law.scaling_limit
+        if math.isinf(kappa):
             raise NoFiniteLimit(
-                f"margin scale limit probe grows: {cs[0]:.4g} -> {cs[1]:.4g} -> {cs[2]:.4g}"
-            )
-        # Decaying probe: fit c(u) = a + b*(log u)^-p through the three
-        # points and return the extrapolated a (clamped at 0).
-        if d2 == 0.0 or d1 / d2 <= 1.0:
-            raise NoFiniteLimit("margin scale limit probe does not settle")
-        ratio = d1 / d2
-
-        def gap(p: float) -> float:
-            return (xs[0] ** -p - xs[1] ** -p) / (xs[1] ** -p - xs[2] ** -p) - ratio
-
-        from scipy import optimize  # only probed (non-ChiOfDim) laws get here
-
-        try:
-            p = optimize.brentq(gap, 1e-6, 60.0)
-        except ValueError as exc:
-            raise NoFiniteLimit("margin scale limit extrapolation failed") from exc
-        b = (cs[1] - cs[2]) / (xs[1] ** -p - xs[2] ** -p)
-        a = cs[2] - b * xs[2] ** -p
-        return max(a, 0.0)
+                f"the {self.law!r} radial law has r * b(r) -> inf, so the "
+                f"margin scaling limit c_{j} does not exist")
+        return (self.gamma * self.beta[j]) ** 2 * kappa
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,14 @@ class TestEquicorrelated:
         with pytest.raises(DomainError):
             equicorrelated_correction(0, 0.5, 10.0)
 
+    @pytest.mark.parametrize("d, rho", [(2.5, 0.5), (True, 0.5), (2.0, 0.5),
+                                        ("2", 0.5), (2, "0.5"), (2, None),
+                                        (2, False), (2, math.nan)])
+    def test_integer_and_real_rules(self, d, rho):
+        # 2.5 used to give 0.0486, True 0.0, and "0.5" a TypeError
+        with pytest.raises(DomainError, match="must be an integer|must be a real"):
+            equicorrelated_correction(d, rho, 10.0)
+
 
 class TestAsymptoticsAgainstAllTables:
     @pytest.mark.parametrize("rho", [0.9, 0.5, 0.0, -0.9])
@@ -303,6 +311,29 @@ class TestAsymptoticsAgainstAllTables:
                 f"asympt1 mismatch at u={row.u}: {apx.first_order} vs {row.asympt1}"
             assert matches_printed(apx.second_order, row.asympt2), \
                 f"asympt2 mismatch at u={row.u}: {apx.second_order} vs {row.asympt2}"
+
+
+class TestWeibullChiEquivalence:
+    # At d = 2, WeibullTail(2, sqrt 2) is ChiOfDim(2): the same joint law,
+    # so the quadrature margins and kappa = scale^2/2 must reproduce the
+    # Gaussian-copula closed forms at any scale factor.
+    @pytest.mark.parametrize("variant", [VARIANT_DENSITY, VARIANT_LIMIT])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+    def test_same_approximation_at_every_scale_factor(self, lam, variant):
+        def spec(law):
+            return ModelSpec(d=2, lam=[lam, lam], beta=[1.0, 0.7], gamma=1.2,
+                             sigma=CorrelationMatrix(np.array([[1.0, 0.5],
+                                                               [0.5, 1.0]])),
+                             radial=law)
+
+        weibull = spec(make_radial("WeibullTail", 2.0, math.sqrt(2.0)))
+        chi = spec(make_radial("ChiOfDim", 2))
+        assert chi.is_gaussian_copula() and not weibull.is_gaussian_copula()
+        for u in (3.0 * lam, 50.0 * lam, 1e3 * lam):
+            got, want = approximate(weibull, u, variant), approximate(chi, u, variant)
+            for field in ("first_order", "correction", "second_order"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-8), (u, field)
 
 
 class TestAngularReduction:
@@ -347,6 +378,12 @@ class TestAngularReduction:
         # above the scale factor but below 1, where log u <= 0
         with pytest.raises(DomainError, match=r"finite and > 1, got 0\.8"):
             angular_reduction_check(law, 0.5, 1.0, 1.0, 2, 0.8)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, 1, "3"])
+    def test_dimension_follows_integer_rule(self, d):
+        with pytest.raises(DomainError, match="needs an integer d >= 2"):
+            angular_reduction_check(make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0,
+                                    d, 1e4)
 
     def test_d2_band(self):
         law = make_radial("ChiOfDim", 2)

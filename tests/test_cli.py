@@ -234,6 +234,21 @@ class TestApproxCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_weibull2_below_unit_scale_factor_exits_0(self, run_cli, tmp_path):
+        # WeibullTail(2) has the exact margin scaling limit (gamma beta)^2/2
+        # at every scale factor; lam = 0.5 used to fail with exit 2
+        raw = {"model": {"d": 2, "lambda": [0.5, 0.5], "rho": 0.5,
+                         "radial": {"kind": "WeibullTail", "params": [2.0]}},
+               "u_list": [10.0, 100.0]}
+        path = tmp_path / "weibull2.json"
+        path.write_text(json.dumps(raw))
+        code, out, _ = run_cli("approx", "--config", str(path), "--u", "10")
+        assert code == 0
+        assert "second_order" in out
+        code, out, _ = run_cli("table", "--config", str(path), "--no-mc")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
 
 class TestMcCommand:
     @pytest.mark.parametrize("params", [[math.nan], [math.inf], [2.0, math.nan]],
@@ -339,7 +354,7 @@ class TestVerifyCommand:
 class TestConfigIntegers:
     @pytest.mark.parametrize("section, key, value", [
         ("model", "d", 2.7), ("mc", "n", 65536.9), ("mc", "seed", 3.5),
-        ("model", "d", "2"), ("mc", "n", math.inf)])
+        ("model", "d", "2"), ("mc", "n", math.inf), ("mc", "seed", True)])
     def test_non_integral_value_exits_1_naming_the_key(self, run_cli, tmp_path,
                                                         section, key, value):
         raw = load_config("table3").to_dict()
@@ -379,6 +394,42 @@ class TestConfigIntegers:
         code, _, err = run_cli("mc", "--config", str(path), "--u", "10")
         assert code == 1
         assert "need an integer n >= 1, got 0" in err
+
+
+class TestConfigReals:
+    @pytest.mark.parametrize("keys, value, bad", [
+        (("model", "rho"), "0.5", "0.5"),
+        (("model", "rho"), True, True),
+        (("model", "gamma"), "1", "1"),
+        (("model", "lambda"), ["1", "1"], "1"),
+        (("model", "beta"), [1.0, False], False),
+        (("u_list",), [10.0, "100"], "100"),
+        (("epsilon_c",), None, None),
+    ], ids=["rho-str", "rho-bool", "gamma-str", "lambda-str", "beta-bool",
+            "u-str", "epsilon-null"])
+    def test_non_real_value_exits_1_naming_the_key(self, run_cli, tmp_path,
+                                                   keys, value, bad):
+        # these used to run as if they were numbers (float() takes "0.5")
+        raw = load_config("table3").to_dict()
+        section = raw[keys[0]] if len(keys) == 2 else raw
+        section[keys[-1]] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("approx", "--config", str(path), "--u", "10")
+        assert code == 1
+        assert out == ""
+        assert f"{'.'.join(keys)} must be a real number, got {bad!r}" in err
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
+    def test_rho_out_of_range_reports_the_rho_rule(self, run_cli, tmp_path, rho):
+        raw = load_config("table3").to_dict()
+        raw["model"]["rho"] = rho
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli("approx", "--config", str(path), "--u", "10")
+        assert code == 1
+        assert f"needs a finite rho in (-1.000, 1), got {rho!r}" in err
+        assert "positive definite" not in err
 
 
 @pytest.fixture()

@@ -51,6 +51,11 @@ class TestRhoHat:
         with pytest.raises(DomainError, match="threshold u must be finite"):
             rho_hat(standard_spec(0.0), 0, u)
 
+    @pytest.mark.parametrize("j", [0.5, 5, 2, -1, True, "0"])
+    def test_margin_index_follows_integer_rule(self, standard_spec, j):
+        with pytest.raises(DomainError, match="margin index .* out of range for d=2"):
+            rho_hat(standard_spec(0.0), j, 10.0)
+
 
 class TestEpsilonMeasure:
     def test_slack_inversion_reproduces_printed_epsilon(self, standard_spec):
@@ -84,6 +89,18 @@ class TestEpsilonMeasure:
     def test_non_finite_threshold_rejected(self, standard_spec, u):
         with pytest.raises(DomainError, match="threshold u must be finite"):
             epsilon_measure(standard_spec(0.9), 1, 0, u)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (1, -1), (2, 0), (1, 5),
+                                      (1.0, 0), (1, False)])
+    def test_margin_indices_follow_integer_rule(self, standard_spec, i, j):
+        # a negative index used to wrap round to the last margin
+        with pytest.raises(DomainError, match="margin index .* out of range for d=2"):
+            epsilon_measure(standard_spec(0.9), i, j, 10.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, "1", None, True])
+    def test_slack_must_be_finite_real(self, standard_spec, c):
+        with pytest.raises(DomainError, match="needs a finite real c"):
+            epsilon_measure(standard_spec(0.9), 1, 0, 10.0, c=c)
 
 
 class TestBuildTable:

@@ -64,7 +64,8 @@ BAD_RUNS = [(2.5, 1, "integer n"), (np.float64(1000.0), 1, "integer n"),
             (1000, -1, "integer seed >= 0, got -1"),
             (1000, 1.5, "integer seed >= 0, got 1.5"),
             (1000, np.int64(-2), "integer seed >= 0"),
-            (1000, None, "integer seed")]
+            (1000, None, "integer seed"),
+            (True, 1, "integer n"), (1000, False, "integer seed")]
 
 
 class TestCrude:

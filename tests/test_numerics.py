@@ -14,10 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams, NotPositiveDefinite,
-                     cholesky_factor, equicorrelation, gamma_function,
-                     lognormal_pdf, sphere_marginal_density,
+                     equicorrelation, gamma_function, lognormal_pdf, make_radial,
                      std_normal_log_tail, std_normal_tail)
-from tailsum.numerics import adaptive_quad
+from tailsum.model import coordinate_tail
 
 mp.mp.dps = 50
 
@@ -128,47 +127,63 @@ class TestGammaFunction:
 
 
 class TestSphereMarginalDensity:
+    # The sphere-coordinate density h(t) = Gamma(d/2)/(sqrt(pi)
+    # Gamma((d-1)/2)) (1 - t^2)^((d-3)/2) lives in model.coordinate_tail;
+    # these tests check it through P(R * T > w) for an exponential R,
+    # whose tail exp(-w/t) is smooth in t.
+    EXPONENTIAL = make_radial("WeibullTail", 1.0)
+
+    @staticmethod
+    def oracle(w, h):
+        return float(mp.quad(lambda t: mp.exp(-mp.mpf(w) / t) * h(t), [0, 1]))
+
     def test_constant_for_d3(self):
-        assert sphere_marginal_density(0.3, 3) == pytest.approx(0.5, rel=1e-14)
-        assert sphere_marginal_density(-0.77, 3) == pytest.approx(0.5, rel=1e-14)
+        # h = 1/2, so P(R T > w) = E_2(w)/2 for w > 0
+        law = self.EXPONENTIAL
+        assert coordinate_tail(law, 3, 0.3) == pytest.approx(
+            float(mp.expint(2, 0.3)) / 2, rel=1e-10)
+        assert coordinate_tail(law, 3, -0.77) == pytest.approx(
+            1.0 - float(mp.expint(2, 0.77)) / 2, rel=1e-10)
 
     def test_arcsine_for_d2(self):
-        assert sphere_marginal_density(0.0, 2) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        expected = self.oracle(0.3, lambda t: 1 / (mp.pi * mp.sqrt(1 - t * t)))
+        assert coordinate_tail(self.EXPONENTIAL, 2, 0.3) == pytest.approx(
+            expected, rel=1e-10)
 
     def test_d4_center(self):
-        assert sphere_marginal_density(0.0, 4) == pytest.approx(2.0 / math.pi, rel=1e-14)
+        expected = self.oracle(0.3, lambda t: 2 / mp.pi * mp.sqrt(1 - t * t))
+        assert coordinate_tail(self.EXPONENTIAL, 4, 0.3) == pytest.approx(
+            expected, rel=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sphere_marginal_density(1.0, 3)
-        with pytest.raises(DomainError):
-            sphere_marginal_density(-1.5, 3)
+        for d, w in [(1, 0.5), (2.5, 0.5), (True, 0.5), (3, math.nan), (3, math.inf)]:
+            with pytest.raises(DomainError, match="coordinate_tail needs"):
+                coordinate_tail(self.EXPONENTIAL, d, w)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_normalization(self, d):
-        # substitute x = sin(t) so the d=2 endpoint singularity vanishes
-        def integrand(t):
-            return sphere_marginal_density(math.sin(t), d) * math.cos(t)
-
-        total = adaptive_quad(integrand, -0.5 * math.pi + 1e-15,
-                              0.5 * math.pi - 1e-15, abs_tol=1e-13)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        # R = chi_d makes R T a standard normal coordinate
+        law = make_radial("ChiOfDim", d)
+        for w in (0.5, -1.3, 4.0):
+            assert coordinate_tail(law, d, w) == pytest.approx(
+                std_normal_tail(w), rel=1e-10)
 
 
 class TestCholesky:
     def test_identity(self):
         ident = np.eye(2)
-        np.testing.assert_allclose(cholesky_factor(ident), ident)
+        np.testing.assert_allclose(CorrelationMatrix(ident).cholesky(), ident)
 
     def test_closed_form_2x2(self):
         m = CorrelationMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
-        chol = cholesky_factor(m)
+        chol = m.cholesky()
         np.testing.assert_allclose(
             chol, [[1.0, 0.0], [0.9, math.sqrt(1 - 0.81)]], rtol=1e-14)
 
     def test_singular_rejected(self):
         with pytest.raises(NotPositiveDefinite):
-            cholesky_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            CorrelationMatrix(np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9],
+                                        [-0.9, 0.9, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
             CorrelationMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
@@ -182,7 +197,7 @@ class TestCholesky:
             corr = cov / np.outer(scale, scale)
             np.fill_diagonal(corr, 1.0)
             corr = 0.5 * (corr + corr.T)
-            chol = cholesky_factor(CorrelationMatrix(corr))
+            chol = CorrelationMatrix(corr).cholesky()
             np.testing.assert_allclose(chol @ chol.T, corr, atol=1e-12)
 
 

@@ -1,6 +1,8 @@
 """Radial laws, derived scalings, and condition probes."""
 
 import math
+import re
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -255,8 +257,8 @@ class TestMarginScaleLimit:
         assert b.margin_scale_limit(0) == pytest.approx(0.0, abs=1e-6)
 
     def test_probe_agrees_with_closed_form(self):
-        # WeibullTail(2, sqrt 2) is ChiOfDim(2) in disguise: the numerical
-        # probe must land on the closed-form limit 1
+        # WeibullTail(2, sqrt 2) is ChiOfDim(2) in disguise: its
+        # kappa = scale^2/2 must give the chi limit 1, whatever lam
         b = ScalingBundle(make_radial("WeibullTail", 2.0, math.sqrt(2.0)),
                           [1.0], [1.0], 1.0)
         assert b.margin_scale_limit(0) == pytest.approx(1.0, rel=1e-9)
@@ -271,6 +273,44 @@ class TestMarginScaleLimit:
         slow = ScalingBundle(make_radial("WeibullTail", 1.0), [1.0], [1.0], 1.0)
         with pytest.raises(NoFiniteLimit):
             slow.margin_scale_limit(0)
+
+    @pytest.mark.parametrize("law, kappa", [
+        (make_radial("ChiOfDim", 2), 1.0),
+        (make_radial("ChiOfDim", 5), 1.0),
+        (make_radial("WeibullTail", 3.0), 0.0),
+        (make_radial("WeibullTail", 2.0), 0.5),
+        (make_radial("WeibullTail", 2.0, 3.0), 4.5),
+        (make_radial("WeibullTail", 1.0), math.inf),
+        (make_radial("WeibullTail", 1.5, 2.0), math.inf),
+        (make_radial("LognormalLogRadius"), math.inf),
+    ], ids=repr)
+    def test_limit_is_gamma_beta_squared_times_kappa(self, law, kappa):
+        assert law.scaling_limit == kappa
+        lam, beta, gamma = [0.5, 2.0, 10.0], [1.0, 0.7, 1.3], 1.2
+        bundle = ScalingBundle(law, lam, beta, gamma)
+        for j in range(3):
+            if math.isinf(kappa):
+                with pytest.raises(NoFiniteLimit, match=re.escape(repr(law))):
+                    bundle.margin_scale_limit(j)
+            else:
+                assert bundle.margin_scale_limit(j) == (gamma * beta[j]) ** 2 * kappa
+
+    @pytest.mark.parametrize("law", [make_radial("WeibullTail", 2.0),
+                                     make_radial("WeibullTail", 2.0, math.sqrt(2.0)),
+                                     make_radial("WeibullTail", 3.0),
+                                     make_radial("ChiOfDim", 3)], ids=repr)
+    def test_kappa_is_the_limit_of_r_times_scaling(self, law):
+        # r * b(r) approaches kappa: 1/(3r) for WeibullTail(3), O(1/r^2) for chi
+        for r in (1e8, 1e10):
+            assert r * law.scaling(r) == pytest.approx(law.scaling_limit,
+                                                       abs=1e-7)
+
+    def test_no_module_imports_scipy_optimize(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "tailsum"
+        pattern = re.compile(r"scipy\.optimize|from\s+scipy\s+import[^\n]*\boptimize\b")
+        users = [p.name for p in sorted(src.rglob("*.py"))
+                 if pattern.search(p.read_text(encoding="utf-8"))]
+        assert users == []
 
 
 class TestConditionProbe:
