@@ -1,10 +1,17 @@
 """Hot-loop kernels of the Monte Carlo estimators, in numpy.
 
-Both kernels work one margin (a column of the log-coordinates, or one
-other margin of a conditional term) at a time, accumulating into a
-fixed set of buffers with in-place ufuncs.  That avoids
-fancy-index copies of the other margins and reductions over a short
-inner axis, which dominate a row-wise formulation.
+``crude_chunk`` works one column of the log-coordinates at a time, and
+``conditional_chunk`` one margin at a time, each into a fixed set of
+buffers with in-place ufuncs.  That avoids fancy-index copies of the
+other margins and reductions over a short inner axis, which dominate a
+row-wise formulation.  For margin j the conditional kernel forms every
+linear quantity of the draws (the other margins' exponents, the
+conditional mean and the log likelihood ratio) in one BLAS product of a
+(d + 1, d) coefficient matrix with the normals, and the matrices, with
+every per-margin constant folded in, are built once per estimate by
+``conditional_coefficients``.  What is left per value is one exp per
+other margin, one log, one erfc and one exp of the weight; the erfc is
+about half the kernel's time at d = 5.
 
 Both take _PASS = 2^14 draws (rows of ``crude_chunk``'s y, columns of
 ``conditional_chunk``'s e) per pass, so their buffers are one pass wide
@@ -46,91 +53,110 @@ def crude_chunk(y, u, lam, bg) -> int:
     return hits
 
 
-def conditional_chunk(e, shifted, out, u, lam, bg, others, factor, alpha,
-                      cond_sd, shift, tilt_vec, tilt_const, mix):
+def conditional_chunk(e, shifted, out, coef, offset, lam_ratio, u_ratio,
+                      z_scale, log_tilt, floor):
     """Per-draw integrand of the conditional largest-claim estimator.
 
     Each draw is a column of the (d, m) independent standard normals
-    ``e``.  Margin j conditions on the other margins y_-j = L_j e_-j,
-    with L_j = chol(Sigma_-j) and e_-j the rows ``others[j]`` of e:
-    ``factor[j]`` is L_j with its columns moved to ``others[j]`` (zero in
-    column j), so y_-j = factor[j] @ e.  For each draw the kernel
-    accumulates, over margins j, the importance weight times the
-    conditional probability that margin j exceeds both the remaining gap
-    to u and the largest other margin.  For margin j the other margins
-    are shifted by ``shift[j]`` on the rows ``shifted[j]`` (a slice: the
-    shifted defensive-mixture component, with weight ``mix``, the share
-    of the rows) and nominal on the rest.  Writes the sums into ``out``.
+    ``e``.  For each draw the kernel sums, over margins j, the importance
+    weight times the conditional probability that margin j exceeds both
+    the remaining gap to u and the largest other margin, and writes the
+    sums into ``out``.  Margin j's other margins are shifted on the draws
+    ``shifted[j]`` (a slice: the defensive mixture's shifted component)
+    and nominal on the rest.  The remaining arguments come from
+    ``conditional_coefficients``.
 
     The draws are taken _PASS = 2^14 columns of e at a time (see the
-    module docstring): the seven scratch buffers are one pass wide, and
-    each pass clips the slices ``shifted[j]`` to its own columns.  The
-    integrand of a draw does not depend on the pass it falls in.
+    module docstring), and each pass clips the slices ``shifted[j]`` to
+    its own columns; the integrand of a draw does not depend on the pass
+    it falls in.  Per pass and margin j, one product coef[j] @ e fills
+    the d + 1 rows bg_k y_k (k the other margins), bg_j mu_j (mu_j the
+    conditional mean of log-margin j) and q (the log likelihood ratio),
+    and one add puts offset[j] on the shifted columns.  Then, with
+    x_k = lam_k e^(bg_k y_k) and every x scaled by 1 / lam_j,
 
-    Row idx of L_j is zero past column idx, so in ``factor[j]`` it is zero
-    past column k = ``others[j][idx]``: the other margin k is the product
-    of its first k + 1 entries with the first k + 1 rows of e, and for
-    idx = 0 the single entry times row k.
+        z = (log(max(u - S_j, M_j) / lam_j) - bg_j mu_j) / (bg_j sd_j),
 
-    The weight of a draw is 1 / (mix * e^q + 1 - mix), with q the log
-    likelihood ratio of the shifted component; an overflowing e^q gives
-    weight 0, the limit of the exact value.  The weight is exactly 1 at a
-    zero shift, where q = 0.
+    with S_j and M_j the sum and maximum of the x_k, and the term is
+    erfc(z / sqrt(2)) / (e^(q + log_tilt_j) + floor), the conditional
+    probability times the mixture weight 1 / (mix e^(q - tilt_const_j)
+    + 1 - mix).  An overflowing e^q gives weight 0, the limit of the
+    exact value; the weight is exactly 1 at mix 0 and at a zero shift,
+    where q = 0.
     """
     d, m = e.shape
     bounds = [rows.indices(m)[:2] for rows in shifted]
-    scratch = np.empty((7, min(m, _PASS)))
+    scratch = np.empty((d + 2, min(m, _PASS)))
     for c0 in range(0, m, _PASS):
         c1 = min(c0 + _PASS, m)
         ew = e[:, c0:c1]
         ow = out[c0:c1]
-        # yk: other margin k, plus the shift on ``rows``; xk: lam_k *
-        # exp(bg_k * yk); sm: sum of the other margins, then z; mx: their
-        # max; mu: conditional mean of log-margin j; q: log likelihood
-        # ratio, then the mixture density
-        yk, xk, sm, mx, mu, tmp, q = scratch[:, :c1 - c0]
+        # prod: the product (x_k, then bg_j mu_j, then q); t: the scaled
+        # threshold, then the erfc argument and the term
+        buf = scratch[:, :c1 - c0]
+        prod, t = buf[:d + 1], buf[d + 1]
+        x, mu, q = prod[:d - 1], prod[d - 1], prod[d]
         ow[:] = 0.0
         for j in range(d):
             lo, hi = bounds[j]
-            rows = slice(max(lo - c0, 0), max(hi - c0, 0))
-            for idx, k in enumerate(others[j]):
-                first = idx == 0
-                if first:
-                    np.multiply(ew[k], factor[j, 0, k], out=yk)
-                else:
-                    np.matmul(factor[j, idx, :k + 1], ew[:k + 1], out=yk)
-                yk[rows] += shift[j, idx]
-                if first:
-                    np.multiply(yk, tilt_vec[j, idx], out=q)
-                else:
-                    np.multiply(yk, tilt_vec[j, idx], out=tmp)
-                    q += tmp
-                np.multiply(yk, bg[k], out=xk)
-                np.exp(xk, out=xk)
-                xk *= lam[k]
-                if first:
-                    sm[:] = xk
-                    mx[:] = xk
-                    np.multiply(yk, alpha[j, idx], out=mu)
-                else:
-                    sm += xk
-                    np.maximum(mx, xk, out=mx)
-                    np.multiply(yk, alpha[j, idx], out=tmp)
-                    mu += tmp
-            # z = (log(max(M_j, u - S_j) / lam_j) / bg_j - mu) / cond_sd_j
-            np.subtract(u, sm, out=sm)
-            np.maximum(sm, mx, out=sm)
-            sm /= lam[j]
-            np.log(sm, out=sm)
-            sm /= bg[j]
-            sm -= mu
-            sm *= _INV_SQRT2 / cond_sd[j]
-            erfc(sm, out=sm)
-            sm *= 0.5
-            q -= tilt_const[j]
+            np.matmul(coef[j], ew, out=prod)
+            prod[:, max(lo - c0, 0):max(hi - c0, 0)] += offset[j][:, None]
+            np.exp(x, out=x)
+            x *= lam_ratio[j][:, None]
+            np.sum(x, axis=0, out=t)
+            np.subtract(u_ratio[j], t, out=t)
+            for xk in x:
+                np.maximum(t, xk, out=t)
+            np.log(t, out=t)
+            t -= mu
+            t *= z_scale[j]
+            erfc(t, out=t)
+            q += log_tilt[j]
             with np.errstate(over="ignore"):
                 np.exp(q, out=q)
-            q *= mix
-            q += 1.0 - mix
-            sm /= q
-            ow += sm
+            q += floor
+            t /= q
+            ow += t
+
+
+def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
+                             tilt_vec, tilt_const, mix):
+    """``conditional_chunk``'s arguments after ``out``, folded from the
+    per-margin constants of the conditional law.
+
+    ``others[j]`` are the indices of the margins other than j;
+    ``factor[j]`` is L_j = chol(Sigma_-j) with its columns moved to
+    ``others[j]`` (zero in column j), so margin j's conditioning vector is
+    y_-j = factor[j] @ e.  ``alpha[j]`` and ``cond_sd[j]`` are the
+    coefficients and the standard deviation of log-margin j given y_-j,
+    ``shift[j]`` the mean shift of the mixture's shifted component,
+    ``tilt_vec[j]`` = Sigma_-j^-1 shift_j and ``tilt_const[j]`` =
+    shift_j' tilt_vec[j] / 2; ``mix`` is the shifted component's weight.
+    Returns (coef, offset, lam_ratio, u_ratio, z_scale, log_tilt, floor):
+
+    * coef (d, d + 1, d): rows 0..d-2 of coef[j] are bg_k times the rows
+      of factor[j] (k = others[j]), row d-1 is bg_j alpha_j' factor[j]
+      and row d is tilt_vec[j]' factor[j], so coef[j] @ e holds
+      bg_k y_k, bg_j times the conditional mean and the log likelihood
+      ratio q;
+    * offset (d, d + 1): the same rows applied to shift_j, added on the
+      shifted columns only;
+    * lam_ratio (d, d - 1) = lam_k / lam_j and u_ratio (d,) = u / lam_j;
+    * z_scale (d,) = 1 / (bg_j cond_sd_j sqrt(2)), the erfc argument's
+      scale;
+    * log_tilt (d,) = log(2 mix) - tilt_const_j and floor = 2 (1 - mix),
+      so the weight times erfc / 2 is erfc / (e^(q + log_tilt) + floor).
+    """
+    d = len(lam)
+    coef = np.empty((d, d + 1, d))
+    coef[:, :d - 1] = bg[others][:, :, None] * factor
+    coef[:, d - 1] = bg[:, None] * np.einsum("ja,jab->jb", alpha, factor)
+    coef[:, d] = np.einsum("ja,jab->jb", tilt_vec, factor)
+    offset = np.empty((d, d + 1))
+    offset[:, :d - 1] = bg[others] * shift
+    offset[:, d - 1] = bg * np.einsum("ja,ja->j", alpha, shift)
+    offset[:, d] = np.einsum("ja,ja->j", tilt_vec, shift)
+    with np.errstate(divide="ignore"):  # mix 0: log 0 = -inf, weight 1
+        log_tilt = np.log(2.0 * mix) - tilt_const
+    return (coef, offset, lam[others] / lam[:, None], u / lam,
+            _INV_SQRT2 / (bg * cond_sd), log_tilt, 2.0 * (1.0 - mix))

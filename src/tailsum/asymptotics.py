@@ -32,7 +32,7 @@ from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidParams
 from .model import ModelSpec, coordinate_tail, marginal_log_pdf, marginal_log_tail
-from .numerics import (_LOG_SQRT_2PI, _margin_violations, _sigma_violations,
+from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_violations,
                        check_threshold, gamma_function, is_integer_at_least,
                        is_real, lognormal_log_pdf)
 from .radial import RadialLaw, ScalingBundle
@@ -186,11 +186,9 @@ def lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float
 
 def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float:
     check_threshold(u)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    lam, beta, problems = _margin_inputs(None, lam, beta, gamma)
     sigma = np.asarray(sigma, dtype=float)
-    problems = (_margin_violations(len(lam), lam, beta, gamma)
-                + _sigma_violations(sigma, len(lam)))
+    problems += _sigma_violations(sigma, len(lam))
     if problems:
         raise InvalidParams("; ".join(problems))
     bg = beta * gamma

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidParams, NotPositiveDefinite, WrongRadialLaw
-from .numerics import (CorrelationMatrix, _margin_violations, _sigma_violations,
+from .numerics import (CorrelationMatrix, _margin_inputs, _sigma_violations,
                        adaptive_quad, check_draws, check_threshold, equicorrelation,
                        gamma_function, is_integer_at_least, lognormal_log_pdf,
                        std_normal_log_tail, std_normal_tail)
@@ -53,10 +53,9 @@ class ModelSpec:
     def __post_init__(self):
         if not is_integer_at_least(self.d, 1):
             raise InvalidParams(f"dimension must be an integer >= 1, got {self.d!r}")
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        problems = (_margin_violations(self.d, lam, beta, self.gamma)
-                    + _sigma_violations(self.sigma.entries, self.d))
+        lam, beta, problems = _margin_inputs(self.d, self.lam, self.beta,
+                                             self.gamma)
+        problems += _sigma_violations(self.sigma.entries, self.d)
         if problems:
             raise InvalidParams("; ".join(problems))
         perm = np.lexsort((-lam, -beta))  # decreasing beta, then decreasing lam
@@ -104,10 +103,8 @@ def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
     """
     if not is_integer_at_least(d, 1):
         return [f"dimension must be an integer >= 1, got {d!r}"]
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
     m = np.asarray(sigma, dtype=float)
-    violations = _margin_violations(d, lam, beta, gamma) + _sigma_violations(m, d)
+    violations = _margin_inputs(d, lam, beta, gamma)[2] + _sigma_violations(m, d)
     if not violations:
         try:
             CorrelationMatrix(m)

@@ -204,13 +204,10 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
 class _ConditionalPlan:
     """Per-margin constants of the conditional estimator at one (spec, u)."""
 
-    others: np.ndarray      # (d, d-1) indices of the other margins
-    factor: np.ndarray      # (d, d-1, d) chol(Sigma_-j) in columns others[j]
-    alpha: np.ndarray       # (d, d-1) conditional-mean coefficients
-    cond_sd: np.ndarray     # (d,)
     shift: np.ndarray       # (d, d-1) importance mean shifts
     tilt_vec: np.ndarray    # (d, d-1) Sigma_{-j}^{-1} shift_j
     tilt_const: np.ndarray  # (d,) 0.5 * shift_j' Sigma_{-j}^{-1} shift_j
+    kernel_args: tuple      # _kernels.conditional_chunk's arguments after out
 
 
 def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
@@ -247,9 +244,11 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
                               0.5 * float(m @ tv))
         (factor[j][:, oth], alpha[j], cond_sd[j], shift[j], tilt_vec[j],
          tilt_const[j]) = constants[key]
-    return _ConditionalPlan(others=others, factor=factor, alpha=alpha,
-                            cond_sd=cond_sd, shift=shift, tilt_vec=tilt_vec,
-                            tilt_const=tilt_const)
+    return _ConditionalPlan(
+        shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const,
+        kernel_args=_kernels.conditional_coefficients(
+            u, spec.lam, spec.beta * spec.gamma, others, factor, alpha,
+            cond_sd, shift, tilt_vec, tilt_const, _MIX))
 
 
 def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
@@ -493,7 +492,6 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
                           estimator=ESTIMATOR_CONDITIONAL, seed=seed,
                           elapsed=time.perf_counter() - start)
     plan = _conditional_plan(spec, u)
-    bg = spec.beta * spec.gamma
     d = spec.d
     block, blocks = _block_layout(n)
     base = _sobol_base(d)[:, :block]
@@ -509,10 +507,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             e = _lattice_ndtri(base, h, k, tables)
             shifted = _shifted_halves(block, rng.integers(0, 2, size=d))
             w = np.empty(block)
-            _kernels.conditional_chunk(e, shifted, w, u, spec.lam, bg,
-                                       plan.others, plan.factor, plan.alpha,
-                                       plan.cond_sd, plan.shift, plan.tilt_vec,
-                                       plan.tilt_const, _MIX)
+            _kernels.conditional_chunk(e, shifted, w, *plan.kernel_args)
             means.append(float(np.mean(w)))
         return means
 

@@ -33,7 +33,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def check_threshold(u: float, lower: float = 0.0) -> None:
-    """Raise DomainError unless the threshold u is finite and above ``lower``."""
+    """Raise DomainError unless the threshold u is a real number by
+    ``is_real`` (not a string or a bool), finite and above ``lower``."""
+    if not is_real(u):
+        raise DomainError(f"threshold u must be a real number, got {u!r}")
     if not (math.isfinite(u) and u > lower):
         bound = "positive" if lower == 0.0 else f"> {lower:g}"
         raise DomainError(f"threshold u must be finite and {bound}, got {u}")
@@ -65,24 +68,39 @@ def check_draws(n, seed, least: int = 1) -> tuple[int, int]:
 _SIGMA_TOL = 1e-12
 
 
-def _margin_violations(d: int, lam: np.ndarray, beta: np.ndarray,
-                       gamma: float) -> list[str]:
-    """Broken invariants of lam, beta and gamma: ModelSpec and
-    ScalingBundle raise with them, the model validators report them."""
+def _margin_inputs(d: int | None, lam, beta,
+                   gamma) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """lam and beta as 1-D float arrays, and the broken invariants of lam,
+    beta and gamma: ModelSpec, ScalingBundle and the pair correction raise
+    with them, ``validate_inputs`` reports them.  ``d`` is the number of
+    margins, None for the length of lam.  Every entry of lam and beta, and
+    gamma, must be real by ``is_real`` before it is converted, so a string
+    such as "1" is rejected, not parsed; a lam or beta with such an entry
+    comes back as an object array."""
     violations: list[str] = []
-    for name, what, arr in (("lam", "scale factors", lam),
-                            ("beta", "exponents", beta)):
-        if arr.shape != (d,):
-            violations.append(f"{name} must have length d={d}, got {arr.shape}")
-        elif not np.all(np.isfinite(arr)):
-            violations.append(f"{what} {name} must be finite")
-        elif np.any(arr <= 0):
-            violations.append(f"{what} {name} must be positive")
-    if not math.isfinite(gamma):
+    arrays = []
+    for name, what, value in (("lam", "scale factors", lam),
+                              ("beta", "exponents", beta)):
+        arr = np.atleast_1d(np.asarray(value, dtype=object))
+        d = len(arr) if d is None else d
+        if all(is_real(item) for item in arr.flat):
+            arr = arr.astype(float)
+            if arr.shape != (d,):
+                violations.append(f"{name} must have length d={d}, got {arr.shape}")
+            elif not np.all(np.isfinite(arr)):
+                violations.append(f"{what} {name} must be finite")
+            elif np.any(arr <= 0):
+                violations.append(f"{what} {name} must be positive")
+        else:
+            violations.append(f"{what} {name} must be real numbers, got {value!r}")
+        arrays.append(arr)
+    if not is_real(gamma):
+        violations.append(f"gamma must be a real number, got {gamma!r}")
+    elif not math.isfinite(gamma):
         violations.append(f"gamma must be finite, got {gamma}")
     elif gamma <= 0:
         violations.append(f"gamma must be positive, got {gamma}")
-    return violations
+    return arrays[0], arrays[1], violations
 
 
 def _sigma_violations(m: np.ndarray, d: int | None = None) -> list[str]:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import (_margin_violations, check_threshold, is_real,
+from .numerics import (_margin_inputs, check_threshold, is_real,
                        lognormal_log_pdf, std_normal_log_tail)
 
 __all__ = [
@@ -242,9 +242,8 @@ class ScalingBundle:
     gamma: float
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float)).copy()
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float)).copy()
-        problems = _margin_violations(len(lam), lam, beta, self.gamma)
+        lam, beta, problems = _margin_inputs(None, self.lam, self.beta,
+                                             self.gamma)
         if problems:
             raise InvalidParams("; ".join(problems))
         lam.setflags(write=False)

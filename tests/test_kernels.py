@@ -65,12 +65,12 @@ def run_conditional(inputs):
     factor = np.zeros((d, d - 1, d))
     for j in range(d):
         factor[j][:, inputs["others"][j]] = inputs["sub_chol"][j]
+    args = _kernels.conditional_coefficients(
+        inputs["u"], inputs["lam"], inputs["bg"], inputs["others"], factor,
+        inputs["alpha"], inputs["cond_sd"], inputs["shift"],
+        inputs["tilt_vec"], inputs["tilt_const"], inputs["mix"])
     out = np.empty(m)
-    _kernels.conditional_chunk(inputs["e"], shifted, out, inputs["u"],
-                               inputs["lam"], inputs["bg"], inputs["others"],
-                               factor, inputs["alpha"], inputs["cond_sd"],
-                               inputs["shift"], inputs["tilt_vec"],
-                               inputs["tilt_const"], inputs["mix"])
+    _kernels.conditional_chunk(inputs["e"], shifted, out, *args)
     return out
 
 
@@ -171,6 +171,28 @@ class TestConditionalChunk:
     def test_matches_loop_reference(self, d, mix, heterogeneous):
         inputs = make_conditional_inputs(m=300, d=d, u=12.0, mix=mix,
                                          seed=d, heterogeneous=heterogeneous)
+        expected = loop_reference(inputs)
+        assert expected.min() > 0.0
+        np.testing.assert_allclose(run_conditional(inputs), expected,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_scales_spanning_six_decades(self):
+        # the kernel divides by no lam_j: x_k carries lam_k / lam_j and the
+        # gap u / lam_j, folded in conditional_coefficients
+        inputs = make_conditional_inputs(m=300, d=5, u=1e3, seed=17,
+                                         heterogeneous=True)
+        inputs["lam"] = np.array([1e-1, 1e3, 1e-3, 10.0, 1.0])
+        expected = loop_reference(inputs)
+        assert expected.min() > 0.0
+        np.testing.assert_allclose(run_conditional(inputs), expected,
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_all_weight_on_the_shifted_component(self, d):
+        # mix 1: the nominal term 2 (1 - mix) of the weight's denominator
+        # is 0 and the weight is e^-(q - tilt_const)
+        inputs = make_conditional_inputs(m=300, d=d, u=12.0, mix=1.0, seed=d,
+                                         heterogeneous=True)
         expected = loop_reference(inputs)
         assert expected.min() > 0.0
         np.testing.assert_allclose(run_conditional(inputs), expected,

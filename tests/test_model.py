@@ -9,12 +9,13 @@ import pytest
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      ModelSpec, NotPositiveDefinite, WrongRadialLaw, approximate,
-                     conditional_max_mc, equicorrelation, lognormal_correction,
+                     conditional_max_mc, crude_mc, equicorrelation, lognormal_correction,
                      make_radial, marginal_pdf, marginal_tail, probe_mda_limit,
                      sample, std_normal_tail, validate_inputs)
 from tailsum.cli import ConfigError, RunConfig
 from tailsum.model import (_chunk_rng, _draw_chunk, coordinate_tail,
                            marginal_log_pdf, marginal_log_tail)
+from tailsum.radial import ScalingBundle
 from test_montecarlo import BAD_RUNS
 
 mp.mp.dps = 40
@@ -146,6 +147,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             config.build_model()
 
+    @pytest.mark.parametrize("value", ["1", True, None])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_non_real_parameter_rejected(self, name, value):
+        # checked before the float conversion, which would parse "1" and
+        # take True as 1.0
+        params = {"lam": [1.0, 1.0], "beta": [1.0, 1.0], "gamma": 1.0}
+        params[name] = value if name == "gamma" else [1.0, value]
+        message = f"{name} must be (a )?real number"
+        with pytest.raises(InvalidParams, match=message):
+            ModelSpec(d=2, sigma=equicorrelation(2, 0.0),
+                      radial=make_radial("ChiOfDim", 2), **params)
+        violations = validate_inputs(2, params["lam"], params["beta"],
+                                     params["gamma"], np.eye(2))
+        assert len(violations) == 1 and re.search(message, violations[0])
+        with pytest.raises(InvalidParams, match=message):
+            ScalingBundle(make_radial("ChiOfDim", 2), **params)
+
+    def test_array_of_strings_rejected(self):
+        with pytest.raises(InvalidParams, match="lam must be real numbers"):
+            ModelSpec(d=2, lam=["1", "1"], beta=[1.0, 1.0], gamma=1.0,
+                      sigma=equicorrelation(2, 0.0),
+                      radial=make_radial("ChiOfDim", 2))
+
     def test_beta_order_normalized(self):
         sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
         spec = spec_with([5.0, 7.0], [1.0, 2.0], sigma)
@@ -214,6 +238,19 @@ class TestMarginals:
     def test_non_finite_threshold_rejected(self, standard_spec, fn, u):
         with pytest.raises(DomainError, match="threshold u must be finite"):
             fn(standard_spec(0.0), 0, u)
+
+    @pytest.mark.parametrize("u", ["100", True, None])
+    @pytest.mark.parametrize("fn", [
+        lambda spec, u: marginal_tail(spec, 0, u),
+        lambda spec, u: approximate(spec, u),
+        lambda spec, u: conditional_max_mc(spec, u, 256, 1),
+        lambda spec, u: crude_mc(spec, u, 256, 1)],
+        ids=["marginal_tail", "approximate", "conditional_max_mc", "crude_mc"])
+    def test_non_real_threshold_rejected(self, standard_spec, fn, u):
+        # not parsed from a string, nor taken as 1.0 from True
+        with pytest.raises(DomainError,
+                           match=f"^threshold u must be a real number, got {re.escape(repr(u))}$"):
+            fn(standard_spec(0.5), u)
 
     def test_general_margin_parameters(self):
         sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
