@@ -19,7 +19,7 @@ whatever the block size.  Buffers as long as the block, on top of the
 sampler's block of draws, push a block's heap use past the level at
 which glibc's malloc hands memory back to the system, and every block
 then page-faults it in again (see ``model._draw_chunk``, whose product
-takes the same number of columns per pass).  At d = 5 one conditional
+reads _PASS for its columns per pass).  At d = 5 one conditional
 pass also fits in a 2 MB L2 cache, where a 65,536-draw block does not.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erfc
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Draws per pass of both kernels.
+# Draws per pass of both kernels, and columns per product of the sampler.
 _PASS = 1 << 14
 
 

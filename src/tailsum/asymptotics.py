@@ -32,7 +32,7 @@ from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidParams
 from .model import ModelSpec, coordinate_tail, marginal_log_pdf, marginal_log_tail
-from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_violations,
+from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs,
                        check_threshold, gamma_function, is_integer_at_least,
                        is_real, lognormal_log_pdf)
 from .radial import RadialLaw, ScalingBundle
@@ -187,8 +187,8 @@ def lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float
 def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float:
     check_threshold(u)
     lam, beta, problems = _margin_inputs(None, lam, beta, gamma)
-    sigma = np.asarray(sigma, dtype=float)
-    problems += _sigma_violations(sigma, len(lam))
+    sigma, sigma_problems = _sigma_inputs(sigma, len(lam))
+    problems += sigma_problems
     if problems:
         raise InvalidParams("; ".join(problems))
     bg = beta * gamma

@@ -26,23 +26,19 @@ import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
-import numpy as np
-
 from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, angular_reduction_check,
                           approximate)
 from .diagnostics import DiagnosticsRow, McOptions, build_table
-from .errors import (DomainError, InvalidParams, NoFiniteLimit,
-                     NotPositiveDefinite, QuadratureError, TailsumError,
-                     WrongRadialLaw)
-from .model import ModelSpec, marginal_log_tail, validate_inputs
+from .errors import (InvalidParams, NoFiniteLimit, NotPositiveDefinite,
+                     QuadratureError, TailsumError, WrongRadialLaw)
+from .model import ModelSpec, marginal_log_tail
 from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, get_estimator
-from .numerics import CorrelationMatrix, equicorrelation, is_real
+from .numerics import equicorrelation, is_real
 from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
                      probe_mda_limit, probe_o_regular_variation)
 
-_CONFIG_ERRORS = (InvalidParams, DomainError, NotPositiveDefinite,
-                  WrongRadialLaw, ValueError, KeyError, TypeError,
-                  json.JSONDecodeError)
+# InvalidParams, DomainError and json's decode error are ValueErrors
+_CONFIG_ERRORS = (ValueError, KeyError, TypeError, NotPositiveDefinite, WrongRadialLaw)
 _NUMERIC_ERRORS = (QuadratureError, NoFiniteLimit, FloatingPointError)
 
 BUNDLED = ("table1", "table2", "table3", "table4")
@@ -91,6 +87,12 @@ class RunConfig:
                 ("rho", None if self.rho is None else _config_real(self.rho, "model.rho")),
                 ("radial_params", tuple(radial))):
             object.__setattr__(self, name, value)
+        for what, value, allowed in (
+                ("variant", self.variant, (*_VARIANTS, "both")),
+                ("estimator", self.mc_estimator, tuple(_ESTIMATORS)),
+                ("output format", self.out_format, ("csv", "markdown"))):
+            if value not in allowed:
+                raise ConfigError(f"unknown {what} {value!r} (one of {', '.join(allowed)})")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -137,22 +139,17 @@ class RunConfig:
         }
 
     def build_model(self) -> ModelSpec:
-        """The model; the rho rule of ``equicorrelation`` when rho is set,
-        ConfigError listing every other broken invariant."""
-        sigma = (equicorrelation(self.d, self.rho).entries
-                 if self.rho is not None else np.asarray(self.sigma, dtype=float))
-        violations = validate_inputs(self.d, self.lam, self.beta, self.gamma,
-                                     sigma)
-        if violations:
-            raise ConfigError("invalid model config: " + "; ".join(violations))
-        radial = make_radial(self.radial_kind, *self.radial_params)
-        return ModelSpec(d=self.d, lam=list(self.lam), beta=list(self.beta),
-                         gamma=self.gamma, sigma=CorrelationMatrix(sigma),
-                         radial=radial)
+        """The model, with the ``equicorrelation`` matrix when rho is set;
+        ConfigError with every broken invariant that ModelSpec lists."""
+        try:
+            sigma = self.sigma if self.rho is None else equicorrelation(self.d, self.rho)
+            return ModelSpec(d=self.d, lam=self.lam, beta=self.beta, gamma=self.gamma,
+                             sigma=sigma, radial=make_radial(self.radial_kind,
+                                                             *self.radial_params))
+        except InvalidParams as exc:
+            raise ConfigError(f"invalid model config: {exc}") from exc
 
     def mc_options(self, workers: int | None = None) -> McOptions:
-        if self.mc_estimator not in _ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.mc_estimator!r}")
         return McOptions(estimator=_ESTIMATORS[self.mc_estimator], n=self.mc_n,
                          seed=self.mc_seed, workers=workers)
 
@@ -253,12 +250,11 @@ def cmd_table(cfg: RunConfig, args) -> int:
     if not cfg.u_list:
         raise ConfigError("u_list is empty; nothing to tabulate")
     if cfg.variant not in _VARIANTS:
-        raise ConfigError(f"table needs variant 'limit' or 'density', "
-                          f"got {cfg.variant!r}")
+        raise ConfigError(f"table needs variant 'limit' or 'density', got {cfg.variant!r}")
     mc_opts = None if args.no_mc else cfg.mc_options(args.workers)
     rows = build_table(spec, cfg.u_list, mc_opts, c=cfg.epsilon_c,
                        variant=_VARIANTS[cfg.variant])
-    writer = write_csv if cfg.out_format == "csv" else write_markdown
+    writer = {"csv": write_csv, "markdown": write_markdown}[cfg.out_format]
     if cfg.out_path:
         try:
             fh = open(cfg.out_path, "w", encoding="utf-8")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidParams, NotPositiveDefinite, WrongRadialLaw
-from .numerics import (CorrelationMatrix, _margin_inputs, _sigma_violations,
+from ._kernels import _PASS
+from .numerics import (CorrelationMatrix, _margin_inputs, _sigma_inputs,
                        adaptive_quad, check_draws, check_threshold, equicorrelation,
                        gamma_function, is_integer_at_least, lognormal_log_pdf,
                        std_normal_log_tail, std_normal_tail)
@@ -28,8 +29,6 @@ __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
 # Fixed chunk length for sample generation; part of the reproducibility
 # contract (results depend on it, never on the worker count).
 SAMPLE_CHUNK = 1 << 16
-# Columns per BLAS product in ``_draw_chunk``.
-_PRODUCT_COLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +39,7 @@ class ModelSpec:
     decreasing scale factor) so that margin 0 carries the largest
     exponent and, within that group, the largest scale factor.  The
     applied ``permutation`` maps stored index -> original index.
+    Bad input raises InvalidParams with the ``validate_inputs`` list.
     """
 
     d: int
@@ -51,18 +51,18 @@ class ModelSpec:
     permutation: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not is_integer_at_least(self.d, 1):
-            raise InvalidParams(f"dimension must be an integer >= 1, got {self.d!r}")
-        lam, beta, problems = _margin_inputs(self.d, self.lam, self.beta,
-                                             self.gamma)
-        problems += _sigma_violations(self.sigma.entries, self.d)
+        problems = validate_inputs(self.d, self.lam, self.beta, self.gamma,
+                                   self.sigma)
+        if not isinstance(self.radial, RadialLaw):
+            problems.append(f"radial must be a RadialLaw, got {self.radial!r}")
         if problems:
             raise InvalidParams("; ".join(problems))
+        lam, beta = _margin_inputs(self.d, self.lam, self.beta, self.gamma)[:2]
         perm = np.lexsort((-lam, -beta))  # decreasing beta, then decreasing lam
         lam, beta = lam[perm].copy(), beta[perm].copy()
         sigma = self.sigma
-        if not np.array_equal(perm, np.arange(self.d)):
-            sigma = CorrelationMatrix(self.sigma.entries[np.ix_(perm, perm)])
+        if not isinstance(sigma, CorrelationMatrix) or np.any(perm != np.arange(self.d)):
+            sigma = CorrelationMatrix(_sigma_inputs(sigma)[0][np.ix_(perm, perm)])
         lam.setflags(write=False)
         beta.setflags(write=False)
         perm.setflags(write=False)
@@ -99,13 +99,13 @@ def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
 
     Unlike the ModelSpec constructor this never raises; every broken
     invariant is reported as a string.  An empty list means a ModelSpec
-    can be built from the inputs.
+    can be built from the inputs; otherwise it raises with this list.
     """
     if not is_integer_at_least(d, 1):
         return [f"dimension must be an integer >= 1, got {d!r}"]
-    m = np.asarray(sigma, dtype=float)
-    violations = _margin_inputs(d, lam, beta, gamma)[2] + _sigma_violations(m, d)
-    if not violations:
+    m, sigma_violations = _sigma_inputs(sigma, d)
+    violations = _margin_inputs(d, lam, beta, gamma)[2] + sigma_violations
+    if not (violations or isinstance(sigma, CorrelationMatrix)):
         try:
             CorrelationMatrix(m)
         except NotPositiveDefinite:
@@ -181,15 +181,17 @@ def coordinate_tail(law: RadialLaw, d: int, w: float) -> float:
     integral runs by adaptive quadrature after the substitution
     t = sin(s), which removes the d = 2 endpoint singularity of h.
     h(t) = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * (1 - t^2)^((d-3)/2).
-    d follows the integer rule with d >= 2 and w must be finite
-    (DomainError).
+    d follows the integer rule with d >= 1 (at d = 1, T = +-1 and the
+    value is exact) and w must be finite (DomainError).
     """
-    if not (is_integer_at_least(d, 2) and math.isfinite(w)):
-        raise DomainError("coordinate_tail needs an integer d >= 2 and a finite "
+    if not (is_integer_at_least(d, 1) and math.isfinite(w)):
+        raise DomainError("coordinate_tail needs an integer d >= 1 and a finite "
                           f"w, got d={d!r}, w={w}")
     if w == 0.0:
         return 0.5
     below = w < 0.0
+    if d == 1:
+        return 1.0 - 0.5 * law.tail(-w) if below else 0.5 * law.tail(w)
     const = gamma_function(d / 2.0) / (math.sqrt(math.pi) * gamma_function((d - 1) / 2.0))
 
     def integrand(s: float) -> float:
@@ -262,8 +264,8 @@ def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
     Returns the (m, d) transposed view, so rows are draws and each
     margin is a contiguous column.
 
-    The product overwrites e, _PRODUCT_COLS columns at a time through a
-    small buffer, so a chunk holds one (d, m) block.  glibc's malloc
+    The product overwrites e, the kernels' _PASS columns at a time through
+    a small buffer, so a chunk holds one (d, m) block.  glibc's malloc
     returns freed heap memory to the operating system once it exceeds
     twice the largest block freed so far; with y as a second block a
     chunk crosses that line, and every chunk then page-faults its memory
@@ -273,9 +275,9 @@ def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
     gaussian = spec.is_gaussian_copula()
     if not gaussian:
         scale = spec.radial.sampler(rng, m) / np.sqrt(np.einsum("ij,ij->j", e, e))
-    buf = np.empty((spec.d, min(m, _PRODUCT_COLS)))
-    for start in range(0, m, _PRODUCT_COLS):
-        cols = e[:, start:start + _PRODUCT_COLS]
+    buf = np.empty((spec.d, min(m, _PASS)))
+    for start in range(0, m, _PASS):
+        cols = e[:, start:start + _PASS]
         out = buf[:, :cols.shape[1]]
         np.matmul(chol, cols, out=out)
         cols[...] = out

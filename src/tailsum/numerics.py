@@ -103,16 +103,24 @@ def _margin_inputs(d: int | None, lam, beta,
     return arrays[0], arrays[1], violations
 
 
-def _sigma_violations(m: np.ndarray, d: int | None = None) -> list[str]:
-    """Broken invariants of a correlation matrix short of positive
-    definiteness: CorrelationMatrix and ModelSpec raise with them,
-    ``validate_inputs`` reports them.  ``d`` fixes the size; None accepts
-    any square matrix."""
+def _sigma_inputs(sigma, d: int | None = None) -> tuple[np.ndarray, list[str]]:
+    """sigma, raw or a CorrelationMatrix, as a float array, and its broken
+    invariants short of positive definiteness; ``d`` fixes the size, None
+    any square one.  The shape, then ``is_real`` on every entry, are checked
+    before the conversion, so a sigma failing them comes back unconverted."""
+    sigma = sigma.entries if isinstance(sigma, CorrelationMatrix) else sigma
+    size = "square" if d is None else f"{d}x{d}"
+    try:
+        m = np.asarray(sigma, dtype=object)
+    except ValueError:  # arrays of uneven shape
+        return sigma, [f"sigma must be a {size} matrix, got {sigma!r}"]
     if m.ndim != 2 or m.shape[0] != m.shape[1] or d not in (None, m.shape[0]):
-        size = "square" if d is None else f"{d}x{d}"
-        return [f"sigma must be a {size} matrix, got shape {m.shape}"]
+        return m, [f"sigma must be a {size} matrix, got shape {m.shape}"]
+    if not all(is_real(item) for item in m.flat):
+        return m, [f"sigma entries must be real numbers, got {sigma!r}"]
+    m = m.astype(float)
     if not np.all(np.isfinite(m)):
-        return ["sigma entries must be finite"]
+        return m, ["sigma entries must be finite"]
     violations: list[str] = []
     if np.any(np.abs(m - m.T) > _SIGMA_TOL):
         violations.append("sigma must be symmetric")
@@ -120,7 +128,7 @@ def _sigma_violations(m: np.ndarray, d: int | None = None) -> list[str]:
         violations.append("sigma must have unit diagonal")
     if np.any(np.abs(m) > 1.0 + _SIGMA_TOL):
         violations.append("sigma entries must lie in [-1, 1]")
-    return violations
+    return m, violations
 
 
 def std_normal_tail(x: float) -> float:
@@ -191,17 +199,16 @@ def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
 class CorrelationMatrix:
     """A symmetric positive-definite matrix with unit diagonal.
 
-    Construction validates shape, finite entries, symmetry, the unit
-    diagonal, the [-1, 1] range, and positive definiteness (via a
-    Cholesky factorization, cached for reuse).
+    Construction validates shape, real and finite entries, symmetry, the
+    unit diagonal, the [-1, 1] range (``_sigma_inputs``, DomainError), and
+    positive definiteness (via a Cholesky factorization, cached for reuse).
     """
 
     entries: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        problems = _sigma_violations(m)
+        m, problems = _sigma_inputs(self.entries)
         if problems:
             raise DomainError("; ".join(problems))
         m = 0.5 * (m + m.T)

@@ -35,8 +35,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import (_margin_inputs, check_threshold, is_real,
-                       lognormal_log_pdf, std_normal_log_tail)
+from .numerics import (_margin_inputs, _sigma_inputs, check_threshold,
+                       is_real, lognormal_log_pdf, std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
@@ -244,6 +244,8 @@ class ScalingBundle:
     def __post_init__(self):
         lam, beta, problems = _margin_inputs(None, self.lam, self.beta,
                                              self.gamma)
+        if not isinstance(self.law, RadialLaw):
+            problems.append(f"law must be a RadialLaw, got {self.law!r}")
         if problems:
             raise InvalidParams("; ".join(problems))
         lam.setflags(write=False)
@@ -361,6 +363,9 @@ def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,
     check_threshold(u, 1.0)
     lu = math.log(u)
     d = len(bundle.lam)
+    sigma, problems = _sigma_inputs(sigma, d)
+    if problems:
+        raise InvalidParams("; ".join(problems))
     rows = []
     for j in range(d):
         for i in range(d):

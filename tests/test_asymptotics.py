@@ -221,10 +221,22 @@ class TestLognormalClosedForm:
         ([math.nan, 1.0], [[1.0, 0.5], [0.5, 1.0]], "lam must be finite"),
         ([1.0, 1.0], [[1.0, 1.5], [1.5, 1.0]], r"must lie in \[-1, 1\]"),
         ([1.0, 1.0], [[1.0, 0.5], [0.4, 1.0]], "sigma must be symmetric"),
+        ([1.0, 1.0], [["1", "0.5"], ["0.5", "1"]], "sigma entries must be real"),
     ])
     def test_raw_inputs_validated(self, lam, sigma, match):
         with pytest.raises(InvalidParams, match=match):
             lognormal_pair_correction(lam, [1.0, 1.0], 1.0, np.array(sigma), 10.0)
+
+    @pytest.mark.parametrize("sigma, match", [
+        ([["1", "0.5"], ["0.5", "1"]], "sigma entries must be real numbers"),
+        ([[True, 0.5], [0.5, True]], "sigma entries must be real numbers"),
+        ([[1.0, 0.5], [0.5]], r"sigma must be a 2x2 matrix, got shape \(2,\)"),
+    ], ids=["strings", "bools", "ragged"])
+    def test_raw_sigma_checked_before_conversion(self, sigma, match):
+        # strings used to be parsed (the value came out as 0.0259) and a
+        # ragged matrix raised numpy's ValueError
+        with pytest.raises(InvalidParams, match=match):
+            lognormal_pair_correction([1.0, 1.0], [1.0, 1.0], 1.0, sigma, 10.0)
 
     def test_wrong_radial_rejected(self):
         spec = ModelSpec.standard(2, 0.0, radial=make_radial("WeibullTail", 3.0))
@@ -378,6 +390,10 @@ class TestAngularReduction:
         # above the scale factor but below 1, where log u <= 0
         with pytest.raises(DomainError, match=r"finite and > 1, got 0\.8"):
             angular_reduction_check(law, 0.5, 1.0, 1.0, 2, 0.8)
+
+    def test_radial_must_be_a_radial_law(self):
+        with pytest.raises(InvalidParams, match="law must be a RadialLaw"):
+            angular_reduction_check("ChiOfDim", 1.0, 1.0, 1.0, 2, 10.0)
 
     @pytest.mark.parametrize("d", [2.5, 3.0, True, 1, "3"])
     def test_dimension_follows_integer_rule(self, d):

@@ -306,6 +306,31 @@ class TestMcCommand:
         assert out == ""
         assert "unknown estimator 'crud'" in err
 
+    @pytest.mark.parametrize("command, keys, value, message", [
+        ("table", ("output", "format"), "json",
+         "unknown output format 'json' (one of csv, markdown)"),
+        ("approx", ("variant",), "foo",
+         "unknown variant 'foo' (one of density, limit, both)"),
+        ("mc", ("model", "sigma"), [[1.0, 0.5], [0.5]],
+         "invalid model config: sigma must be a 2x2 matrix, got shape (2,)"),
+    ], ids=["format", "variant", "ragged_sigma"])
+    def test_bad_config_value_exits_1_naming_it(self, run_cli, tmp_path,
+                                                command, keys, value, message):
+        # a json format used to write markdown, a bad variant printed a
+        # KeyError's text and a ragged sigma numpy's "inhomogeneous shape"
+        raw = load_config("table3").to_dict()
+        if keys[0] == "model":
+            del raw["model"]["rho"]
+        section = raw[keys[0]] if len(keys) == 2 else raw
+        section[keys[-1]] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(command, "--config", str(path), "--u", "10",
+                                 *(["--no-mc"] if command == "table" else []))
+        assert code == 1
+        assert out == ""
+        assert err == f"invalid config: {message}\n"
+
     def test_crude_estimator_flag(self, run_cli):
         code, out, _ = run_cli("mc", "--config", "table3", "--u", "5",
                                "--n", "20000", "--seed", "3",

@@ -45,7 +45,27 @@ _SIGMAS = {
     "not_positive_definite_3x3": [[1.0, -0.6, -0.6], [-0.6, 1.0, -0.6],
                                   [-0.6, -0.6, 1.0]],
     "not_square": [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2]],
+    "string_entries": [["1", "x"], ["x", "1"]],
+    "string_numbers": [["1", "0.5"], ["0.5", "1"]],
 }
+
+# Inputs that np.array would reject or change, passed to the validators as
+# they are: (d, sigma, whether a model builds from it).  Of the _SIGMAS,
+# only the "valid" ones are known to build.
+_RAW_SIGMAS = {
+    "bool_diagonal": (2, [[True, 0.5], [0.5, True]], False),
+    "ragged": (2, [[1.0, 0.5], [0.5]], False),
+    "ragged_tuples": (2, ((1.0, 0.5), (0.5,)), False),
+    "arrays_of_uneven_shape": (2, [np.eye(2), np.eye(3)], False),
+    "entry_a_list": (2, [[1.0, [0.5]], [0.5, 1.0]], False),
+    "scalar": (1, 1.0, False),
+    "wrong_size_matrix": (3, equicorrelation(2, 0.5), False),
+    "correlation_matrix": (2, equicorrelation(2, 0.5), True),
+    "identity_array": (2, np.eye(2), True),
+    "integer_list": (2, [[1, 0], [0, 1]], True),
+}
+_ALL_SIGMAS = {**{case: (len(m), m, True if case.startswith("valid") else None)
+                  for case, m in _SIGMAS.items()}, **_RAW_SIGMAS}
 
 
 class TestValidation:
@@ -116,6 +136,62 @@ class TestValidation:
         assert (violations == []) == built, violations
         if case.startswith("valid"):
             assert built
+
+    @pytest.mark.parametrize("case", sorted(_ALL_SIGMAS))
+    def test_constructor_raises_the_validate_inputs_list(self, case):
+        # one sequence of checks: the model builds exactly when the list is
+        # empty, and otherwise InvalidParams carries the list, never a
+        # ValueError, TypeError or AttributeError of a conversion
+        d, sigma, valid = _ALL_SIGMAS[case]
+        violations = validate_inputs(d, [1.0] * d, [1.0] * d, 1.0, sigma)
+        if valid is not None:
+            assert (violations == []) == valid, violations
+        build = lambda: ModelSpec(d=d, lam=[1.0] * d, beta=[1.0] * d, gamma=1.0,
+                                  sigma=sigma, radial=make_radial("ChiOfDim", d))
+        if violations:
+            with pytest.raises(InvalidParams) as info:
+                build()
+            assert str(info.value) == "; ".join(violations)
+        else:
+            assert build().sigma.entries.shape == (d, d)
+
+    @pytest.mark.parametrize("case", sorted(c for c, v in _RAW_SIGMAS.items()
+                                            if not v[2] and v[0] == 2))
+    def test_correlation_matrix_rejects_raw_input(self, case):
+        # no float conversion first: strings, bools and ragged rows are
+        # named by a DomainError, not parsed or raised as numpy's ValueError
+        with pytest.raises(DomainError, match="^sigma "):
+            CorrelationMatrix(_RAW_SIGMAS[case][1])
+
+    def test_correlation_matrix_given_is_kept(self):
+        sigma = equicorrelation(2, 0.5)
+        spec = ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                         sigma=sigma, radial=make_radial("ChiOfDim", 2))
+        assert spec.sigma is sigma
+
+    @pytest.mark.parametrize("lam, beta", [([1.0, 1.0], [1.0, 1.0]),
+                                           ([0.5, 2.0], [1.0, 1.5])])
+    def test_raw_matrix_gives_the_same_estimates(self, lam, beta):
+        # a raw list and the CorrelationMatrix built from it give the same
+        # entries, Cholesky factor and estimates, bit for bit, permuted or not
+        raw = [[1.0, 0.3], [0.3, 1.0]]
+        specs = [ModelSpec(d=2, lam=lam, beta=beta, gamma=1.0, sigma=sigma,
+                           radial=make_radial("ChiOfDim", 2))
+                 for sigma in (raw, CorrelationMatrix(np.array(raw)))]
+        a, b = specs
+        assert np.array_equal(a.sigma.entries, b.sigma.entries)
+        assert np.array_equal(a.sigma.cholesky(), b.sigma.cholesky())
+        for run in (conditional_max_mc, crude_mc):
+            ea, eb = (run(spec, 20.0, 70000, 3) for spec in specs)
+            assert (ea.value, ea.stderr) == (eb.value, eb.stderr)
+
+    def test_radial_must_be_a_radial_law(self):
+        with pytest.raises(InvalidParams,
+                           match="^radial must be a RadialLaw, got 'ChiOfDim'$"):
+            ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                      sigma=equicorrelation(2, 0.0), radial="ChiOfDim")
+        with pytest.raises(InvalidParams, match="radial must be a RadialLaw"):
+            ModelSpec.standard(2, 0.0, radial="ChiOfDim")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_sigma_named(self, value):
@@ -205,6 +281,16 @@ class TestMarginals:
         spec = standard_spec(0.0)
         expected = float(mp.erfc(mp.log(10) / mp.sqrt(2)) / 2)
         assert marginal_tail(spec, 0, 10.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_one_margin_off_the_gaussian_copula(self):
+        # d = 1: T = +-1, so P(X > u) = tail_R(log u)/2 exactly; WeibullTail(2)
+        # has tail exp(-r^2), and crude MC agrees
+        spec = ModelSpec(d=1, lam=[1.0], beta=[1.0], gamma=1.0, sigma=[[1.0]],
+                         radial=make_radial("WeibullTail", 2.0))
+        exact = float(mp.exp(-mp.log(5) ** 2) / 2)
+        assert marginal_tail(spec, 0, 5.0) == pytest.approx(exact, rel=1e-14)
+        est = crude_mc(spec, 5.0, 200_000, 1)
+        assert abs(est.value - exact) < 4 * est.stderr
 
     def test_median_at_scale_factor(self):
         sigma = np.array([[1.0, 0.3], [0.3, 1.0]])

@@ -155,12 +155,24 @@ class TestSphereMarginalDensity:
         assert coordinate_tail(self.EXPONENTIAL, 4, 0.3) == pytest.approx(
             expected, rel=1e-10)
 
+    def test_d1_is_exact(self):
+        # T = +-1, each with probability 1/2: P(R T > w) = P(R > w)/2 for
+        # w > 0, 1 - P(R > |w|)/2 for w < 0 and 1/2 at 0
+        law = self.EXPONENTIAL
+        assert coordinate_tail(law, 1, 0.3) == pytest.approx(
+            float(mp.exp(-0.3) / 2), rel=1e-15)
+        assert coordinate_tail(law, 1, -0.77) == pytest.approx(
+            float(1 - mp.exp(-0.77) / 2), rel=1e-15)
+        assert coordinate_tail(law, 1, 0.0) == 0.5
+        with pytest.raises(DomainError, match="needs an integer d >= 1"):
+            coordinate_tail(law, 0, 0.5)
+
     def test_domain(self):
-        for d, w in [(1, 0.5), (2.5, 0.5), (True, 0.5), (3, math.nan), (3, math.inf)]:
+        for d, w in [(2.5, 0.5), (True, 0.5), (3, math.nan), (3, math.inf)]:
             with pytest.raises(DomainError, match="coordinate_tail needs"):
                 coordinate_tail(self.EXPONENTIAL, d, w)
 
-    @pytest.mark.parametrize("d", range(2, 11))
+    @pytest.mark.parametrize("d", range(1, 11))
     def test_normalization(self, d):
         # R = chi_d makes R T a standard normal coordinate
         law = make_radial("ChiOfDim", d)

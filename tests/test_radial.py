@@ -206,6 +206,12 @@ class TestScalingBundle:
         return ScalingBundle(law=law or make_radial("ChiOfDim", 2),
                              lam=list(lam), beta=list(beta), gamma=gamma)
 
+    @pytest.mark.parametrize("law", ["ChiOfDim", None, 2.0])
+    def test_law_must_be_a_radial_law(self, law):
+        # it used to build, and fail later with an AttributeError
+        with pytest.raises(InvalidParams, match="^law must be a RadialLaw, got "):
+            ScalingBundle(law=law, lam=[1.0], beta=[1.0], gamma=1.0)
+
     def test_standard_margin_scale(self):
         b = self.bundle()
         assert b.margin_scale(0, 10.0) == pytest.approx(10.0 / math.log(10.0), rel=1e-14)
@@ -332,6 +338,20 @@ class TestConditionProbe:
     def test_non_finite_threshold_rejected(self, u):
         with pytest.raises(DomainError, match="threshold u must be finite"):
             probe_condition_rho(np.eye(2), self.bundle(), u)
+
+    @pytest.mark.parametrize("sigma, match", [
+        ([["1", "0.5"], ["0.5", "1"]], "sigma entries must be real numbers"),
+        ([[1.0, 0.5], [0.5]], "sigma must be a 2x2 matrix"),
+        (np.eye(3), "sigma must be a 2x2 matrix"),
+    ], ids=["strings", "ragged", "wrong_size"])
+    def test_sigma_checked_before_it_is_read(self, sigma, match):
+        with pytest.raises(InvalidParams, match=match):
+            probe_condition_rho(sigma, self.bundle(), 100.0)
+
+    def test_correlation_matrix_accepted(self):
+        rows = probe_condition_rho(equicorrelation(2, 0.5), self.bundle(), 100.0)
+        assert rows == probe_condition_rho(np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                           self.bundle(), 100.0)
 
     def test_high_correlation_fails_at_100(self):
         sigma = np.array([[1.0, 0.99], [0.99, 1.0]])
