@@ -11,7 +11,9 @@ conditional mean and the log likelihood ratio) in one BLAS product of a
 every per-margin constant folded in, are built once per estimate by
 ``conditional_coefficients``.  What is left per value is one exp per
 other margin, one log, one erfc and one exp of the weight; the erfc is
-about half the kernel's time at d = 5.
+about half the kernel's time at d = 5.  The conditional kernel owns the
+defensive mixture's one shape: from a bit per margin it picks the
+shifted half of the block, and it weights both halves 1/2.
 
 Both take _PASS = 2^14 draws (rows of ``crude_chunk``'s y, columns of
 ``conditional_chunk``'s e) per pass, so their buffers are one pass wide
@@ -53,23 +55,27 @@ def crude_chunk(y, u, lam, bg) -> int:
     return hits
 
 
-def conditional_chunk(e, shifted, out, coef, offset, lam_ratio, u_ratio,
-                      z_scale, log_tilt, floor):
+def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
+                      z_scale, log_tilt):
     """Per-draw integrand of the conditional largest-claim estimator.
 
     Each draw is a column of the (d, m) independent standard normals
     ``e``.  For each draw the kernel sums, over margins j, the importance
     weight times the conditional probability that margin j exceeds both
     the remaining gap to u and the largest other margin, and writes the
-    sums into ``out``.  Margin j's other margins are shifted on the draws
-    ``shifted[j]`` (a slice: the defensive mixture's shifted component)
-    and nominal on the rest.  The remaining arguments come from
+    sums into ``out``.  Margin j's other margins are shifted (the
+    defensive mixture's shifted component, weight 1/2) on the first
+    (m + 1) // 2 columns where ``bits[j]`` is 0, on the rest where it is
+    1, and nominal on the other half; a one-column block is its first
+    half.  Each half of the first 2^b Sobol points is a net (the second
+    is the first XOR one direction number), so under the block's digital
+    shift every column is uniform.  The remaining arguments come from
     ``conditional_coefficients``.
 
     The draws are taken _PASS = 2^14 columns of e at a time (see the
-    module docstring), and each pass clips the slices ``shifted[j]`` to
-    its own columns; the integrand of a draw does not depend on the pass
-    it falls in.  Per pass and margin j, one product coef[j] @ e fills
+    module docstring), and each pass clips the halves to its own
+    columns; the integrand of a draw does not depend on the pass it
+    falls in.  Per pass and margin j, one product coef[j] @ e fills
     the d + 1 rows bg_k y_k (k the other margins), bg_j mu_j (mu_j the
     conditional mean of log-margin j) and q (the log likelihood ratio),
     and one add puts offset[j] on the shifted columns.  Then, with
@@ -78,14 +84,14 @@ def conditional_chunk(e, shifted, out, coef, offset, lam_ratio, u_ratio,
         z = (log(max(u - S_j, M_j) / lam_j) - bg_j mu_j) / (bg_j sd_j),
 
     with S_j and M_j the sum and maximum of the x_k, and the term is
-    erfc(z / sqrt(2)) / (e^(q + log_tilt_j) + floor), the conditional
-    probability times the mixture weight 1 / (mix e^(q - tilt_const_j)
-    + 1 - mix).  An overflowing e^q gives weight 0, the limit of the
-    exact value; the weight is exactly 1 at mix 0 and at a zero shift,
-    where q = 0.
+    erfc(z / sqrt(2)) / (e^(q + log_tilt_j) + 1), the conditional
+    probability times the mixture weight 2 / (e^(q - tilt_const_j) + 1).
+    An overflowing e^q gives weight 0, the limit of the exact value; the
+    weight is at most 2, and exactly 1 at a zero shift, where q = 0.
     """
     d, m = e.shape
-    bounds = [rows.indices(m)[:2] for rows in shifted]
+    mid = (m + 1) // 2
+    bounds = [(mid, m) if bit else (0, mid) for bit in bits.tolist()]
     scratch = np.empty((d + 2, min(m, _PASS)))
     for c0 in range(0, m, _PASS):
         c1 = min(c0 + _PASS, m)
@@ -114,13 +120,13 @@ def conditional_chunk(e, shifted, out, coef, offset, lam_ratio, u_ratio,
             q += log_tilt[j]
             with np.errstate(over="ignore"):
                 np.exp(q, out=q)
-            q += floor
+            q += 1.0
             t /= q
             ow += t
 
 
 def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
-                             tilt_vec, tilt_const, mix):
+                             tilt_vec, tilt_const):
     """``conditional_chunk``'s arguments after ``out``, folded from the
     per-margin constants of the conditional law.
 
@@ -131,8 +137,8 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     coefficients and the standard deviation of log-margin j given y_-j,
     ``shift[j]`` the mean shift of the mixture's shifted component,
     ``tilt_vec[j]`` = Sigma_-j^-1 shift_j and ``tilt_const[j]`` =
-    shift_j' tilt_vec[j] / 2; ``mix`` is the shifted component's weight.
-    Returns (coef, offset, lam_ratio, u_ratio, z_scale, log_tilt, floor):
+    shift_j' tilt_vec[j] / 2.
+    Returns (coef, offset, lam_ratio, u_ratio, z_scale, log_tilt):
 
     * coef (d, d + 1, d): rows 0..d-2 of coef[j] are bg_k times the rows
       of factor[j] (k = others[j]), row d-1 is bg_j alpha_j' factor[j]
@@ -144,8 +150,8 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     * lam_ratio (d, d - 1) = lam_k / lam_j and u_ratio (d,) = u / lam_j;
     * z_scale (d,) = 1 / (bg_j cond_sd_j sqrt(2)), the erfc argument's
       scale;
-    * log_tilt (d,) = log(2 mix) - tilt_const_j and floor = 2 (1 - mix),
-      so the weight times erfc / 2 is erfc / (e^(q + log_tilt) + floor).
+    * log_tilt (d,) = -tilt_const_j, so the weight times erfc / 2 is
+      erfc / (e^(q + log_tilt) + 1).
     """
     d = len(lam)
     coef = np.empty((d, d + 1, d))
@@ -156,7 +162,5 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     offset[:, :d - 1] = bg[others] * shift
     offset[:, d - 1] = bg * np.einsum("ja,ja->j", alpha, shift)
     offset[:, d] = np.einsum("ja,ja->j", tilt_vec, shift)
-    with np.errstate(divide="ignore"):  # mix 0: log 0 = -inf, weight 1
-        log_tilt = np.log(2.0 * mix) - tilt_const
     return (coef, offset, lam[others] / lam[:, None], u / lam,
-            _INV_SQRT2 / (bg * cond_sd), log_tilt, 2.0 * (1.0 - mix))
+            _INV_SQRT2 / (bg * cond_sd), -tilt_const)

@@ -96,10 +96,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        model = dict(raw.get("model", {}))
-        mc = dict(raw.get("mc", {}))
-        output = dict(raw.get("output", {}))
-        radial = dict(model.get("radial", {}))
+        """The config of a parsed JSON document; ConfigError unless the
+        document and each of its sections is a JSON object."""
+        raw = _json_object(raw, "config")
+        model, mc, output = (_json_object(raw.get(key, {}), key)
+                             for key in ("model", "mc", "output"))
+        radial = _json_object(model.get("radial", {}), "model.radial")
         return cls(
             d=_config_int(model.get("d", 2), "model.d"),
             lam=tuple(model.get("lambda", ())),
@@ -154,6 +156,13 @@ class RunConfig:
                          seed=self.mc_seed, workers=workers)
 
 
+def _json_object(value, name: str) -> dict:
+    """value, if a JSON object; else ConfigError naming it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _config_int(value, key: str) -> int:
     """An integer entry; integral floats count (JSON may write 1e6),
     bools do not."""
@@ -165,7 +174,8 @@ def _config_int(value, key: str) -> int:
 
 
 def _config_real(value, key: str) -> float:
-    """A real-number entry by ``numerics.is_real``: not a string or a bool."""
+    """A real-number entry by ``numerics.is_real``: not a string or a bool,
+    nor an integer past the float range."""
     if not is_real(value):
         raise ConfigError(f"{key} must be a real number, got {value!r}")
     return float(value)
@@ -286,10 +296,8 @@ def cmd_approx(cfg: RunConfig, args) -> int:
                 if i != j and apx.pair_terms[j, i] > 0:
                     print(f"pair ({j + 1},{i + 1})     "
                           f"{full_precision(apx.pair_terms[j, i])}")
-        log10c = (apx.log_correction / math.log(10)
-                  if apx.correction > 0 else float("-inf"))
         print(f"correction     {full_precision(apx.correction)}"
-              f"   (log10 {log10c:.6f})")
+              f"   (log10 {apx.log_correction / math.log(10):.6f})")
         print(f"second_order   {full_precision(apx.second_order)}"
               f"   (log10 {apx.log_second_order / math.log(10):.6f})")
     return 0

@@ -58,10 +58,11 @@ def epsilon_measure(spec: ModelSpec, i: int, j: int, u: float,
         rho_ij + c sqrt(1-rho_ij^2) sqrt(1/theta^2 - 1)
             = (beta_j/beta_i) log(epsilon * margin_scale_i(u)) / log(u)
 
-    and is returned together with exp(epsilon).  The constant c is the
-    caller's choice; no single value reproduces the published epsilon
-    columns (the one used there is not recoverable), but must be a finite
-    real number.
+    and is returned together with exp(epsilon).  Either is inf where it
+    overflows (exp(epsilon) from epsilon > 709.78: on table1 from c = 10
+    at u = 1e3).  The constant c is the caller's choice; no single value
+    reproduces the published epsilon columns (the one used there is not
+    recoverable), but must be a finite real number.
     """
     check_margin(spec, i)
     check_margin(spec, j)
@@ -76,8 +77,20 @@ def epsilon_measure(spec: ModelSpec, i: int, j: int, u: float,
     theta = lu / math.log(u + bundle.exp_scale(u))
     slack = math.sqrt(1.0 / (theta * theta) - 1.0)
     lhs = rho + c * math.sqrt(1.0 - rho * rho) * slack
-    eps = math.exp((spec.beta[i] / spec.beta[j]) * lu * lhs) / bundle.margin_scale(i, u)
-    return EpsilonMeasure(epsilon=eps, exp_epsilon=math.exp(eps))
+    log_num = (spec.beta[i] / spec.beta[j]) * lu * lhs
+    scale = bundle.margin_scale(i, u)
+    try:
+        eps = math.exp(log_num) / scale
+    except OverflowError:  # the quotient may still be finite
+        eps = _exp_or_inf(log_num - math.log(scale))
+    return EpsilonMeasure(epsilon=eps, exp_epsilon=_exp_or_inf(eps))
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ Two estimators:
   digital shift.  The mixture is stratified: in each block every margin
   draws from the shifted component on one half of the points (in Sobol
   order, the half picked by a fair bit per margin and block) and from
-  the nominal law on the other.  Each half is itself a shifted net, so a
+  the nominal law on the other.  The estimator draws the bits; the
+  kernel (``_kernels.conditional_chunk``) owns the halves and the
+  weight 1/2.  Each half is itself a shifted net, so a
   block mean is far more precise than the mean of as many independent
   draws; the blocks are independent and unbiased, so the estimate is
   their mean and the standard error is their sample standard deviation
@@ -79,11 +81,6 @@ __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
 
 ESTIMATOR_CRUDE = "crude"
 ESTIMATOR_CONDITIONAL = "conditional_max"
-
-# Defensive-mixture weight of the mean-shifted component, which
-# ``_shifted_halves`` gives half of each block.  Bounds the likelihood
-# ratio by 1/(1-mix): a misplaced shift at most doubles the second moment.
-_MIX = 0.5
 
 # A randomised block holds at most 2^_SOBOL_BITS Sobol points (=
 # SAMPLE_CHUNK, so a chunk holds whole blocks); an estimate has at least
@@ -248,7 +245,7 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
         shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const,
         kernel_args=_kernels.conditional_coefficients(
             u, spec.lam, spec.beta * spec.gamma, others, factor, alpha,
-            cond_sd, shift, tilt_vec, tilt_const, _MIX))
+            cond_sd, shift, tilt_vec, tilt_const))
 
 
 def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
@@ -505,9 +502,9 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
             h = rng.integers(0, 1 << _SOBOL_BITS, size=(d, 1), dtype=np.uint16)
             k = rng.integers(0, 1 << 36, size=(d, 1))  # the digital shift
             e = _lattice_ndtri(base, h, k, tables)
-            shifted = _shifted_halves(block, rng.integers(0, 2, size=d))
+            bits = rng.integers(0, 2, size=d)
             w = np.empty(block)
-            _kernels.conditional_chunk(e, shifted, w, *plan.kernel_args)
+            _kernels.conditional_chunk(e, bits, w, *plan.kernel_args)
             means.append(float(np.mean(w)))
         return means
 
@@ -516,16 +513,6 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     return MCEstimate(value=_check_underflow(value, u), stderr=stderr,
                       n=blocks * block, estimator=ESTIMATOR_CONDITIONAL,
                       seed=seed, elapsed=time.perf_counter() - start)
-
-
-def _shifted_halves(block: int, bits: np.ndarray) -> list[slice]:
-    """Per margin, the rows of a block drawn from the shifted component:
-    the first half (in Sobol order) where its bit is 0, else the second;
-    a one-row block is its first half.  Each half of the first 2^b Sobol
-    points is a net (the second is the first XOR one direction number),
-    so under the block's digital shift every row is uniform."""
-    mid = (block + 1) // 2
-    return [slice(mid, block) if bit else slice(0, mid) for bit in bits.tolist()]
 
 
 def _check_underflow(value: float, u: float) -> float:

@@ -50,8 +50,16 @@ def is_integer_at_least(value, low: int) -> bool:
 
 
 def is_real(value) -> bool:
-    """A real number of any type (numpy's too), not a string or a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number of any type (numpy's too) that a float can hold, not
+    a string or a bool: an integer past the float range (10**400) is not
+    one, as float() would raise OverflowError on it."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_draws(n, seed, least: int = 1) -> tuple[int, int]:

@@ -260,7 +260,9 @@ class ScalingBundle:
         """Scaling of margin j at threshold u.
 
         beta_j*gamma * u * e(v) / v  with  v = (u/lam_j)^(1/(beta_j*gamma)),
-        where e is the exp(R) scaling.  Defined for v > 1, i.e. u > lam_j.
+        where e is the exp(R) scaling, so e(v) / v = b(log v) for the
+        radial scaling b.  Defined for v > 1, i.e. u > lam_j.  Formed from
+        log v, never v itself, so it stays finite where v overflows.
         """
         bg = self.beta[j] * self.gamma
         ratio = u / self.lam[j]
@@ -268,8 +270,7 @@ class ScalingBundle:
             raise DomainError(
                 f"margin_scale needs u > lam_j (margin {j}: u={u}, lam={self.lam[j]})"
             )
-        v = ratio ** (1.0 / bg)
-        return bg * u * self.exp_scale(v) / v
+        return bg * u * self.law.scaling(math.log(ratio) / bg)
 
     def margin_scale_limit(self, j: int) -> float:
         """Limit c_j = (gamma*beta_j)^2 * kappa of log(u) * margin_scale(j, u)/u,

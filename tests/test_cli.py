@@ -65,6 +65,23 @@ class TestConfig:
         spec = cfg.build_model()
         assert spec.sigma.entries[0, 1] == 0.25
 
+    @pytest.mark.parametrize("raw, name", [
+        ([1], "config"), ("table1", "config"), ({"model": [1]}, "model"),
+        ({"model": None}, "model"), ({"model": {"radial": "ChiOfDim"}}, "model.radial"),
+        ({"mc": 3}, "mc"), ({"output": "csv"}, "output")],
+        ids=["list", "string", "model-list", "model-null", "radial-string",
+             "mc-number", "output-string"])
+    def test_non_object_section_exits_1_naming_it(self, run_cli, tmp_path,
+                                                  raw, name):
+        # a list at the top used to escape as an AttributeError traceback,
+        # a string radial as an opaque dict() message
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("approx", "--config", str(path), "--u", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"invalid config: {name} must be a JSON object, got ")
+
     def test_unknown_name_rejected(self):
         from tailsum.cli import ConfigError
 
@@ -145,6 +162,29 @@ class TestTableCommand:
         row = out.strip().splitlines()[1].split(",")
         assert row[3] != ""  # mc present
 
+    def test_margin_scale_past_the_float_range_exits_0(self, run_cli, tmp_path):
+        # at gamma = 0.5, (u/lam)^(1/(beta gamma)) = u^2 overflows at 1e160;
+        # the config is valid and used to exit 1 naming an infinite threshold
+        raw = {"model": {"d": 2, "gamma": 0.5, "rho": 0.5},
+               "u_list": [1e100, 1e160]}
+        path = tmp_path / "gamma05.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("table", "--config", str(path), "--no-mc")
+        assert (code, err) == (0, "")
+        rows = read_csv(io.StringIO(out))
+        assert [row.u for row in rows] == [1e100, 1e160]
+        assert all(0.0 < row.rho_hat < 1.0 for row in rows)
+
+    def test_overflowing_exp_epsilon_is_written_as_inf(self, run_cli):
+        # epsilon > 709.78 from c = 10 at u = 1e3 on table1: exp(epsilon)
+        # used to raise OverflowError out of the command
+        code, out, _ = run_cli("table", "--config", "table1", "--no-mc",
+                               "--epsilon-c", "10")
+        assert code == 0
+        rows = {row.u: row for row in read_csv(io.StringIO(out))}
+        assert rows[1e3].epsilon > 709.79
+        assert rows[1e3].exp_epsilon == math.inf
+
     def test_invalid_dimension_exits_1(self, run_cli, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"d": 0}, "u_list": [10]}))
@@ -211,6 +251,21 @@ class TestApproxCommand:
                                "--variant", "both")
         assert code == 0
         assert "limit_form" in out and "density_form" in out
+
+    def test_underflowed_correction_prints_its_log10(self, run_cli):
+        # at u = 1e20 every linear value underflows to 0; the log10 of the
+        # correction used to print as -inf next to a finite second order
+        code, out, _ = run_cli("approx", "--config", "table1", "--u", "1e20")
+        assert code == 0
+        line = next(ln for ln in out.splitlines() if ln.startswith("correction"))
+        assert line.split() == ["correction", "0", "(log10", "-462.573821)"]
+
+    def test_one_margin_has_no_correction(self, run_cli, tmp_path):
+        path = tmp_path / "d1.json"
+        path.write_text(json.dumps({"model": {"d": 1, "rho": 0.0}}))
+        code, out, _ = run_cli("approx", "--config", str(path), "--u", "10")
+        assert code == 0
+        assert "correction     0   (log10 -inf)" in out
 
     def test_nonpositive_u_exits_1(self, run_cli):
         code, _, _ = run_cli("approx", "--config", "table1", "--u", "-3")
@@ -430,11 +485,15 @@ class TestConfigReals:
         (("model", "beta"), [1.0, False], False),
         (("u_list",), [10.0, "100"], "100"),
         (("epsilon_c",), None, None),
+        (("model", "gamma"), 10**400, 10**400),
+        (("model", "lambda"), [1, 10**400], 10**400),
+        (("u_list",), [10, 10**400], 10**400),
     ], ids=["rho-str", "rho-bool", "gamma-str", "lambda-str", "beta-bool",
-            "u-str", "epsilon-null"])
+            "u-str", "epsilon-null", "gamma-1e400", "lambda-1e400", "u-1e400"])
     def test_non_real_value_exits_1_naming_the_key(self, run_cli, tmp_path,
                                                    keys, value, bad):
-        # these used to run as if they were numbers (float() takes "0.5")
+        # these used to run as if they were numbers (float() takes "0.5"),
+        # or, past the float range, raise OverflowError out of main
         raw = load_config("table3").to_dict()
         section = raw[keys[0]] if len(keys) == 2 else raw
         section[keys[-1]] = value

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from reference_tables import TABLES, matches_printed, printed_quantum
-from tailsum import (DomainError, InvalidParams, McOptions, build_table,
-                     epsilon_measure, rho_hat)
+from tailsum import (DomainError, InvalidParams, McOptions, ModelSpec,
+                     build_table, epsilon_measure, equicorrelation,
+                     make_radial, rho_hat)
 from tailsum.asymptotics import VARIANT_DENSITY
 
 
@@ -80,6 +81,39 @@ class TestEpsilonMeasure:
     def test_exp_epsilon_consistent(self, standard_spec):
         em = epsilon_measure(standard_spec(0.9), 1, 0, 10.0, c=1.0)
         assert em.exp_epsilon == pytest.approx(math.exp(em.epsilon), rel=1e-12)
+
+    def test_exp_epsilon_is_inf_where_it_overflows(self, standard_spec):
+        # table1's model at c = 10, u = 1e3: epsilon is past log(1.8e308)
+        em = epsilon_measure(standard_spec(0.9), 1, 0, 1e3, c=10.0)
+        assert 709.79 < em.epsilon < math.inf
+        assert em.exp_epsilon == math.inf
+        row = build_table(standard_spec(0.9), [1e3], c=10.0)[0]
+        assert (row.epsilon, row.exp_epsilon) == (em.epsilon, math.inf)
+
+    @pytest.mark.parametrize("c, u", [(1140.0, 1e10), (1e6, 1e3)])
+    def test_epsilon_past_the_float_range_of_its_numerator(self, standard_spec,
+                                                           c, u):
+        # the numerator e^(log u * lhs) is past 1.8e308 at both; epsilon,
+        # that over margin_scale, is ~1e302 at (1140, 1e10) and inf at
+        # (1e6, 1e3)
+        em = epsilon_measure(standard_spec(0.9), 1, 0, u, c=c)
+        assert em.exp_epsilon == math.inf
+        assert math.isfinite(em.epsilon) == (u == 1e10)
+        below = epsilon_measure(standard_spec(0.9), 1, 0, u, c=c - 10.0)
+        assert below.epsilon < em.epsilon or math.isinf(below.epsilon)
+
+    @pytest.mark.parametrize("u", [1e100, 1e160])
+    def test_finite_where_the_power_of_u_overflows(self, u):
+        # gamma = 0.5: (u/lam)^(1/(beta gamma)) = u^2 overflows from
+        # u = 1.4e154, the margin scaling need not
+        spec = ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=0.5,
+                         sigma=equicorrelation(2, 0.5),
+                         radial=make_radial("ChiOfDim", 2))
+        lu = math.log(u)
+        assert rho_hat(spec, 0, u) == pytest.approx(
+            1.0 - math.log(4.0 * lu) / lu, rel=1e-14)
+        em = epsilon_measure(spec, 1, 0, u)
+        assert 0.0 < em.epsilon < 1.0 and math.isfinite(em.exp_epsilon)
 
     def test_domain(self, standard_spec):
         with pytest.raises(DomainError):

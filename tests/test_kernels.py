@@ -8,17 +8,18 @@ import pytest
 from scipy.special import erfc
 
 from tailsum import _kernels
-from tailsum.montecarlo import _shifted_halves
 
 
-def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
-                            heterogeneous=False):
+def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, seed=5,
+                            heterogeneous=False, zero_shift=False):
     """Kernel arguments for an equicorrelated standard model, or, with
     ``heterogeneous``, for distinct lam/bg/shift per margin and a random
     correlation matrix, so that a per-column index mix-up changes the
-    result.  The margins' half bits alternate 0, 1, 0, ...  ``e`` holds
-    the independent normals, one column per draw, and ``sub_chol[j]`` is
-    chol(Sigma_-j), margin j's conditioning factor."""
+    result.  With ``zero_shift`` the shifted component is the nominal
+    law, so every weight is exactly 1.  The margins' half bits alternate
+    0, 1, 0, ...  ``e`` holds the independent normals, one column per
+    draw, and ``sub_chol[j]`` is chol(Sigma_-j), margin j's conditioning
+    factor."""
     rng = np.random.default_rng(seed)
     if heterogeneous:
         a = rng.standard_normal((d, d + 2))
@@ -34,6 +35,8 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
         lam = np.full(d, 1.0)
         bg = np.full(d, 1.0)
         shift = np.full((d, d - 1), 1.3)
+    if zero_shift:
+        shift = np.zeros_like(shift)
     e = rng.standard_normal((d, m))
     bits = np.arange(d) % 2
     others = np.array([[i for i in range(d) if i != j] for j in range(d)],
@@ -53,14 +56,11 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, mix=0.5, seed=5,
         tilt_const[j] = 0.5 * shift[j] @ tilt_vec[j]
     return dict(e=e, bits=bits, u=u, lam=lam, bg=bg, others=others,
                 sub_chol=sub_chol, sig=sig, alpha=alpha, cond_sd=cond_sd,
-                shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const, mix=mix)
+                shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const)
 
 
 def run_conditional(inputs):
     d, m = inputs["e"].shape
-    # mix 0 is the plain decomposition: no row is shifted
-    shifted = (_shifted_halves(m, inputs["bits"]) if inputs["mix"] > 0.0
-               else [slice(0, 0)] * d)
     # the plan's layout: chol(Sigma_-j) in the columns others[j]
     factor = np.zeros((d, d - 1, d))
     for j in range(d):
@@ -68,9 +68,9 @@ def run_conditional(inputs):
     args = _kernels.conditional_coefficients(
         inputs["u"], inputs["lam"], inputs["bg"], inputs["others"], factor,
         inputs["alpha"], inputs["cond_sd"], inputs["shift"],
-        inputs["tilt_vec"], inputs["tilt_const"], inputs["mix"])
+        inputs["tilt_vec"], inputs["tilt_const"])
     out = np.empty(m)
-    _kernels.conditional_chunk(inputs["e"], shifted, out, *args)
+    _kernels.conditional_chunk(inputs["e"], inputs["bits"], out, *args)
     return out
 
 
@@ -94,25 +94,24 @@ def loop_reference(inputs, ys=None):
         ys = per_margin_vectors(inputs["e"], inputs["others"],
                                 inputs["sub_chol"])
     keys = ("bits", "u", "lam", "bg", "others", "alpha", "cond_sd", "shift",
-            "tilt_vec", "tilt_const", "mix")
+            "tilt_vec", "tilt_const")
     return conditional_loop(ys, **{key: inputs[key] for key in keys})
 
 
 def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
-                     tilt_vec, tilt_const, mix):
+                     tilt_vec, tilt_const):
     """The integrand one draw, one margin and one other margin at a time,
-    with the overflow-safe form of the mixture weight; ys[j, i] are the
-    other margins of margin j in draw i.  Row i is shifted for margin j
+    with the overflow-safe form of the mixture weight at 1/2; ys[j, i]
+    are the other margins of margin j in draw i.  Row i is shifted for margin j
     when it lies in the first half of the rows (the single row of a
     one-row block) and bits[j] is 0, or in the second half and bits[j]
     is 1."""
     d, m = ys.shape[:2]
-    tilted = mix > 0.0
     out = np.empty(m)
     for i in range(m):
         acc = 0.0
         for j in range(d):
-            picked = tilted and (i < (m + 1) // 2) == (bits[j] == 0)
+            picked = (i < (m + 1) // 2) == (bits[j] == 0)
             q = mx = sm = mu_c = 0.0
             for k in range(d - 1):
                 o = others[j, k]
@@ -122,15 +121,12 @@ def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
                 sm += xk
                 mx = max(mx, xk)
                 mu_c += alpha[j, k] * yk
-            if tilted:
-                q -= tilt_const[j]
-                if q > 0.0:
-                    eq = math.exp(-q)
-                    w = eq / (mix + (1.0 - mix) * eq)
-                else:
-                    w = 1.0 / (mix * math.exp(q) + (1.0 - mix))
+            q -= tilt_const[j]
+            if q > 0.0:
+                eq = math.exp(-q)
+                w = 2.0 * eq / (1.0 + eq)
             else:
-                w = 1.0
+                w = 2.0 / (math.exp(q) + 1.0)
             threshold = max(mx, u - sm)
             z = (math.log(threshold / lam[j]) / bg[j] - mu_c) / cond_sd[j]
             acc += w * 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -166,11 +162,12 @@ class TestCrudeChunk:
 
 class TestConditionalChunk:
     @pytest.mark.parametrize("heterogeneous", [False, True])
-    @pytest.mark.parametrize("mix", [0.0, 0.5])
+    @pytest.mark.parametrize("zero_shift", [True, False])
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_matches_loop_reference(self, d, mix, heterogeneous):
-        inputs = make_conditional_inputs(m=300, d=d, u=12.0, mix=mix,
-                                         seed=d, heterogeneous=heterogeneous)
+    def test_matches_loop_reference(self, d, zero_shift, heterogeneous):
+        inputs = make_conditional_inputs(m=300, d=d, u=12.0, seed=d,
+                                         heterogeneous=heterogeneous,
+                                         zero_shift=zero_shift)
         expected = loop_reference(inputs)
         assert expected.min() > 0.0
         np.testing.assert_allclose(run_conditional(inputs), expected,
@@ -188,15 +185,20 @@ class TestConditionalChunk:
                                    rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("d", [2, 5])
-    def test_all_weight_on_the_shifted_component(self, d):
-        # mix 1: the nominal term 2 (1 - mix) of the weight's denominator
-        # is 0 and the weight is e^-(q - tilt_const)
-        inputs = make_conditional_inputs(m=300, d=d, u=12.0, mix=1.0, seed=d,
+    def test_every_margin_shifted_on_the_same_half(self, d):
+        # every margin's shifted component on the first half (bits 0),
+        # then on the second (bits 1): each against the loop, and every
+        # draw's value changes with the bits
+        inputs = make_conditional_inputs(m=300, d=d, u=12.0, seed=d,
                                          heterogeneous=True)
-        expected = loop_reference(inputs)
-        assert expected.min() > 0.0
-        np.testing.assert_allclose(run_conditional(inputs), expected,
-                                   rtol=1e-12, atol=0.0)
+        outs = []
+        for bit in (0, 1):
+            inputs["bits"] = np.full(d, bit)
+            outs.append(run_conditional(inputs))
+            expected = loop_reference(inputs)
+            assert expected.min() > 0.0
+            np.testing.assert_allclose(outs[-1], expected, rtol=1e-12, atol=0.0)
+        assert not np.any(outs[0] == outs[1])
 
     @pytest.mark.parametrize("heterogeneous", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -258,26 +260,30 @@ class TestConditionalChunk:
 
     def test_a_one_row_block_is_shifted_on_a_zero_bit(self):
         # one row draws from the shifted component where the bit is 0 and
-        # from the nominal law where it is 1
+        # from the nominal law where it is 1: the kernel gives it the
+        # value of that draw in a two-row block holding it twice, where
+        # bit 0 shifts the first row and bit 1 the second
         inputs = make_conditional_inputs(m=1, d=2, u=12.0)
+        twice = {**inputs, "e": np.repeat(inputs["e"], 2, axis=1)}
         outs = []
         for bit in (0, 1):
-            inputs["bits"] = np.full(2, bit)
-            rows = _shifted_halves(1, inputs["bits"])
-            assert [len(range(1)[r]) for r in rows] == [1 - bit] * 2
+            inputs["bits"] = twice["bits"] = np.full(2, bit)
             outs.append(run_conditional(inputs))
             np.testing.assert_allclose(outs[-1], loop_reference(inputs),
                                        rtol=1e-12, atol=0.0)
+            shifted, nominal = run_conditional(twice)[::1 - 2 * bit]
+            np.testing.assert_allclose(outs[-1][0], nominal if bit else shifted,
+                                       rtol=1e-14, atol=0.0)
         assert outs[0] != outs[1]
 
     def test_untilted_matches_direct_formula(self):
-        # plain (mix=0) integrand recomputed straight from the definition
-        inputs = make_conditional_inputs(m=512, d=2, rho=0.3, u=8.0, mix=0.0)
+        # at a zero shift every weight is exactly 1: the plain integrand,
+        # recomputed straight from the definition, whichever half the
+        # bits pick
+        inputs = make_conditional_inputs(m=512, d=2, rho=0.3, u=8.0,
+                                         zero_shift=True)
         out = run_conditional(inputs)
-        # a zero shift gives every draw weight exactly 1 at mix 0.5 too
-        zero = {key: np.zeros_like(inputs[key])
-                for key in ("shift", "tilt_vec", "tilt_const")}
-        assert np.array_equal(run_conditional({**inputs, **zero, "mix": 0.5}),
+        assert np.array_equal(run_conditional({**inputs, "bits": 1 - inputs["bits"]}),
                               out)
         # at d = 2 margin j's conditioning vector is the normal e_(1-j)
         e = inputs["e"]
@@ -291,15 +297,15 @@ class TestConditionalChunk:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_weights_bounded_by_mixture(self):
-        inputs = make_conditional_inputs(mix=0.5)
+        inputs = make_conditional_inputs()
         out = run_conditional(inputs)
         d = inputs["e"].shape[0]
-        # each of the d per-margin terms is (weight <= 1/(1-mix)) * prob <= 2
+        # each of the d per-margin terms is (weight <= 2) * prob <= 2
         assert np.all(out >= 0.0)
         assert np.all(out <= 2.0 * d)
 
     def test_extreme_tilt_argument_stable(self):
-        inputs = make_conditional_inputs(m=256, mix=0.5)
+        inputs = make_conditional_inputs(m=256)
         inputs["shift"] = np.full_like(inputs["shift"], 40.0)
         for j in range(inputs["shift"].shape[0]):
             sub_idx = inputs["others"][j]

@@ -63,6 +63,8 @@ _RAW_SIGMAS = {
     "correlation_matrix": (2, equicorrelation(2, 0.5), True),
     "identity_array": (2, np.eye(2), True),
     "integer_list": (2, [[1, 0], [0, 1]], True),
+    # float() raises OverflowError on it
+    "integer_past_the_float_range": (2, [[1, 10**400], [10**400, 1]], False),
 }
 _ALL_SIGMAS = {**{case: (len(m), m, True if case.startswith("valid") else None)
                   for case, m in _SIGMAS.items()}, **_RAW_SIGMAS}
@@ -223,11 +225,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             config.build_model()
 
-    @pytest.mark.parametrize("value", ["1", True, None])
+    @pytest.mark.parametrize("value", ["1", True, None, 10**400],
+                             ids=["1", "True", "None", "1e400"])
     @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
     def test_non_real_parameter_rejected(self, name, value):
-        # checked before the float conversion, which would parse "1" and
-        # take True as 1.0
+        # checked before the float conversion, which would parse "1", take
+        # True as 1.0 and raise OverflowError on 10**400
         params = {"lam": [1.0, 1.0], "beta": [1.0, 1.0], "gamma": 1.0}
         params[name] = value if name == "gamma" else [1.0, value]
         message = f"{name} must be (a )?real number"
@@ -325,7 +328,8 @@ class TestMarginals:
         with pytest.raises(DomainError, match="threshold u must be finite"):
             fn(standard_spec(0.0), 0, u)
 
-    @pytest.mark.parametrize("u", ["100", True, None])
+    @pytest.mark.parametrize("u", ["100", True, None, 10**400],
+                             ids=["100", "True", "None", "1e400"])
     @pytest.mark.parametrize("fn", [
         lambda spec, u: marginal_tail(spec, 0, u),
         lambda spec, u: approximate(spec, u),
@@ -333,7 +337,8 @@ class TestMarginals:
         lambda spec, u: crude_mc(spec, u, 256, 1)],
         ids=["marginal_tail", "approximate", "conditional_max_mc", "crude_mc"])
     def test_non_real_threshold_rejected(self, standard_spec, fn, u):
-        # not parsed from a string, nor taken as 1.0 from True
+        # not parsed from a string, nor taken as 1.0 from True, nor past
+        # the float range, where isfinite raised OverflowError
         with pytest.raises(DomainError,
                            match=f"^threshold u must be a real number, got {re.escape(repr(u))}$"):
             fn(standard_spec(0.5), u)

@@ -6,6 +6,7 @@ in the test itself (50 decimal digits), never from the implementation.
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -17,8 +18,21 @@ from tailsum import (CorrelationMatrix, DomainError, InvalidParams, NotPositiveD
                      equicorrelation, gamma_function, lognormal_pdf, make_radial,
                      std_normal_log_tail, std_normal_tail)
 from tailsum.model import coordinate_tail
+from tailsum.numerics import is_real
 
 mp.mp.dps = 50
+
+
+@pytest.mark.parametrize("value, real", [
+    (1, True), (2.5, True), (np.float32(2.5), True), (np.int64(3), True),
+    (10**308, True), (math.inf, True), (Fraction(1, 3), True),
+    (10**400, False), (-10**400, False), (Fraction(10**400, 3), False),
+    (True, False), ("1", False), (None, False), (1j, False)],
+    ids=["int", "float", "float32", "int64", "1e308", "inf", "fraction",
+         "1e400", "-1e400", "fraction-1e400", "bool", "str", "none", "complex"])
+def test_is_real_takes_what_a_float_holds(value, real):
+    # an integer past the float range is not real: float() raises on it
+    assert is_real(value) is real
 
 
 def oracle_tail(x: float) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -241,6 +242,16 @@ class TestScalingBundle:
         rule = "finite" if not math.isfinite(value) else "positive"
         with pytest.raises(InvalidParams, match=f"{name} must be {rule}"):
             self.bundle(**params)
+
+    @pytest.mark.parametrize("u", [1e100, 1e160, 1e300])
+    def test_finite_where_the_power_of_u_overflows(self, u):
+        # v = (u/lam)^(1/(beta gamma)) = u^2 passes 1.8e308 from u = 1.4e154;
+        # the scaling is formed from log v, so it stays the closed form
+        b = self.bundle(gamma=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scale = b.margin_scale(0, u)
+        assert scale == pytest.approx(0.25 * u / math.log(u), rel=1e-14)
 
     def test_lognormal_closed_form_any_beta(self):
         b = self.bundle(lam=(1.5,), beta=(2.0,), gamma=0.5)
