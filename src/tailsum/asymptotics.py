@@ -31,9 +31,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidParams
-from .model import ModelSpec, coordinate_tail, marginal_log_pdf, marginal_log_tail
+from .model import ModelSpec, coordinate_log_tail, marginal_log_pdf, marginal_log_tail
 from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs,
-                       check_threshold, gamma_function, is_integer_at_least,
+                       check_threshold, is_integer_at_least,
                        is_real, lognormal_log_pdf)
 from .radial import RadialLaw, ScalingBundle
 
@@ -61,21 +61,25 @@ VARIANT_LIMIT = "limit_form"
 class TailApproximation:
     """First-order value, per-pair corrections, and their total.
 
-    ``pair_terms[j, i]`` is the contribution of ordered pair (j, i);
-    the diagonal is zero.  ``second_order = first_order + correction``
-    holds exactly.  ``log_*`` fields remain finite when the linear
-    values underflow.
+    ``log_pair_terms[j, i]`` is the log of the contribution of ordered
+    pair (j, i), -inf on the diagonal, and ``pair_terms`` its exponential.
+    ``second_order = first_order + correction`` holds exactly.  ``log_*``
+    fields remain finite when the linear values underflow.
     """
 
     u: float
     first_order: float
-    pair_terms: np.ndarray
+    log_pair_terms: np.ndarray
     correction: float
     second_order: float
     variant: str
     log_first_order: float
     log_correction: float
     log_second_order: float
+
+    @property
+    def pair_terms(self) -> np.ndarray:
+        return np.exp(self.log_pair_terms)
 
 
 def log_first_order(spec: ModelSpec, u: float) -> float:
@@ -153,7 +157,7 @@ def approximate(spec: ModelSpec, u: float,
     return TailApproximation(
         u=u,
         first_order=fo,
-        pair_terms=np.exp(log_terms),
+        log_pair_terms=log_terms,
         correction=correction,
         second_order=fo + correction,
         variant=variant,
@@ -237,15 +241,18 @@ def log_equicorrelated_correction(d: int, rho: float, u: float) -> float:
 
 @dataclass(frozen=True)
 class AngularCheck:
-    """Exact coordinate integral vs. its asymptotic reduction."""
+    """Exact coordinate integral vs. its asymptotic reduction, each side
+    also as its log; the ratio is formed from the logs."""
 
     u: float
     integral: float
     asymptotic: float
+    log_integral: float
+    log_asymptotic: float
 
     @property
     def ratio(self) -> float:
-        return self.integral / self.asymptotic
+        return math.exp(self.log_integral - self.log_asymptotic)
 
 
 def angular_reduction_check(law: RadialLaw, lam: float, beta: float,
@@ -257,16 +264,21 @@ def angular_reduction_check(law: RadialLaw, lam: float, beta: float,
                   * (margin_scale(u) / (u log u))^((d-1)/2)
                   * P(lam * exp(R beta gamma) > u)
 
-    The ratio tends to 1 as u grows; returning both sides keeps the
-    evidence inspectable.
+    Both sides are formed in log space.  The ratio tends to 1 as u grows;
+    returning both sides keeps the evidence inspectable.
     """
     if not is_integer_at_least(d, 2):
         raise DomainError(f"the reduction needs an integer d >= 2, got {d!r}")
     bundle = ScalingBundle(law=law, lam=[lam], beta=[beta], gamma=gamma)
     check_threshold(u, 1.0)            # the reduction divides by log u
     es = bundle.margin_scale(0, u)     # DomainError unless u > lam
-    w = math.log(u / lam) / (beta * gamma)
-    integral = coordinate_tail(law, d, w)
-    prefac = 2.0 ** ((d - 3) / 2.0) * gamma_function(d / 2.0) / math.sqrt(math.pi)
-    asym = prefac * (es / (u * math.log(u))) ** ((d - 1) / 2.0) * math.exp(law.log_tail(w))
-    return AngularCheck(u=u, integral=integral, asymptotic=asym)
+    w = float(math.log(u / lam) / (beta * gamma))
+    log_integral = coordinate_log_tail(law, d, w)
+    lu = math.log(u)
+    log_asym = ((d - 3) / 2.0 * math.log(2.0) + math.lgamma(d / 2.0)
+                - 0.5 * math.log(math.pi)
+                + (d - 1) / 2.0 * (math.log(es) - lu - math.log(lu))
+                + law.log_tail(w))
+    return AngularCheck(u=u, integral=math.exp(log_integral),
+                        asymptotic=math.exp(log_asym), log_integral=log_integral,
+                        log_asymptotic=log_asym)

@@ -285,21 +285,23 @@ def cmd_approx(cfg: RunConfig, args) -> int:
     u = args.u[0]
     variants = ([VARIANT_LIMIT, VARIANT_DENSITY] if cfg.variant == "both"
                 else [_VARIANTS[cfg.variant]])
+
+    def show(label: str, value: float, log_value: float) -> None:
+        print(f"{label:<15}{full_precision(value)}"
+              f"   (log10 {log_value / math.log(10):.6f})")
+
     for variant in variants:
         apx = approximate(spec, u, variant)
         print(f"variant        {apx.variant}")
         print(f"u              {full_precision(apx.u)}")
-        print(f"first_order    {full_precision(apx.first_order)}"
-              f"   (log10 {apx.log_first_order / math.log(10):.6f})")
+        show("first_order", apx.first_order, apx.log_first_order)
+        pairs, log_pairs = apx.pair_terms, apx.log_pair_terms
         for j in range(spec.d):
             for i in range(spec.d):
-                if i != j and apx.pair_terms[j, i] > 0:
-                    print(f"pair ({j + 1},{i + 1})     "
-                          f"{full_precision(apx.pair_terms[j, i])}")
-        print(f"correction     {full_precision(apx.correction)}"
-              f"   (log10 {apx.log_correction / math.log(10):.6f})")
-        print(f"second_order   {full_precision(apx.second_order)}"
-              f"   (log10 {apx.log_second_order / math.log(10):.6f})")
+                if i != j:
+                    show(f"pair ({j + 1},{i + 1})", pairs[j, i], log_pairs[j, i])
+        show("correction", apx.correction, apx.log_correction)
+        show("second_order", apx.second_order, apx.log_second_order)
     return 0
 
 
@@ -369,8 +371,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         for u in (1e4, 1e8):
             chk = angular_reduction_check(law, spec.lam[0], spec.beta[0],
                                           spec.gamma, spec.d, u)
-            print(f"  u={u:.0e}  integral {chk.integral:.6e}  "
-                  f"asymptotic {chk.asymptotic:.6e}  ratio {chk.ratio:.4f} "
+            print(f"  u={u:.0e}  log10 integral {chk.log_integral / math.log(10):.6f}  "
+                  f"log10 asymptotic {chk.log_asymptotic / math.log(10):.6f}  "
+                  f"ratio {chk.ratio:.4f} "
                   f"{'PASS' if 0.85 <= chk.ratio <= 1.15 else 'WARN'} "
                   f"(band [0.85, 1.15])")
     return 0

@@ -4,7 +4,8 @@ The risk model is X_i = lam_i * Z_i^(beta_i*gamma) with
 (Z_1, ..., Z_d) = exp(R * A * U), where R is a radial law, U is uniform
 on the unit sphere, and A is the lower Cholesky factor of the
 correlation matrix.  With a ChiOfDim(d) radial the vector of log-risks
-is exactly multivariate normal, so all margins are log-normal.
+is exactly multivariate normal, so all margins are log-normal; other
+radial laws take them from one log-space sphere-coordinate integral.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from .errors import DomainError, InvalidParams, NotPositiveDefinite, WrongRadial
 from ._kernels import _PASS
 from .numerics import (CorrelationMatrix, _margin_inputs, _sigma_inputs,
                        adaptive_quad, check_draws, check_threshold, equicorrelation,
-                       gamma_function, is_integer_at_least, lognormal_log_pdf,
+                       is_integer_at_least, lognormal_log_pdf,
                        std_normal_log_tail, std_normal_tail)
 from .radial import RadialLaw, ScalingBundle, make_radial
 
 __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
            "marginal_tail", "marginal_log_tail", "marginal_pdf",
-           "coordinate_tail", "sample", "SAMPLE_CHUNK"]
+           "coordinate_tail", "coordinate_log_tail", "sample", "SAMPLE_CHUNK"]
 
 # Fixed chunk length for sample generation; part of the reproducibility
 # contract (results depend on it, never on the worker count).
@@ -129,108 +130,102 @@ def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
     threshold of margin j on the scale of its log-coordinate."""
     check_margin(spec, j)
     check_threshold(u)
-    return math.log(u / spec.lam[j]) / (spec.beta[j] * spec.gamma)
+    return float(math.log(u / spec.lam[j]) / (spec.beta[j] * spec.gamma))
 
 
 def marginal_log_tail(spec: ModelSpec, j: int, u: float) -> float:
-    """log P(X_j > u); exact normal complement under the Gaussian copula.
-
-    Other radial laws, ChiOfDim(k) with k != d included, take the log of
-    ``coordinate_tail``, which is linear: once it underflows to 0.0 this
-    raises DomainError.
-    """
+    """log P(X_j > u); exact normal complement under the Gaussian copula,
+    otherwise ``coordinate_log_tail`` at w = log(u/lam_j)/(beta_j*gamma)."""
     w = _margin_w(spec, j, u)
     if spec.is_gaussian_copula():
         return std_normal_log_tail(w)
-    return _log_positive(coordinate_tail(spec.radial, spec.d, w),
-                         "P(X_j > u)", spec, j, u)
-
-
-def _log_positive(value: float, what: str, spec: ModelSpec, j: int,
-                  u: float) -> float:
-    """log(value) of a quantity that is exactly positive; DomainError
-    naming u, the margin and the radial law when its linear-scale value
-    underflowed to 0.0 (or below, by cancellation)."""
-    if not value > 0.0:
-        raise DomainError(
-            f"{what} at u={u!r} for margin j={j} under the {spec.radial!r} "
-            f"radial law is {value!r} in double precision (below about "
-            "1e-308), so its log is not available")
-    return math.log(value)
+    return coordinate_log_tail(spec.radial, spec.d, w)
 
 
 def marginal_tail(spec: ModelSpec, j: int, u: float) -> float:
-    """P(X_j > u).
-
-    Gaussian copula: the exact log-normal tail.  Other radial laws:
-    ``coordinate_tail`` at w = log(u/lam_j)/(beta_j*gamma).
-    """
+    """P(X_j > u); the exact log-normal tail under the Gaussian copula,
+    otherwise the exponential of ``marginal_log_tail``."""
     w = _margin_w(spec, j, u)
     if spec.is_gaussian_copula():
         return std_normal_tail(w)
     return coordinate_tail(spec.radial, spec.d, w)
 
 
-def coordinate_tail(law: RadialLaw, d: int, w: float) -> float:
-    """P(R * T > w) for T one coordinate of a uniform point on the unit
-    sphere in R^d, independent of R.
+def _log_sphere_integral(log_f, d: int, a: float, p: int) -> float:
+    """log int_0^1 f(a/t) t^(-p) h(t) dt for a > 0, from log f, h the
+    sphere-coordinate density Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2))
+    (1 - t^2)^((d-3)/2) (mass 1/2 at t = 1 for d = 1).  Quadrature in
+    t = sin(s) of g(t) = f(a/t) t^(-p) over its largest value on a halving
+    grid, whose points are breakpoints, so every piece sees its part of
+    the peak at order one: t = 1, 1/2, ... while g is within a factor e of
+    that largest value, and for a peak at t = 1 that the quadrature would
+    miss, s = pi/2 - pi/1024, pi/2 - pi/2048, ... until g is."""
+    if d == 1:
+        return math.log(0.5) + log_f(a)
 
-    For w > 0 this is int_0^1 tail_R(w / t) h(t) dt with h the coordinate
-    density.  T is symmetric, so for w < 0 it is
-    1/2 + int_0^1 (1 - tail_R(|w| / t)) h(t) dt, and 1/2 at w = 0.  The
-    integral runs by adaptive quadrature after the substitution
-    t = sin(s), which removes the d = 2 endpoint singularity of h.
-    h(t) = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) * (1 - t^2)^((d-3)/2).
-    d follows the integer rule with d >= 1 (at d = 1, T = +-1 and the
-    value is exact) and w must be finite (DomainError).
-    """
+    def log_g(t: float) -> float:
+        return log_f(a / t) - p * math.log(t)
+
+    grid, top = [1.0], log_g(1.0)
+    while (below := log_g(0.5 * grid[-1])) > top - 1.0:
+        grid.append(0.5 * grid[-1])
+        top = max(top, below)
+    ladder = [math.pi / 512]
+    while grid == [1.0] and log_g(math.cos(ladder[-1])) < top - 1.0:
+        ladder.append(0.5 * ladder[-1])
+
+    def integrand(s: float) -> float:
+        t = math.sin(s)
+        return math.exp(log_g(t) - top) * math.cos(s) ** (d - 2) if t > 0.0 else 0.0
+
+    points = ([math.asin(t) for t in reversed(grid[1:])]
+              + [0.5 * math.pi - x for x in ladder[1:]])
+    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi, abs_tol=0.0, rel_tol=1e-11,
+                        points=points)
+    return (top + math.log(val) + math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0)
+            - 0.5 * math.log(math.pi))
+
+
+def coordinate_log_tail(law: RadialLaw, d: int, w: float) -> float:
+    """log P(R * T > w), T a coordinate of a uniform point on the unit
+    sphere in R^d independent of R: log int_0^1 tail_R(w/t) h(t) dt for
+    w > 0, log(1/2) at 0 and log(1 - P(R T > -w)) below, T being
+    symmetric.  DomainError unless d >= 1 by the integer rule and w is
+    finite."""
     if not (is_integer_at_least(d, 1) and math.isfinite(w)):
         raise DomainError("coordinate_tail needs an integer d >= 1 and a finite "
                           f"w, got d={d!r}, w={w}")
     if w == 0.0:
-        return 0.5
-    below = w < 0.0
-    if d == 1:
-        return 1.0 - 0.5 * law.tail(-w) if below else 0.5 * law.tail(w)
-    const = gamma_function(d / 2.0) / (math.sqrt(math.pi) * gamma_function((d - 1) / 2.0))
+        return math.log(0.5)
+    log_tail = _log_sphere_integral(law.log_tail, d, abs(w), 0)
+    return log_tail if w > 0.0 else math.log1p(-math.exp(log_tail))
 
-    def integrand(s: float) -> float:
-        t = math.sin(s)
-        if t <= 0.0:
-            return 0.0
-        p = law.tail(abs(w) / t)
-        return (1.0 - p if below else p) * const * math.cos(s) ** (d - 2)
 
-    # Above 0 the tail may lie far below any absolute tolerance; below 0
-    # the integral is added to 1/2.
-    val = adaptive_quad(integrand, 0.0, 0.5 * math.pi,
-                        abs_tol=1e-13 if below else 1e-300, rel_tol=1e-11)
-    return 0.5 + val if below else val
+def coordinate_tail(law: RadialLaw, d: int, w: float) -> float:
+    """P(R * T > w), the exponential of ``coordinate_log_tail``."""
+    return math.exp(coordinate_log_tail(law, d, w))
 
 
 def marginal_pdf(spec: ModelSpec, j: int, u: float) -> float:
-    """Density of X_j at u.
-
-    Log-normal closed form under the Gaussian copula; otherwise a central
-    difference of the marginal tail with relative step 1e-5 (the step
-    balancing truncation against cancellation in double precision).
-    """
-    _margin_w(spec, j, u)
-    if spec.is_gaussian_copula():
-        return math.exp(marginal_log_pdf(spec, j, u))
-    h = 1e-5 * u
-    return (marginal_tail(spec, j, u - h) - marginal_tail(spec, j, u + h)) / (2.0 * h)
+    """Density of X_j at u, the exponential of ``marginal_log_pdf``."""
+    return math.exp(marginal_log_pdf(spec, j, u))
 
 
 def marginal_log_pdf(spec: ModelSpec, j: int, u: float) -> float:
-    """log density of X_j at u (a closed form under the Gaussian copula
-    only: X_j is log-normal with parameters log(lam_j), beta_j*gamma)."""
-    _margin_w(spec, j, u)
+    """log density of X_j at u: log-normal under the Gaussian copula;
+    otherwise int_0^1 f_R(|w|/t) h(t)/t dt / (u beta_j gamma), the
+    derivative of ``coordinate_log_tail`` taken under the integral.  At
+    u = lam_j (w = 0) that is h(0) E[1/R] / (u beta_j gamma), possibly
+    infinite, and is refused with DomainError."""
+    w = _margin_w(spec, j, u)
+    bg = spec.beta[j] * spec.gamma
     if spec.is_gaussian_copula():
-        return float(lognormal_log_pdf(u, math.log(spec.lam[j]),
-                                       spec.beta[j] * spec.gamma))
-    return _log_positive(marginal_pdf(spec, j, u), "the density of X_j",
-                         spec, j, u)
+        return float(lognormal_log_pdf(u, math.log(spec.lam[j]), bg))
+    if w == 0.0:
+        raise DomainError(f"the density of X_{j} under {spec.radial!r} at u=lam_j={u!r} "
+                          "is h(0) E[1/R] / (u beta_j gamma), which is not evaluated")
+    return (_log_sphere_integral(spec.radial.log_density, spec.d, abs(w), 1)
+            - math.log(u) - math.log(bg))
 
 
 # ---------------------------------------------------------------------------

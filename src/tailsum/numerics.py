@@ -184,19 +184,23 @@ def gamma_function(s: float) -> float:
 
 
 def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
-                  rel_tol: float = 1e-10, limit: int = 400) -> float:
-    """Adaptive Gauss-Kronrod integration of f on [a, b].
+                  rel_tol: float = 1e-10, limit: int = 400, points=()) -> float:
+    """Adaptive Gauss-Kronrod integration of f on [a, b], each piece
+    between the increasing breakpoints ``points`` by its own rule.
 
-    Raises QuadratureError when the reported error estimate exceeds the
-    tolerance relative to the result (guards against silent failure on
-    integrands spanning hundreds of orders of magnitude).  scipy.integrate
-    is imported here, on first use: only models without a Gaussian copula
-    need quadrature.
+    Raises QuadratureError when the summed error estimate exceeds the
+    tolerance relative to the summed result, or is nan (guards against
+    silent failure on integrands spanning hundreds of orders of
+    magnitude).  scipy.integrate is imported here, on first use: only
+    models without a Gaussian copula need quadrature.
     """
     from scipy import integrate
 
-    val, err = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
-    if err > abs_tol + rel_tol * abs(val) and err > 1e-3 * abs(val):
+    edges = [a, *points, b]
+    pieces = [integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+              for lo, hi in zip(edges, edges[1:])]
+    val, err = (math.fsum(column) for column in zip(*pieces))
+    if not (err <= abs_tol + rel_tol * abs(val) or err <= 1e-3 * abs(val)):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} too large for result {val:.6e}"
         )

@@ -97,6 +97,16 @@ class TestSecondOrder:
         assert apx.correction == pytest.approx(
             apx.pair_terms[0, 1] + apx.pair_terms[1, 0], rel=1e-12)
 
+    def test_log_pair_terms_stay_finite_where_the_linear_terms_underflow(
+            self, standard_spec):
+        apx = approximate(standard_spec(0.9), 1e20)
+        off = ~np.eye(2, dtype=bool)
+        assert np.all(apx.pair_terms[off] == 0.0)
+        assert np.all(np.isfinite(apx.log_pair_terms[off]))
+        assert np.all(apx.log_pair_terms[~off] == -math.inf)
+        assert apx.log_correction == pytest.approx(
+            float(np.logaddexp(*apx.log_pair_terms[off])), rel=1e-15)
+
     def test_single_margin_correction_is_zero(self):
         spec = ModelSpec.standard(1, 0.0)
         assert second_order_correction(spec, 10.0) == 0.0
@@ -400,6 +410,18 @@ class TestAngularReduction:
         with pytest.raises(DomainError, match="needs an integer d >= 2"):
             angular_reduction_check(make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0,
                                     d, 1e4)
+
+    @pytest.mark.parametrize("u, ratio", [(1e4, 0.99941), (1e8, 0.99993)])
+    def test_ratio_from_the_logs_where_both_sides_underflow(self, u, ratio):
+        # WeibullTail(3) at d = 2: both sides are below 1e-308, where the
+        # linear check returned 0/0 = nan
+        chk = angular_reduction_check(make_radial("WeibullTail", 3.0), 1.0, 1.0,
+                                      1.0, 2, u)
+        assert chk.integral == 0.0 and chk.asymptotic == 0.0
+        assert chk.ratio == pytest.approx(ratio, abs=5e-6)
+        for value in (chk.integral, chk.asymptotic, chk.log_integral,
+                      chk.log_asymptotic, chk.ratio):
+            assert type(value) is float
 
     def test_d2_band(self):
         law = make_radial("ChiOfDim", 2)

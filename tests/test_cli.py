@@ -260,6 +260,15 @@ class TestApproxCommand:
         line = next(ln for ln in out.splitlines() if ln.startswith("correction"))
         assert line.split() == ["correction", "0", "(log10", "-462.573821)"]
 
+    def test_underflowed_pair_terms_print_their_log10(self, run_cli):
+        # the pair lines were filtered on a linear term > 0, so at u = 1e20
+        # none was printed
+        code, out, _ = run_cli("approx", "--config", "table1", "--u", "1e20")
+        assert code == 0
+        pairs = [ln.split() for ln in out.splitlines() if ln.startswith("pair")]
+        assert pairs == [["pair", "(1,2)", "0", "(log10", "-462.874851)"],
+                         ["pair", "(2,1)", "0", "(log10", "-462.874851)"]]
+
     def test_one_margin_has_no_correction(self, run_cli, tmp_path):
         path = tmp_path / "d1.json"
         path.write_text(json.dumps({"model": {"d": 1, "rho": 0.0}}))
@@ -429,6 +438,22 @@ class TestVerifyCommand:
     def test_angular_section_present(self, run_cli):
         code, out, _ = run_cli("verify", "--config", "table3")
         assert "[5]" in out and "ratio" in out
+
+    def test_deep_weibull3_model_runs_without_nan(self, run_cli, tmp_path):
+        # the sphere-coordinate margins underflowed at u = 1e4: approx and
+        # table exited 1 ("invalid config") and the angular check printed
+        # ratio nan
+        raw = {"model": {"d": 2, "rho": 0.3,
+                         "radial": {"kind": "WeibullTail", "params": [3.0]}},
+               "u_list": [10, 1e4, 1e12]}
+        path = tmp_path / "weibull3.json"
+        path.write_text(json.dumps(raw))
+        for argv in (("approx", "--u", "1e4"), ("table", "--no-mc"), ("verify",)):
+            code, out, err = run_cli(*argv, "--config", str(path))
+            assert code == 0, (argv, err)
+            assert "nan" not in out, argv
+        section = out.split("[5]")[1]
+        assert section.count("PASS") == 2
 
 
 class TestConfigIntegers:

@@ -6,6 +6,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      ModelSpec, NotPositiveDefinite, WrongRadialLaw, approximate,
@@ -368,22 +369,32 @@ class TestMarginals:
         expected = float(mp.log(mp.erfc(mp.log(1e8) / mp.sqrt(2)) / 2))
         assert lt == pytest.approx(expected, rel=1e-12)
 
-    def test_log_tail_underflow_names_u_margin_and_law(self):
-        # the quadrature tail of WeibullTail(3) underflows between u = 1e3
-        # (about e^-334) and 1e4; the log accessors and approximate raised
-        # a bare "math domain error" there
+    def test_deep_log_margins_match_the_trapezoid_oracle(self):
+        # The linear quadrature tail of WeibullTail(3) underflowed between
+        # u = 1e3 (about e^-334) and 1e4, where the log accessors and
+        # approximate raised DomainError.  At d = 2, T = cos(theta) with
+        # theta uniform, so P(R T > w) = E[tail_R(w / cos theta); cos > 0]
+        # and the density of R T at w is E[f_R(w / cos theta) / cos theta;
+        # cos > 0]: smooth periodic integrands, for which the trapezoid
+        # rule in theta converges spectrally.
         spec = ModelSpec.standard(2, 0.3, radial=make_radial("WeibullTail", 3.0))
-        named = r"u=10000\.0 for margin j=0 under the WeibullTail\(3\.0, 1\.0\)"
-        with pytest.raises(DomainError, match=named):
-            marginal_log_tail(spec, 0, 1e4)
-        with pytest.raises(DomainError, match=named):
-            marginal_log_pdf(spec, 0, 1e4)
-        with pytest.raises(DomainError, match=named):
-            approximate(spec, 1e4)
+        nodes = 1 << 16
+        cos = np.cos(2.0 * np.pi * np.arange(nodes) / nodes)
+        cos = cos[cos > 0.0]
+        for u in (1e3, 1e4, 1e12, 1e40):
+            r = math.log(u) / cos
+            log_tail = logsumexp(-r ** 3) - math.log(nodes)
+            log_pdf = (logsumexp(math.log(3.0) + 2.0 * np.log(r) - r ** 3 - np.log(cos))
+                       - math.log(nodes) - math.log(u))
+            assert marginal_log_tail(spec, 0, u) == pytest.approx(log_tail, rel=1e-13)
+            assert marginal_log_pdf(spec, 0, u) == pytest.approx(log_pdf, rel=1e-13)
         assert marginal_log_tail(spec, 0, 1e3) == -333.9865290892939
         apx = approximate(spec, 1e3)
         assert apx.log_first_order == -333.293381908734
-        assert apx.log_second_order == -332.53313170816864
+        # -332.53313170816864 while the density was a central difference
+        # of two linear quadrature tails
+        assert apx.log_second_order == -332.5331318933083
+        assert math.isfinite(approximate(spec, 1e4).log_second_order)
 
     def test_empirical_marginal_consistency(self, standard_spec):
         spec = standard_spec(0.5)
@@ -414,7 +425,50 @@ class TestMarginalPdf:
         chi_spec = spec_with([1.0, 1.0], [1.0, 1.0], sigma)
         for u in [2.0, 10.0]:
             assert marginal_pdf(quad_spec, 0, u) == pytest.approx(
-                marginal_pdf(chi_spec, 0, u), rel=1e-6)
+                marginal_pdf(chi_spec, 0, u), rel=1e-13)
+
+    RAYLEIGH = make_radial("WeibullTail", 2.0, math.sqrt(2.0))
+
+    @pytest.mark.parametrize("u", [0.4, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, 10.0, 1e4,
+                                   1e8, 1e20])
+    def test_rayleigh_log_density_is_the_lognormal_closed_form(self, u):
+        # WeibullTail(2, sqrt 2) at d = 2 is the Gaussian copula through the
+        # sphere-coordinate integral; the central difference it replaced
+        # was 2-4e-11 off and raised DomainError at u = 1e20
+        sigma = np.array([[1.0, 0.3], [0.3, 1.0]])
+        quad_spec = spec_with([1.0, 1.0], [1.0, 1.0], sigma, radial=self.RAYLEIGH)
+        chi_spec = spec_with([1.0, 1.0], [1.0, 1.0], sigma)
+        assert marginal_log_pdf(quad_spec, 0, u) == pytest.approx(
+            marginal_log_pdf(chi_spec, 0, u), rel=1e-13)
+        assert marginal_log_tail(quad_spec, 0, u) == pytest.approx(
+            marginal_log_tail(chi_spec, 0, u), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("radial", [("ChiOfDim", 1), ("ChiOfDim", 3),
+                                        ("WeibullTail", 1.0), ("WeibullTail", 2.0),
+                                        ("WeibullTail", 3.0),
+                                        ("WeibullTail", 2.0, math.sqrt(2.0)),
+                                        ("LognormalLogRadius",)])
+    def test_at_the_scale_factor_no_accessor_gives_nan(self, d, radial):
+        # u = lam_j is w = 0: the tail is 1/2 by symmetry; the density is
+        # h(0) E[1/R], possibly infinite, and is refused, never a value
+        # <= 0 or nan (the central difference gave -3.3e-11 for the
+        # Rayleigh law)
+        lam = [2.5] * d
+        spec = spec_with(lam, [1.0] * d, equicorrelation(d, 0.3).entries,
+                         radial=make_radial(*radial))
+        for fn in (marginal_tail, marginal_log_tail, marginal_pdf, marginal_log_pdf):
+            try:
+                value = fn(spec, 0, 2.5)
+            except DomainError:
+                continue
+            assert math.isfinite(value), fn
+            if fn in (marginal_tail, marginal_pdf):
+                assert value > 0.0, fn
+        if not spec.is_gaussian_copula():
+            assert marginal_tail(spec, 0, 2.5) == 0.5
+            with pytest.raises(DomainError, match="at u=lam_j=2.5 .* E\\[1/R\\]"):
+                marginal_pdf(spec, 0, 2.5)
 
 
 class TestSampling:
@@ -565,9 +619,9 @@ class TestGaussianCopulaDecision:
                 assert marginal_tail(spec, j, u) == pytest.approx(tail, rel=1e-12)
                 assert marginal_log_tail(spec, j, u) == pytest.approx(
                     math.log(tail), rel=1e-12)
-                assert marginal_pdf(spec, j, u) == pytest.approx(pdf, rel=1e-6)
+                assert marginal_pdf(spec, j, u) == pytest.approx(pdf, rel=1e-10)
                 assert marginal_log_pdf(spec, j, u) == pytest.approx(
-                    math.log(pdf), abs=1e-6)
+                    math.log(pdf), abs=1e-10)
                 # and not the log-normal closed form
                 assert abs(marginal_tail(spec, j, u) - std_normal_tail(w)) > 1e-3 * tail
 
