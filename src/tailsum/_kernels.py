@@ -10,10 +10,11 @@ conditional mean and the log likelihood ratio) in one BLAS product of a
 (d + 1, d) coefficient matrix with the normals, and the matrices, with
 every per-margin constant folded in, are built once per estimate by
 ``conditional_coefficients``.  What is left per value is one exp per
-other margin, one log, one erfc and one exp of the weight; the erfc is
-about half the kernel's time at d = 5.  The conditional kernel owns the
-defensive mixture's one shape: from a bit per margin it picks the
-shifted half of the block, and it weights both halves 1/2.
+other margin, one log, one erfc, and one exp or cosh and one divide
+of the weight; the erfc is about half the kernel's time at d = 5.  The
+conditional kernel owns the defensive mixture's one shape: from a bit
+per margin it picks the shifted half of the block, and it weights the
+two halves by the power heuristic (Veach & Guibas 1995, exponent 2).
 
 Both take _PASS = 2^14 draws (rows of ``crude_chunk``'s y, columns of
 ``conditional_chunk``'s e) per pass, so their buffers are one pass wide
@@ -64,12 +65,12 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
     weight times the conditional probability that margin j exceeds both
     the remaining gap to u and the largest other margin, and writes the
     sums into ``out``.  Margin j's other margins are shifted (the
-    defensive mixture's shifted component, weight 1/2) on the first
-    (m + 1) // 2 columns where ``bits[j]`` is 0, on the rest where it is
-    1, and nominal on the other half; a one-column block is its first
-    half.  Each half of the first 2^b Sobol points is a net (the second
-    is the first XOR one direction number), so under the block's digital
-    shift every column is uniform.  The remaining arguments come from
+    defensive mixture's shifted component) on the first (m + 1) // 2
+    columns where ``bits[j]`` is 0, on the rest where it is 1, and
+    nominal on the other half; a one-column block is its first half.
+    Each half of the first 2^b Sobol points is a net (the second is the
+    first XOR one direction number), so under the block's digital shift
+    every column is uniform.  The remaining arguments come from
     ``conditional_coefficients``.
 
     The draws are taken _PASS = 2^14 columns of e at a time (see the
@@ -83,11 +84,23 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
 
         z = (log(max(u - S_j, M_j) / lam_j) - bg_j mu_j) / (bg_j sd_j),
 
-    with S_j and M_j the sum and maximum of the x_k, and the term is
-    erfc(z / sqrt(2)) / (e^(q + log_tilt_j) + 1), the conditional
-    probability times the mixture weight 2 / (e^(q - tilt_const_j) + 1).
-    An overflowing e^q gives weight 0, the limit of the exact value; the
-    weight is at most 2, and exactly 1 at a zero shift, where q = 0.
+    with S_j and M_j the sum and maximum of the x_k.  The term is the
+    conditional probability erfc(z / sqrt(2)) / 2 times the mixture
+    weight, which with r = e^(q + log_tilt_j), the likelihood ratio of
+    the shifted law to the nominal one, is the power heuristic's
+
+        2 / (1 + r^2)    on the nominal columns (at most 2),
+        2r / (1 + r^2)   on the shifted ones (at most 1):
+
+    its shares 1 / (1 + r^2) and r^2 / (1 + r^2) sum to 1 at every
+    point, so the estimator stays unbiased, and the nominal law bounds
+    the harm of a misplaced shift.  The term is erfc / (1 + e^(2 log r))
+    on the nominal columns and erfc / (2 cosh(log r)) = erfc / (r + 1/r)
+    on the shifted ones, with the denominators formed in place in the
+    row of q.  Past the float range each weight takes its limit, never
+    nan: 0 on the nominal half once r^2 overflows, 0 on the shifted half
+    once r or 1/r does, and 2 on the nominal half once r underflows.  At
+    a zero shift r = 1 and both weights are exactly 1.
     """
     d, m = e.shape
     mid = (m + 1) // 2
@@ -106,7 +119,9 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
         for j in range(d):
             lo, hi = bounds[j]
             np.matmul(coef[j], ew, out=prod)
-            prod[:, max(lo - c0, 0):max(hi - c0, 0)] += offset[j][:, None]
+            # the shifted slice [a, b) of this pass; the rest is nominal
+            a, b = max(lo - c0, 0), max(hi - c0, 0)
+            prod[:, a:b] += offset[j][:, None]
             np.exp(x, out=x)
             x *= lam_ratio[j][:, None]
             np.sum(x, axis=0, out=t)
@@ -117,10 +132,22 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
             t -= mu
             t *= z_scale[j]
             erfc(t, out=t)
+            # q becomes log r, then the weight's denominator: r + 1/r =
+            # 2 cosh(log r) on the shifted slice, 1 + r^2 = 1 + e^(2 log r)
+            # on the nominal rest
             q += log_tilt[j]
             with np.errstate(over="ignore"):
-                np.exp(q, out=q)
-            q += 1.0
+                for part, shifted in ((q[:a], False), (q[a:b], True),
+                                      (q[b:], False)):
+                    if not len(part):
+                        continue
+                    if shifted:
+                        np.cosh(part, out=part)
+                        part += part
+                    else:
+                        part += part
+                        np.exp(part, out=part)
+                        part += 1.0
             t /= q
             ow += t
 
@@ -150,8 +177,10 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     * lam_ratio (d, d - 1) = lam_k / lam_j and u_ratio (d,) = u / lam_j;
     * z_scale (d,) = 1 / (bg_j cond_sd_j sqrt(2)), the erfc argument's
       scale;
-    * log_tilt (d,) = -tilt_const_j, so the weight times erfc / 2 is
-      erfc / (e^(q + log_tilt) + 1).
+    * log_tilt (d,) = -tilt_const_j, so r = e^(q + log_tilt) is the
+      likelihood ratio in the power-heuristic weights, and the weight
+      times erfc / 2 is erfc / (1 + r^2) on the nominal half and
+      erfc / (r + 1/r) on the shifted one.
     """
     d = len(lam)
     coef = np.empty((d, d + 1, d))

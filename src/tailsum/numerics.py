@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,14 +192,19 @@ def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,
     Raises QuadratureError when the summed error estimate exceeds the
     tolerance relative to the summed result, or is nan (guards against
     silent failure on integrands spanning hundreds of orders of
-    magnitude).  scipy.integrate is imported here, on first use: only
-    models without a Gaussian copula need quadrature.
+    magnitude).  That check is the verdict, so scipy's IntegrationWarning
+    (roundoff detected, a tolerance not reached) is silenced.
+    scipy.integrate is imported here, on first use: only models without
+    a Gaussian copula need quadrature.
     """
     from scipy import integrate
 
     edges = [a, *points, b]
-    pieces = [integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
-              for lo, hi in zip(edges, edges[1:])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        pieces = [integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=rel_tol,
+                                 limit=limit)
+                  for lo, hi in zip(edges, edges[1:])]
     val, err = (math.fsum(column) for column in zip(*pieces))
     if not (err <= abs_tol + rel_tol * abs(val) or err <= 1e-3 * abs(val)):
         raise QuadratureError(

@@ -35,8 +35,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import (_margin_inputs, _sigma_inputs, check_threshold,
-                       is_real, lognormal_log_pdf, std_normal_log_tail)
+from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs,
+                       check_threshold, is_real, std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
@@ -176,7 +176,12 @@ def _make_lognormal_log_radius() -> RadialLaw:
         return std_normal_log_tail(math.log(r)) if r > 0 else 0.0
 
     def log_density(r: float) -> float:
-        return float(lognormal_log_pdf(r)) if r > 0 else -math.inf
+        # numerics.lognormal_log_pdf in scalar math: the quadrature calls
+        # it once per node
+        if r <= 0:
+            return -math.inf
+        z = math.log(r)
+        return -0.5 * z * z - z - _LOG_SQRT_2PI
 
     def scaling(r: float) -> float:
         if r <= 0.0:

@@ -59,7 +59,9 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, seed=5,
                 shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const)
 
 
-def run_conditional(inputs):
+def run_conditional(inputs, log_tilt=None):
+    """The kernel's output on the inputs, with ``log_tilt`` in place of
+    the folded one if given."""
     d, m = inputs["e"].shape
     # the plan's layout: chol(Sigma_-j) in the columns others[j]
     factor = np.zeros((d, d - 1, d))
@@ -69,9 +71,31 @@ def run_conditional(inputs):
         inputs["u"], inputs["lam"], inputs["bg"], inputs["others"], factor,
         inputs["alpha"], inputs["cond_sd"], inputs["shift"],
         inputs["tilt_vec"], inputs["tilt_const"])
+    if log_tilt is not None:
+        args = (*args[:-1], np.full(d, log_tilt))
     out = np.empty(m)
     _kernels.conditional_chunk(inputs["e"], inputs["bits"], out, *args)
     return out
+
+
+def margin_weights(inputs, j, log_tilt=None):
+    """Margin j's mixture weight on every draw, and a mask of the draws
+    that are shifted for it: the kernel's output with erfc set to 2
+    (a conditional probability of 1) for margin j and to 0 for the
+    others, in one pass, where margin k's erfc is the k-th call."""
+    d, m = inputs["e"].shape
+    assert m <= _kernels._PASS
+    calls = iter(range(d))
+
+    def erfc_of_margin_j(t, out):
+        out[:] = 2.0 if next(calls) == j else 0.0
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "erfc", erfc_of_margin_j)
+        weights = run_conditional(inputs, log_tilt)
+    shifted = (np.arange(m) < (m + 1) // 2) == (inputs["bits"][j] == 0)
+    return weights, shifted
 
 
 def per_margin_vectors(e, others, sub_chol):
@@ -98,14 +122,28 @@ def loop_reference(inputs, ys=None):
     return conditional_loop(ys, **{key: inputs[key] for key in keys})
 
 
+def power_weight(q, shifted):
+    """The weight of a draw of the equal two-half mixture at log
+    likelihood ratio q = log r of the shifted law to the nominal: 2r /
+    (1 + r^2) on a shifted draw, 2 / (1 + r^2) on a nominal one, in a form
+    that does not overflow.  These are the power heuristic's (exponent 2)
+    shares r^2 / (1 + r^2) and 1 / (1 + r^2), which sum to 1 at every
+    point, each divided by its half's share of the draws (1/2) times its
+    half's density relative to the nominal law (r and 1)."""
+    if q > 0.0:
+        s = math.exp(-q)
+        return 2.0 * (s if shifted else s * s) / (1.0 + s * s)
+    r = math.exp(q)
+    return 2.0 * (r if shifted else 1.0) / (1.0 + r * r)
+
+
 def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
                      tilt_vec, tilt_const):
     """The integrand one draw, one margin and one other margin at a time,
-    with the overflow-safe form of the mixture weight at 1/2; ys[j, i]
-    are the other margins of margin j in draw i.  Row i is shifted for margin j
-    when it lies in the first half of the rows (the single row of a
-    one-row block) and bits[j] is 0, or in the second half and bits[j]
-    is 1."""
+    with ``power_weight`` on the mixture's halves; ys[j, i] are the other
+    margins of margin j in draw i.  Row i is shifted for margin j when it
+    lies in the first half of the rows (the single row of a one-row
+    block) and bits[j] is 0, or in the second half and bits[j] is 1."""
     d, m = ys.shape[:2]
     out = np.empty(m)
     for i in range(m):
@@ -122,11 +160,7 @@ def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
                 mx = max(mx, xk)
                 mu_c += alpha[j, k] * yk
             q -= tilt_const[j]
-            if q > 0.0:
-                eq = math.exp(-q)
-                w = 2.0 * eq / (1.0 + eq)
-            else:
-                w = 2.0 / (math.exp(q) + 1.0)
+            w = power_weight(q, picked)
             threshold = max(mx, u - sm)
             z = (math.log(threshold / lam[j]) / bg[j] - mu_c) / cond_sd[j]
             acc += w * 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -304,6 +338,29 @@ class TestConditionalChunk:
         assert np.all(out >= 0.0)
         assert np.all(out <= 2.0 * d)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_power_weights_bounded_on_each_half(self, d):
+        # 2r / (1 + r^2) <= 1 on the shifted draws, 2 / (1 + r^2) <= 2 on
+        # the nominal ones, where r < 1 puts it above 1
+        inputs = make_conditional_inputs(m=2048, d=d, u=12.0, seed=d,
+                                         heterogeneous=True)
+        for j in range(d):
+            w, shifted = margin_weights(inputs, j)
+            assert np.all(w > 0.0)
+            assert np.max(w[shifted]) <= 1.0
+            assert 1.0 < np.max(w[~shifted]) <= 2.0
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_zero_shift_weighs_both_halves_exactly_one(self, d):
+        # r = 1 on every draw, where 2 / (1 + r^2) and 2r / (1 + r^2) are
+        # both exactly 1, so the bits do not change a single bit
+        inputs = make_conditional_inputs(m=512, d=d, zero_shift=True)
+        for j in range(d):
+            w, _ = margin_weights(inputs, j)
+            assert np.all(w == 1.0)
+        flipped = {**inputs, "bits": 1 - inputs["bits"]}
+        assert np.array_equal(run_conditional(flipped), run_conditional(inputs))
+
     def test_extreme_tilt_argument_stable(self):
         inputs = make_conditional_inputs(m=256)
         inputs["shift"] = np.full_like(inputs["shift"], 40.0)
@@ -315,3 +372,14 @@ class TestConditionalChunk:
             inputs["tilt_const"][j] = 0.5 * inputs["shift"][j] @ inputs["tilt_vec"][j]
         out = run_conditional(inputs)
         assert np.all(np.isfinite(out))
+        # r = e^(q + log_tilt) past the float range on every draw: an
+        # overflowing r weighs both halves 0, an underflowing one the
+        # shifted half 0 and the nominal half 2, its limit; never nan
+        zero = make_conditional_inputs(m=256, zero_shift=True)
+        for log_tilt, on_shifted, on_nominal in ((1e3, 0.0, 0.0),
+                                                 (-1e3, 0.0, 2.0)):
+            for j in range(3):
+                w, shifted = margin_weights(zero, j, log_tilt)
+                assert not np.any(np.isnan(w))
+                assert np.all(w[shifted] == on_shifted)
+                assert np.all(w[~shifted] == on_nominal)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -395,6 +396,20 @@ class TestMarginals:
         # of two linear quadrature tails
         assert apx.log_second_order == -332.5331318933083
         assert math.isfinite(approximate(spec, 1e4).log_second_order)
+
+    def test_deep_log_tail_raises_no_warning(self):
+        # at u = 1e100 scipy's quad detects roundoff, though the value is
+        # the trapezoid oracle's to 2e-16; adaptive_quad's own error check
+        # is the verdict, so no IntegrationWarning reaches the caller
+        spec = ModelSpec.standard(2, 0.3, radial=make_radial("WeibullTail", 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_tail = marginal_log_tail(spec, 0, 1e100)
+        nodes = 1 << 16
+        cos = np.cos(2.0 * np.pi * np.arange(nodes) / nodes)
+        r = math.log(1e100) / cos[cos > 0.0]
+        assert log_tail == pytest.approx(
+            logsumexp(-r ** 3) - math.log(nodes), rel=1e-15)
 
     def test_empirical_marginal_consistency(self, standard_spec):
         spec = standard_spec(0.5)

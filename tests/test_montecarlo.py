@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from reference_tables import matches_printed
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
@@ -47,6 +47,30 @@ def sum_tail_dblquad(rho, u, lam=(1.0, 1.0), bg=(1.0, 1.0)):
     b, _ = integrate.dblquad(density, -14.0, hi, y2_low, 14.0,
                              epsabs=1e-13, epsrel=1e-10)
     return a + b
+
+
+def sum_tail_exact(rho, u):
+    """Exact oracle at d = 2 for the standard model (X_j = e^(Y_j), Y
+    bivariate normal with correlation rho): conditioning on Y1 = y,
+
+        P(X1 + X2 > u) = Q(log u) + int_-inf^log u phi(y)
+                         Q((log(u - e^y) - rho y) / sqrt(1 - rho^2)) dy,
+
+    one quadrature, split at 0, L/2, L - 1 and L - 1e-3 (L = log u, the
+    last pieces holding the integrand's logarithmic end).  Agrees with a
+    30-digit mpmath integral to a few 1e-15 relative for u from 10 to
+    1e4."""
+    L = math.log(u)
+    sd = math.sqrt(1.0 - rho * rho)
+
+    def integrand(y):
+        z = (math.log(u - math.exp(y)) - rho * y) / sd
+        return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi) * ndtr(-z)
+
+    edges = [-math.inf, 0.0, L / 2, L - 1.0, L - 1e-3, L]
+    return ndtr(-L) + math.fsum(
+        integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:]))
 
 
 def shift_rows(rows, h, k):
@@ -206,22 +230,23 @@ class TestConditional:
 
     # (model, u, n, seed) -> (value, stderr) with the lattice inverse
     # normal, the vectorised shift search, each margin's shifted component
-    # on a fixed half of every block and each margin's conditioning vector
-    # drawn through chol(Sigma_-j).  table3 (Sigma = I) at u = 1e6 has a
-    # zero shift, so every mixture weight is exactly 1.
+    # on a fixed half of every block, the halves weighted by the power
+    # heuristic and each margin's conditioning vector drawn through
+    # chol(Sigma_-j).  table3 (Sigma = I) at u = 1e6 has a zero shift, so
+    # every mixture weight is exactly 1.
     GOLDEN = [
         ("table1", 10.0, 10**5, 11,
-         0.05206033961463809, 4.487268340905687e-08),
+         0.05206023025148344, 1.0800198094566403e-09),
         ("d2_rho0.5", 30.0, 50_000, 6,
-         0.00165630592673174, 7.224695288543722e-09),
+         0.0016563120761452636, 3.012547241595891e-10),
         ("d2_rho0.3", 50.0, 2**19, 2,
-         0.00015468568532193212, 3.225903146653616e-11),
+         0.00015468570625549438, 8.681558980704693e-13),
         ("d2_rho0.9", 1000.0, 2**20, 3,
-         1.102741856296842e-10, 7.343107117781015e-18),
+         1.1027418296158377e-10, 7.480654864287174e-20),
         ("d5_rho0.5", 1e4, 150_000, 8,
-         1.5648622125730968e-19, 4.669047285880974e-23),
+         1.564860611977658e-19, 4.692443699685849e-23),
         ("heterogeneous3", 20.0, 100_000, 9,
-         0.03709150906851496, 3.3258717568895305e-06),
+         0.03709176821566665, 2.7766269874867606e-06),
         ("table3", 1e6, 100_000, 12,
          2.0549681250181145e-43, 1.984632129136729e-51),
     ]
@@ -316,6 +341,22 @@ class TestConditional:
         former = self.SHARED_FACTOR_REL_STDERR[config, u]
         assert (math.sqrt(np.mean(np.square(rel)))
                 <= 0.5 * math.sqrt(np.mean(np.square(former))))
+
+    @pytest.mark.parametrize("rho, u", [(0.9, 100.0), (0.9, 300.0),
+                                        (0.9, 1000.0), (0.9, 1e4),
+                                        (0.5, 1000.0)])
+    def test_stderr_covers_the_exact_value_at_d2(self, rho, u):
+        # z = (estimate - truth) / stderr over 16 seeds: the reported
+        # stderr must be the estimate's error, not a fraction of it, also
+        # where the nominal half reaches the mode region only through its
+        # outermost lattice cells (rho = 0.9, u = 300 and 1000)
+        spec = ModelSpec.standard(2, rho)
+        truth = sum_tail_exact(rho, u)
+        z = np.array([(est.value - truth) / est.stderr for est in
+                      (conditional_max_mc(spec, u, 2**18, seed)
+                       for seed in range(1, 17))])
+        assert math.sqrt(np.mean(z * z)) <= 1.5
+        assert np.max(np.abs(z)) <= 4.0
 
     def test_deep_tail_one_percent_precision(self, standard_spec):
         spec = standard_spec(0.9)

@@ -12,7 +12,7 @@ import pytest
 from tailsum import (DomainError, InvalidParams, NoFiniteLimit, ScalingBundle,
                      exp_scale, make_radial, probe_condition_rho,
                      probe_mda_limit, probe_o_regular_variation)
-from tailsum.numerics import adaptive_quad, equicorrelation
+from tailsum.numerics import adaptive_quad, equicorrelation, lognormal_log_pdf
 
 mp.mp.dps = 40
 
@@ -62,6 +62,18 @@ class TestMakeRadial:
         r = 60.0  # r^2/2 = 1800, far past double underflow of the tail
         expected = float(mp.log(mp.gammainc(1.5, r * r / 2, mp.inf, regularized=True)))
         assert law.log_tail(r) == pytest.approx(expected, rel=1e-12)
+
+    def test_lognormal_log_density_is_the_array_form(self):
+        # the scalar math form against numerics.lognormal_log_pdf on
+        # r = 10^k, k from -300 to 300, and on ten draws per decade
+        law = make_radial("LognormalLogRadius")
+        rng = np.random.default_rng(4)
+        r = 10.0 ** np.concatenate([np.arange(-300, 301),
+                                    rng.uniform(-300.0, 300.0, 6000)])
+        scalar = np.array([law.log_density(float(x)) for x in r])
+        np.testing.assert_allclose(scalar, lognormal_log_pdf(r),
+                                   rtol=1e-15, atol=0.0)
+        assert law.log_density(0.0) == -math.inf
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
