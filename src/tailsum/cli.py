@@ -32,7 +32,7 @@ from .diagnostics import DiagnosticsRow, McOptions, build_table
 from .errors import (InvalidParams, NoFiniteLimit, NotPositiveDefinite,
                      QuadratureError, TailsumError, WrongRadialLaw)
 from .model import ModelSpec, marginal_log_tail
-from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, get_estimator
+from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, mc_table
 from .numerics import equicorrelation, is_real
 from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
                      probe_mda_limit, probe_o_regular_variation)
@@ -44,6 +44,7 @@ _NUMERIC_ERRORS = (QuadratureError, NoFiniteLimit, FloatingPointError)
 BUNDLED = ("table1", "table2", "table3", "table4")
 
 _VARIANTS = {"density": VARIANT_DENSITY, "limit": VARIANT_LIMIT}
+_VARIANT_CHOICES = (*_VARIANTS, "both")  # approx takes both
 _ESTIMATORS = {"crude": ESTIMATOR_CRUDE, "conditional": ESTIMATOR_CONDITIONAL}
 
 
@@ -65,8 +66,8 @@ class RunConfig:
     radial_params: tuple = ()
     u_list: tuple = ()
     mc_estimator: str = "conditional"
-    mc_n: int = 10**6
-    mc_seed: int = 1234567
+    mc_n: int = McOptions.n
+    mc_seed: int = McOptions.seed
     variant: str = "density"
     epsilon_c: float = 1.0
     out_format: str = "csv"
@@ -87,39 +88,35 @@ class RunConfig:
                 ("rho", None if self.rho is None else _config_real(self.rho, "model.rho")),
                 ("radial_params", tuple(radial))):
             object.__setattr__(self, name, value)
-        for what, value, allowed in (
-                ("variant", self.variant, (*_VARIANTS, "both")),
-                ("estimator", self.mc_estimator, tuple(_ESTIMATORS)),
-                ("output format", self.out_format, ("csv", "markdown"))):
+        for what, value, allowed in (("variant", self.variant, _VARIANT_CHOICES),
+                                     ("estimator", self.mc_estimator, _ESTIMATORS),
+                                     ("output format", self.out_format, _WRITERS)):
             if value not in allowed:
                 raise ConfigError(f"unknown {what} {value!r} (one of {', '.join(allowed)})")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """The config of a parsed JSON document; ConfigError unless the
-        document and each of its sections is a JSON object."""
+        """The config of a parsed JSON document, a key it lacks leaving its
+        field at the default; ConfigError unless it and each section is a
+        JSON object."""
         raw = _json_object(raw, "config")
         model, mc, output = (_json_object(raw.get(key, {}), key)
                              for key in ("model", "mc", "output"))
         radial = _json_object(model.get("radial", {}), "model.radial")
-        return cls(
-            d=_config_int(model.get("d", 2), "model.d"),
-            lam=tuple(model.get("lambda", ())),
-            beta=tuple(model.get("beta", ())),
-            gamma=model.get("gamma", 1.0),
-            rho=model.get("rho"),
-            sigma=tuple(tuple(r) for r in model.get("sigma", ())),
-            radial_kind=radial.get("kind", "ChiOfDim"),
-            radial_params=tuple(radial.get("params", ())),
-            u_list=tuple(raw.get("u_list", ())),
-            mc_estimator=mc.get("estimator", "conditional"),
-            mc_n=_config_int(mc.get("n", 10**6), "mc.n"),
-            mc_seed=_config_int(mc.get("seed", 1234567), "mc.seed"),
-            variant=raw.get("variant", "density"),
-            epsilon_c=raw.get("epsilon_c", 1.0),
-            out_format=output.get("format", "csv"),
-            out_path=output.get("path"),
-        )
+        # (section, key, field, conversion or None)
+        keys = ((model, "d", "d", lambda v: _config_int(v, "model.d")),
+                (model, "lambda", "lam", tuple), (model, "beta", "beta", tuple),
+                (model, "gamma", "gamma", None), (model, "rho", "rho", None),
+                (model, "sigma", "sigma", lambda rows: tuple(tuple(r) for r in rows)),
+                (radial, "kind", "radial_kind", None), (raw, "u_list", "u_list", tuple),
+                (radial, "params", "radial_params", tuple),
+                (mc, "estimator", "mc_estimator", None),
+                (mc, "n", "mc_n", lambda v: _config_int(v, "mc.n")),
+                (mc, "seed", "mc_seed", lambda v: _config_int(v, "mc.seed")),
+                (raw, "variant", "variant", None), (raw, "epsilon_c", "epsilon_c", None),
+                (output, "format", "out_format", None), (output, "path", "out_path", None))
+        return cls(**{name: convert(section[key]) if convert else section[key]
+                      for section, key, name, convert in keys if key in section})
 
     def to_dict(self) -> dict:
         model: dict = {"d": self.d, "lambda": list(self.lam),
@@ -251,6 +248,9 @@ def write_markdown(rows: list[DiagnosticsRow], stream) -> None:
                      + " |\n")
 
 
+_WRITERS = {"csv": write_csv, "markdown": write_markdown}  # the output formats
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def cmd_table(cfg: RunConfig, args) -> int:
     mc_opts = None if args.no_mc else cfg.mc_options(args.workers)
     rows = build_table(spec, cfg.u_list, mc_opts, c=cfg.epsilon_c,
                        variant=_VARIANTS[cfg.variant])
-    writer = {"csv": write_csv, "markdown": write_markdown}[cfg.out_format]
+    writer = _WRITERS[cfg.out_format]
     if cfg.out_path:
         try:
             fh = open(cfg.out_path, "w", encoding="utf-8")
@@ -311,8 +311,7 @@ def cmd_mc(cfg: RunConfig, args) -> int:
         raise ConfigError("mc needs exactly one threshold via --u")
     u = args.u[0]
     opts = cfg.mc_options(args.workers)
-    run = get_estimator(opts.estimator)
-    est = run(spec, u, opts.n, opts.seed, workers=opts.workers)
+    est = mc_table(spec, [u], opts.n, opts.seed, opts.estimator, opts.workers)[0]
     print(f"estimator  {est.estimator}")
     print(f"u          {full_precision(u)}")
     print(f"value      {full_precision(est.value)}")
@@ -394,15 +393,14 @@ _FLAGS = (
                                     help="threshold(s), comma separated")),
     ("--n", "table mc", dict(type=int, dest="mc_n", help="MC sample count")),
     ("--seed", "table mc", dict(type=int, dest="mc_seed", help="MC seed")),
-    ("--estimator", "table mc", dict(choices=("crude", "conditional"),
-                                     dest="mc_estimator")),
+    ("--estimator", "table mc", dict(choices=tuple(_ESTIMATORS), dest="mc_estimator")),
     ("--workers", "table mc", dict(type=int, help="worker threads (default "
                                    "TAILSUM_THREADS or 1; never changes results)")),
-    ("--variant", "table approx", dict(choices=("limit", "density", "both"))),
+    ("--variant", "table approx", dict(choices=_VARIANT_CHOICES)),
     ("--epsilon-c", "table", dict(type=float,
                                   help="slack constant of the epsilon measure")),
     ("--out", "table", dict(dest="out_path", help="output file path")),
-    ("--format", "table", dict(choices=("csv", "markdown"), dest="out_format")),
+    ("--format", "table", dict(choices=tuple(_WRITERS), dest="out_format")),
     ("--no-mc", "table", dict(action="store_true", help="skip the Monte Carlo column")),
 )
 

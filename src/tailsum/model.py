@@ -32,6 +32,13 @@ __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
 SAMPLE_CHUNK = 1 << 16
 
 
+def _chunks(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
+    """The chunk contract: (child seed, size) of each chunk of n draws, in
+    order: all but the last hold SAMPLE_CHUNK, chunk i seeds child i."""
+    children = np.random.SeedSequence(seed).spawn(-(-n // SAMPLE_CHUNK))
+    return [(c, min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK)) for i, c in enumerate(children)]
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A validated, index-normalized log-elliptical risk model.
@@ -52,25 +59,14 @@ class ModelSpec:
     permutation: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        problems = validate_inputs(self.d, self.lam, self.beta, self.gamma,
-                                   self.sigma)
+        problems, values = _model_inputs(self.d, self.lam, self.beta, self.gamma,
+                                         self.sigma)
         if not isinstance(self.radial, RadialLaw):
             problems.append(f"radial must be a RadialLaw, got {self.radial!r}")
         if problems:
             raise InvalidParams("; ".join(problems))
-        lam, beta = _margin_inputs(self.d, self.lam, self.beta, self.gamma)[:2]
-        perm = np.lexsort((-lam, -beta))  # decreasing beta, then decreasing lam
-        lam, beta = lam[perm].copy(), beta[perm].copy()
-        sigma = self.sigma
-        if not isinstance(sigma, CorrelationMatrix) or np.any(perm != np.arange(self.d)):
-            sigma = CorrelationMatrix(_sigma_inputs(sigma)[0][np.ix_(perm, perm)])
-        lam.setflags(write=False)
-        beta.setflags(write=False)
-        perm.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "permutation", perm)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def standard(cls, d: int, rho: float, radial: RadialLaw | None = None) -> "ModelSpec":
@@ -97,21 +93,32 @@ class ModelSpec:
 
 def validate_inputs(d, lam, beta, gamma, sigma) -> list[str]:
     """Violation list for raw, possibly unconstructable, model ingredients.
+    Unlike the ModelSpec constructor it never raises; an empty list means a
+    ModelSpec can be built from them, and otherwise it raises with it."""
+    return _model_inputs(d, lam, beta, gamma, sigma)[0]
 
-    Unlike the ModelSpec constructor this never raises; every broken
-    invariant is reported as a string.  An empty list means a ModelSpec
-    can be built from the inputs; otherwise it raises with this list.
-    """
+
+def _model_inputs(d, lam, beta, gamma, sigma) -> tuple[list[str], dict]:
+    """The one pass over the inputs: their violations and, if there are
+    none, ModelSpec's sorted fields, sigma the one CorrelationMatrix of the
+    sorted sigma (itself if it is one needing no permutation; a symmetric
+    permutation keeps positive definiteness, so the violations agree)."""
     if not is_integer_at_least(d, 1):
-        return [f"dimension must be an integer >= 1, got {d!r}"]
+        return [f"dimension must be an integer >= 1, got {d!r}"], {}
     m, sigma_violations = _sigma_inputs(sigma, d)
-    violations = _margin_inputs(d, lam, beta, gamma)[2] + sigma_violations
-    if not (violations or isinstance(sigma, CorrelationMatrix)):
+    lam, beta, violations = _margin_inputs(d, lam, beta, gamma)
+    if violations := violations + sigma_violations:
+        return violations, {}
+    perm = np.lexsort((-lam, -beta))  # decreasing beta, then decreasing lam
+    if not isinstance(sigma, CorrelationMatrix) or np.any(perm != np.arange(d)):
         try:
-            CorrelationMatrix(m)
+            sigma = CorrelationMatrix(m[np.ix_(perm, perm)])
         except NotPositiveDefinite:
-            violations.append("sigma is not positive definite")
-    return violations
+            return ["sigma is not positive definite"], {}
+    values = {"lam": lam[perm], "beta": beta[perm], "permutation": perm}
+    for value in values.values():
+        value.setflags(write=False)
+    return [], {**values, "sigma": sigma}
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +291,17 @@ def _draw_chunk(spec: ModelSpec, rng: np.random.Generator, m: int,
 def sample(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """Draw n risk vectors.
 
-    Generation is chunked: each chunk of SAMPLE_CHUNK draws has its own
-    SFC64 generator (``_chunk_rng``) seeded by a child spawned from the
-    seed, so any worker-level parallelism over chunks cannot change the
+    Generation is chunked (``_chunks``): each chunk of SAMPLE_CHUNK draws
+    has its own SFC64 generator (``_chunk_rng``) seeded by its child of
+    the seed, so any worker-level parallelism over chunks cannot change the
     result.  ``montecarlo.crude_mc`` draws the same stream.
     """
     n, seed = check_draws(n, seed)
     chol = spec.sigma.cholesky()
     bg = spec.beta * spec.gamma
     out = np.empty((n, spec.d))
-    children = np.random.SeedSequence(seed).spawn((n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK)
-    done = 0
-    for child in children:
-        m = min(SAMPLE_CHUNK, n - done)
+    for i, (child, m) in enumerate(_chunks(n, seed)):
         y = _draw_chunk(spec, _chunk_rng(child), m, chol)
-        out[done:done + m] = spec.lam * np.exp(bg * y)
-        done += m
+        out[i * SAMPLE_CHUNK:i * SAMPLE_CHUNK + m] = spec.lam * np.exp(bg * y)
     out.setflags(write=False)
     return SampleBatch(n=n, x=out, seed=seed)

@@ -75,7 +75,8 @@ from scipy.special import log_ndtr, ndtri
 
 from . import _kernels
 from .errors import DomainError, InvalidParams
-from .model import SAMPLE_CHUNK, ModelSpec, _chunk_rng, _draw_chunk, marginal_tail
+from .model import (SAMPLE_CHUNK, ModelSpec, _chunk_rng, _chunks, _draw_chunk,
+                    marginal_tail)
 from .numerics import check_draws, check_threshold, is_integer_at_least
 
 __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
@@ -85,10 +86,10 @@ __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
 ESTIMATOR_CRUDE = "crude"
 ESTIMATOR_CONDITIONAL = "conditional_max"
 
-# A randomised block holds at most 2^_SOBOL_BITS Sobol points (=
-# SAMPLE_CHUNK, so a chunk holds whole blocks); an estimate has at least
+# A randomised block holds at most 2^_SOBOL_BITS = SAMPLE_CHUNK Sobol
+# points, so a chunk holds whole blocks; an estimate has at least
 # _MIN_BLOCKS blocks behind its standard error.
-_SOBOL_BITS = 16
+_SOBOL_BITS = SAMPLE_CHUNK.bit_length() - 1
 _MIN_BLOCKS = 16
 # Joe-Kuo direction numbers as shipped with scipy; read by path, because
 # importing scipy.stats costs about half a second and 19 MB.
@@ -151,19 +152,17 @@ def worker_count(workers: int | None = None) -> int:
 
 
 def _run_chunks(n: int, seed: int, workers: int | None, task):
-    """Run task(child_seed_sequence, chunk_size) over fixed-size chunks.
+    """Run task(child_seed_sequence, chunk_size) over ``model._chunks``.
 
     Returns the list of chunk results in chunk order regardless of the
     execution schedule.
     """
-    n_chunks = (n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [SAMPLE_CHUNK] * (n_chunks - 1) + [n - SAMPLE_CHUNK * (n_chunks - 1)]
+    parts = _chunks(n, seed)
     w = worker_count(workers)
-    if w == 1 or n_chunks == 1:
-        return [task(c, m) for c, m in zip(children, sizes)]
+    if w == 1 or len(parts) == 1:
+        return [task(c, m) for c, m in parts]
     with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(task, children, sizes))
+        return list(pool.map(task, *zip(*parts)))
 
 
 def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
