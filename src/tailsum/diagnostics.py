@@ -16,12 +16,12 @@ from typing import Sequence
 
 from .asymptotics import VARIANT_DENSITY, approximate
 from .errors import DomainError
-from .model import ModelSpec, check_margin
+from .model import ModelSpec
 from .montecarlo import ESTIMATOR_CONDITIONAL, mc_table
 # perfbench/tracing.py wraps these bindings as layers; kept so that it
 # does not report them absent.
 from .montecarlo import conditional_max_mc, crude_mc  # noqa: F401
-from .numerics import check_threshold, is_real
+from .numerics import check_margin, check_threshold, is_real
 
 __all__ = ["DiagnosticsRow", "McOptions", "rho_hat", "epsilon_measure",
            "EpsilonMeasure", "build_table"]
@@ -35,7 +35,7 @@ def rho_hat(spec: ModelSpec, j: int, u: float) -> float:
     For standard log-normal margins this is 1 - log(log u)/log u.
     Needs a margin index j, u > 1 and u above the margin's scale factor.
     """
-    check_margin(spec, j)
+    check_margin(j, spec.d)
     check_threshold(u, 1.0)
     bundle = spec.scaling_bundle()
     es = bundle.margin_scale(j, u)
@@ -64,8 +64,8 @@ def epsilon_measure(spec: ModelSpec, i: int, j: int, u: float,
     reproduces the published epsilon columns (the one used there is not
     recoverable), but must be a finite real number.
     """
-    check_margin(spec, i)
-    check_margin(spec, j)
+    check_margin(i, spec.d)
+    check_margin(j, spec.d)
     if not (is_real(c) and math.isfinite(c)):
         raise DomainError(f"the epsilon measure needs a finite real c, got {c!r}")
     check_threshold(u, 1.0)
@@ -95,7 +95,9 @@ def _exp_or_inf(x: float) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
-    """One benchmark-table row; mc fields are None when MC is skipped."""
+    """One benchmark-table row; mc fields are None when MC is skipped.
+    ``log10_asympt1`` and ``log10_asympt2`` stay finite where the linear
+    approximations underflow to 0."""
 
     u: float
     asympt1: float
@@ -107,9 +109,12 @@ class DiagnosticsRow:
     epsilon: float | None
     exp_epsilon: float | None
     rho_hat: float
+    log10_asympt1: float
+    log10_asympt2: float
 
     FIELDS = ("u", "asympt1", "asympt2", "mc", "mc_stderr", "ratio1",
-              "ratio2", "epsilon", "exp_epsilon", "rho_hat")
+              "ratio2", "epsilon", "exp_epsilon", "rho_hat", "log10_asympt1",
+              "log10_asympt2")
 
 
 @dataclass(frozen=True)
@@ -154,5 +159,7 @@ def build_table(spec: ModelSpec, u_list: Sequence[float],
             u=u, asympt1=apx.first_order, asympt2=apx.second_order,
             mc=mc_val, mc_stderr=mc_err, ratio1=ratio1, ratio2=ratio2,
             epsilon=eps, exp_epsilon=eeps, rho_hat=rho_hat(spec, 0, u),
+            log10_asympt1=apx.log_first_order / math.log(10.0),
+            log10_asympt2=apx.log_second_order / math.log(10.0),
         ))
     return rows

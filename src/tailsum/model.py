@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DomainError, InvalidParams, NotPositiveDefinite, WrongRadialLaw
 from ._kernels import _PASS
 from .numerics import (CorrelationMatrix, _margin_inputs, _sigma_inputs,
-                       adaptive_quad, check_draws, check_threshold, equicorrelation,
-                       is_integer_at_least, lognormal_log_pdf,
+                       adaptive_quad, check_draws, check_margin, check_threshold,
+                       equicorrelation, is_integer_at_least, lognormal_log_pdf,
                        std_normal_log_tail, std_normal_tail)
 from .radial import RadialLaw, ScalingBundle, make_radial
 
@@ -34,7 +34,7 @@ SAMPLE_CHUNK = 1 << 16
 
 def _chunks(n: int, seed: int) -> list[tuple[np.random.SeedSequence, int]]:
     """The chunk contract: (child seed, size) of each chunk of n draws, in
-    order: all but the last hold SAMPLE_CHUNK, chunk i seeds child i."""
+    order; all but the last hold SAMPLE_CHUNK, chunk i has child i of seed."""
     children = np.random.SeedSequence(seed).spawn(-(-n // SAMPLE_CHUNK))
     return [(c, min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK)) for i, c in enumerate(children)]
 
@@ -125,17 +125,10 @@ def _model_inputs(d, lam, beta, gamma, sigma) -> tuple[list[str], dict]:
 # Marginals
 # ---------------------------------------------------------------------------
 
-def check_margin(spec: ModelSpec, j) -> None:
-    """DomainError unless j is a margin index of spec: an integer by the
-    integer rule, 0 <= j < d."""
-    if not (is_integer_at_least(j, 0) and j < spec.d):
-        raise DomainError(f"margin index {j!r} out of range for d={spec.d}")
-
-
 def _margin_w(spec: ModelSpec, j: int, u: float) -> float:
     """Check j and u; return w = log(u/lam_j)/(beta_j*gamma), the
     threshold of margin j on the scale of its log-coordinate."""
-    check_margin(spec, j)
+    check_margin(j, spec.d)
     check_threshold(u)
     return float(math.log(u / spec.lam[j]) / (spec.beta[j] * spec.gamma))
 

@@ -33,14 +33,28 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def check_real(value, name: str, lower: float = -math.inf) -> float:
+    """value as a float; DomainError naming it unless it is a real number
+    by ``is_real`` (not a string or a bool), finite and above ``lower``."""
+    if not is_real(value):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value > lower):
+        bound = ("" if lower == -math.inf else " and positive" if lower == 0.0
+                 else f" and > {lower:g}")
+        raise DomainError(f"{name} must be finite{bound}, got {value}")
+    return float(value)
+
+
 def check_threshold(u: float, lower: float = 0.0) -> None:
-    """Raise DomainError unless the threshold u is a real number by
-    ``is_real`` (not a string or a bool), finite and above ``lower``."""
-    if not is_real(u):
-        raise DomainError(f"threshold u must be a real number, got {u!r}")
-    if not (math.isfinite(u) and u > lower):
-        bound = "positive" if lower == 0.0 else f"> {lower:g}"
-        raise DomainError(f"threshold u must be finite and {bound}, got {u}")
+    """``check_real`` for the threshold u."""
+    check_real(u, "threshold u", lower)
+
+
+def check_margin(j, d: int) -> None:
+    """DomainError unless j is a margin index: an integer by the integer
+    rule, 0 <= j < d."""
+    if not (is_integer_at_least(j, 0) and j < d):
+        raise DomainError(f"margin index {j!r} out of range for d={d}")
 
 
 def is_integer_at_least(value, low: int) -> bool:
@@ -148,16 +162,12 @@ def std_normal_tail(x: float) -> float:
     (underflow to 0 starts only around x ~ 38.5).  For values beyond
     that use :func:`std_normal_log_tail`.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_tail needs a finite argument, got {x}")
-    return 0.5 * math.erfc(x / _SQRT2)
+    return 0.5 * math.erfc(check_real(x, "std_normal_tail's argument") / _SQRT2)
 
 
 def std_normal_log_tail(x: float) -> float:
     """log P(N(0,1) > x); never underflows for any finite x."""
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_log_tail needs a finite argument, got {x}")
-    return float(sp.log_ndtr(-x))
+    return float(sp.log_ndtr(-check_real(x, "std_normal_log_tail's argument")))
 
 
 def lognormal_pdf(u: float, mu: float = 0.0, sigma: float = 1.0) -> float:
@@ -167,21 +177,17 @@ def lognormal_pdf(u: float, mu: float = 0.0, sigma: float = 1.0) -> float:
 
 def lognormal_log_pdf(u, mu=0.0, sigma=1.0):
     """Log-density at u of exp(N(mu, sigma^2)), elementwise over arrays
-    that broadcast; u and sigma must be positive."""
-    u, mu, sigma = (np.asarray(a, dtype=float) for a in (u, mu, sigma))
-    if np.any(u <= 0.0):
-        raise DomainError(f"log-normal density is defined for u > 0, got {u}")
-    if np.any(sigma <= 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    that broadcast; every entry passes ``check_real``, u and sigma > 0."""
+    u, mu, sigma = (np.vectorize(check_real, otypes=[float])(a, name, lower)
+                    for a, name, lower in ((u, "u", 0.0), (mu, "mu", -math.inf),
+                                           (sigma, "sigma", 0.0)))
     z = (np.log(u) - mu) / sigma
     return -0.5 * z * z - np.log(u * sigma) - _LOG_SQRT_2PI
 
 
 def gamma_function(s: float) -> float:
     """Euler Gamma for s > 0."""
-    if s <= 0.0:
-        raise DomainError(f"gamma_function is restricted to s > 0, got {s}")
-    return math.gamma(s)
+    return math.gamma(check_real(s, "gamma_function's argument", 0.0))
 
 
 def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,

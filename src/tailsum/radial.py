@@ -35,8 +35,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs,
-                       check_threshold, is_real, std_normal_log_tail)
+from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs, check_margin,
+                       check_real, check_threshold, is_real, std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
@@ -59,7 +59,9 @@ class RadialLaw:
     ``scaling`` is the Gumbel auxiliary function b: the tail satisfies
     tail(u + x*b(u))/tail(u) -> exp(-x).  ``scaling_limit`` is
     kappa = lim r * b(r), possibly 0 or inf.  ``sampler(rng, size)`` draws
-    from the law using the supplied numpy Generator.
+    from the law using the supplied numpy Generator.  The built-in laws'
+    functions of r raise DomainError unless r passes ``check_real`` (and
+    r > 0 for ``scaling``).
     """
 
     kind: str
@@ -87,7 +89,7 @@ class RadialLaw:
 
 def _chi_log_tail(r: float, d: int) -> float:
     """log P(sqrt(chi2_d) > r), stable for arbitrarily large r."""
-    if r <= 0.0:
+    if check_real(r, "radius r") <= 0.0:
         return 0.0
     k = d / 2.0
     x = 0.5 * r * r
@@ -109,7 +111,7 @@ def _chi_series(k: float, x: float) -> float:
 
 
 def _chi_log_density(r: float, d: int) -> float:
-    if r <= 0.0:
+    if check_real(r, "radius r") <= 0.0:
         return -math.inf
     k = d / 2.0
     return (d - 1.0) * math.log(r) - 0.5 * r * r - (k - 1.0) * math.log(2.0) - math.lgamma(k)
@@ -124,13 +126,10 @@ def _make_chi(d: int) -> RadialLaw:
     log_density = partial(_chi_log_density, d=d)
     if d == 2:
         def scaling(r: float) -> float:
-            if r <= 0.0:
-                raise DomainError("scaling of ChiOfDim(2) needs r > 0")
-            return 1.0 / r
+            return 1.0 / check_real(r, "radius r", 0.0)
     else:
         def scaling(r: float) -> float:
-            if r <= 0.0:
-                raise DomainError("hazard-rate scaling needs r > 0")
+            r = check_real(r, "radius r", 0.0)
             x = 0.5 * r * r
             k = d / 2.0
             if x > 700.0:
@@ -150,17 +149,15 @@ def _make_weibull(tau: float, scale: float = 1.0) -> RadialLaw:
                             f"got ({tau}, {scale})")
 
     def log_tail(r: float) -> float:
-        return -((r / scale) ** tau) if r > 0 else 0.0
+        return -((r / scale) ** tau) if check_real(r, "radius r") > 0 else 0.0
 
     def log_density(r: float) -> float:
-        if r <= 0.0:
+        if check_real(r, "radius r") <= 0.0:
             return -math.inf
         return math.log(tau / scale) + (tau - 1.0) * math.log(r / scale) + log_tail(r)
 
     def scaling(r: float) -> float:
-        if r <= 0.0:
-            raise DomainError("Weibull scaling needs r > 0")
-        return scale**tau * r ** (1.0 - tau) / tau
+        return scale**tau * check_real(r, "radius r", 0.0) ** (1.0 - tau) / tau
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         return scale * rng.standard_exponential(size) ** (1.0 / tau)
@@ -173,19 +170,19 @@ def _make_weibull(tau: float, scale: float = 1.0) -> RadialLaw:
 
 def _make_lognormal_log_radius() -> RadialLaw:
     def log_tail(r: float) -> float:
+        r = check_real(r, "radius r")
         return std_normal_log_tail(math.log(r)) if r > 0 else 0.0
 
     def log_density(r: float) -> float:
         # numerics.lognormal_log_pdf in scalar math: the quadrature calls
         # it once per node
-        if r <= 0:
+        if check_real(r, "radius r") <= 0:
             return -math.inf
         z = math.log(r)
         return -0.5 * z * z - z - _LOG_SQRT_2PI
 
     def scaling(r: float) -> float:
-        if r <= 0.0:
-            raise DomainError("scaling needs r > 0")
+        check_real(r, "radius r", 0.0)
         return math.exp(log_tail(r) - log_density(r))
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -269,13 +266,12 @@ class ScalingBundle:
         radial scaling b.  Defined for v > 1, i.e. u > lam_j.  Formed from
         log v, never v itself, so it stays finite where v overflows.
         """
-        bg = self.beta[j] * self.gamma
-        ratio = u / self.lam[j]
-        if ratio <= 1.0:
+        check_margin(j, len(self.lam))
+        if check_real(u, "threshold u") <= self.lam[j]:
             raise DomainError(
-                f"margin_scale needs u > lam_j (margin {j}: u={u}, lam={self.lam[j]})"
-            )
-        return bg * u * self.law.scaling(math.log(ratio) / bg)
+                f"margin_scale needs u > lam_j (margin {j}: u={u}, lam={self.lam[j]})")
+        bg = self.beta[j] * self.gamma
+        return bg * u * self.law.scaling(math.log(u / self.lam[j]) / bg)
 
     def margin_scale_limit(self, j: int) -> float:
         """Limit c_j = (gamma*beta_j)^2 * kappa of log(u) * margin_scale(j, u)/u,
@@ -328,7 +324,7 @@ def _mda_rows(u_grid: Sequence[float], x_grid: Sequence[float],
     for u in u_grid:
         b = scale(u)
         for x in x_grid:
-            shifted = u + x * b
+            shifted = u + check_real(x, "x") * b
             if shifted <= 0:
                 continue
             ratio = math.exp(log_tail(shifted) - log_tail(u))
@@ -367,6 +363,8 @@ def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,
     ultimately; a negative margin is evidence it holds at this u.
     """
     check_threshold(u, 1.0)
+    check_real(c, "c")
+    check_real(epsilon, "epsilon", 0.0)
     lu = math.log(u)
     d = len(bundle.lam)
     sigma, problems = _sigma_inputs(sigma, d)
@@ -389,4 +387,6 @@ def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,
 def probe_o_regular_variation(law: RadialLaw, u_grid: Sequence[float],
                               lam: float = 1.01) -> list[float]:
     """|exp_scale(lam*u)/exp_scale(u) - 1| over the grid (O-variation check)."""
-    return [abs(exp_scale(lam * u, law) / exp_scale(u, law) - 1.0) for u in u_grid]
+    check_real(lam, "lam", 0.0)
+    grid = [check_real(u, "threshold u", 1.0) for u in u_grid]
+    return [abs(exp_scale(lam * u, law) / exp_scale(u, law) - 1.0) for u in grid]

@@ -142,6 +142,10 @@ class TestApproximateDomain:
         with pytest.raises(DomainError, match="threshold u must be finite and positive"):
             approximate(standard_spec(0.5), u)
 
+    def test_rejects_unknown_variant(self, standard_spec):
+        with pytest.raises(DomainError, match="unknown variant 'foo'"):
+            approximate(standard_spec(0.5), 10.0, "foo")
+
 
 _SPEC = ModelSpec.standard(2, 0.5)
 

@@ -107,6 +107,26 @@ class TestTableCommand:
         again = read_csv(buf)
         assert again == rows
 
+    @pytest.mark.parametrize("raw, expected", [
+        ({"model": {"d": 2, "rho": 0.3,
+                    "radial": {"kind": "WeibullTail", "params": [3.0]}},
+          "u_list": [1e4, 1e12]}, [-340.958, -9164.179]),
+        ({"model": {"d": 2, "rho": 0.9}, "u_list": [1e20, 1e40]},
+         [-462.101, -1844.126]),
+    ], ids=["weibull3", "table1"])
+    def test_deep_rows_write_the_log10_approximations(self, run_cli, tmp_path,
+                                                      raw, expected):
+        # the linear columns underflow to 0 here; the log10 columns were
+        # missing, so the written table lost both approximations
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(raw))
+        code, out, _ = run_cli("table", "--config", str(path), "--no-mc")
+        assert code == 0
+        rows = read_csv(io.StringIO(out))
+        assert [row.asympt2 for row in rows] == [0.0, 0.0]
+        assert [round(row.log10_asympt2, 3) for row in rows] == expected
+        assert all(row.log10_asympt1 < row.log10_asympt2 for row in rows)
+
     def test_markdown_output(self, run_cli):
         code, out, _ = run_cli("table", "--config", "table4", "--no-mc",
                                "--format", "markdown")
@@ -634,11 +654,13 @@ class TestFlags:
 def test_csv_formatting_rules():
     row = DiagnosticsRow(u=10.0, asympt1=0.5, asympt2=0.0005, mc=None,
                          mc_stderr=None, ratio1=None, ratio2=None,
-                         epsilon=1.0, exp_epsilon=math.exp(1.0), rho_hat=0.638)
+                         epsilon=1.0, exp_epsilon=math.exp(1.0), rho_hat=0.638,
+                         log10_asympt1=math.log10(0.5), log10_asympt2=math.log10(0.0005))
     buf = io.StringIO()
     write_csv([row], buf)
     text = buf.getvalue().splitlines()
-    assert text[0] == "u,asympt1,asympt2,mc,mc_stderr,ratio1,ratio2,epsilon,exp_epsilon,rho_hat"
+    assert text[0] == ("u,asympt1,asympt2,mc,mc_stderr,ratio1,ratio2,epsilon,exp_epsilon,"
+                       "rho_hat,log10_asympt1,log10_asympt2")
     fields = text[1].split(",")
     assert fields[2].endswith("e-04")  # scientific below 1e-3
     assert fields[3] == ""

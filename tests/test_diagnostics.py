@@ -187,6 +187,12 @@ class TestBuildTable:
                 assert abs(row.asympt2 - mc) < abs(row.asympt1 - mc), \
                     f"rho={rho}, u={row.u}"
 
+    def test_one_margin_has_no_epsilon_columns(self):
+        # the epsilon measure needs the pair (2, 1), so d = 1 leaves it out
+        row, = build_table(ModelSpec.standard(1, 0.0), [10.0])
+        assert (row.epsilon, row.exp_epsilon) == (None, None)
+        assert row.asympt2 == row.asympt1 > 0.0
+
     def test_empty_u_list_rejected(self, standard_spec):
         with pytest.raises(DomainError):
             build_table(standard_spec(0.0), [])

@@ -105,6 +105,42 @@ class TestValidation:
         violations = validate_inputs(0, [], [], 1.0, np.empty((0, 0)))
         assert any("dimension" in v for v in violations)
 
+    def test_margin_length_violation(self):
+        with pytest.raises(InvalidParams, match=re.escape("lam must have length d=3")):
+            ModelSpec(d=3, lam=[1, 1], beta=[1, 1, 1], gamma=1.0, sigma=np.eye(3),
+                      radial=make_radial("ChiOfDim", 3))
+
+    @pytest.mark.parametrize("given", ["raw", "correlation_matrix"])
+    def test_inputs_are_checked_and_converted_once(self, monkeypatch, given):
+        # one pass: sigma is read once by the model and once by the one
+        # CorrelationMatrix it builds, factorised once, the margins read once
+        from tailsum import model, numerics
+
+        calls = {"_sigma_inputs": 0, "_margin_inputs": 0, "cholesky": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return counted
+
+        for name in ("_sigma_inputs", "_margin_inputs"):
+            counted = counting(numerics, name)
+            monkeypatch.setattr(numerics, name, counted)
+            monkeypatch.setattr(model, name, counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg, "cholesky"))
+        raw = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        sigma = raw if given == "raw" else CorrelationMatrix(raw)
+        calls.update(dict.fromkeys(calls, 0))
+        spec = ModelSpec(d=3, lam=[1.0, 2.0, 0.5], beta=[1.0, 1.5, 2.0], gamma=1.0,
+                         sigma=sigma, radial=make_radial("ChiOfDim", 3))
+        assert calls == {"_sigma_inputs": 2, "_margin_inputs": 1, "cholesky": 1}
+        np.testing.assert_array_equal(spec.permutation, [2, 1, 0])
+        np.testing.assert_array_equal(spec.sigma.entries, raw[::-1, ::-1])
+
     @pytest.mark.parametrize("d", [2.7, 2.0, "2", None, 0, -1])
     def test_dimension_must_be_an_integer(self, d):
         # the integer rule of the n/seed checks: no float, however integral

@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams, NotPositiveDefinite,
-                     equicorrelation, gamma_function, lognormal_pdf, make_radial,
-                     std_normal_log_tail, std_normal_tail)
+                     TailsumError, equicorrelation, gamma_function, lognormal_pdf,
+                     make_radial, std_normal_log_tail, std_normal_tail)
 from tailsum.model import coordinate_tail
 from tailsum.numerics import is_real
 
@@ -260,3 +260,64 @@ class TestCorrelationMatrix:
 
     def test_equicorrelation_d1_takes_any_finite_rho(self):
         np.testing.assert_array_equal(equicorrelation(1, 5.0).entries, [[1.0]])
+
+
+def _helper_calls():
+    """Each public helper with one argument left open, by name."""
+    from tailsum import (ScalingBundle, probe_condition_rho, probe_margin_mda_limit,
+                         probe_mda_limit, probe_o_regular_variation)
+
+    laws = {"ChiOfDim(2)": make_radial("ChiOfDim", 2),
+            "ChiOfDim(3)": make_radial("ChiOfDim", 3),
+            "WeibullTail(2)": make_radial("WeibullTail", 2.0),
+            "LognormalLogRadius": make_radial("LognormalLogRadius")}
+    chi = laws["ChiOfDim(2)"]
+    bundle = ScalingBundle(law=chi, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0)
+    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
+    calls = {
+        "std_normal_tail": std_normal_tail,
+        "std_normal_log_tail": std_normal_log_tail,
+        "lognormal_pdf": lognormal_pdf,
+        "lognormal_pdf-mu": lambda v: lognormal_pdf(1.0, v),
+        "lognormal_pdf-sigma": lambda v: lognormal_pdf(1.0, 0.0, v),
+        "gamma_function": gamma_function,
+        "margin_scale-u": lambda v: bundle.margin_scale(0, v),
+        "margin_scale-j": lambda v: bundle.margin_scale(v, 10.0),
+        "probe_condition_rho-c": lambda v: probe_condition_rho(sigma, bundle, 100.0, c=v),
+        "probe_condition_rho-epsilon":
+            lambda v: probe_condition_rho(sigma, bundle, 100.0, epsilon=v),
+        "probe_mda_limit-u": lambda v: probe_mda_limit(chi, [v], [0.0]),
+        "probe_mda_limit-x": lambda v: probe_mda_limit(chi, [8.0], [v]),
+        "probe_margin_mda_limit-x": lambda v: probe_margin_mda_limit(
+            bundle, 0, [100.0], [v], lambda t: std_normal_log_tail(math.log(t))),
+        "probe_o_regular_variation": lambda v: probe_o_regular_variation(chi, [v]),
+    }
+    for name, law in laws.items():
+        for what in ("tail", "density", "log_tail", "log_density", "scaling"):
+            calls[f"{name}.{what}"] = getattr(law, what)
+    return calls
+
+
+_HELPERS = _helper_calls()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, True,
+                                   10**400],
+                         ids=["nan", "inf", "-inf", "str", "none", "bool", "1e400"])
+@pytest.mark.parametrize("helper", sorted(_HELPERS))
+def test_helpers_reject_what_is_not_a_finite_real(helper, value):
+    # each used to return nan, 0, 1 or inf, or to raise TypeError,
+    # OverflowError or IndexError, on at least one of these
+    with pytest.raises(TailsumError):
+        _HELPERS[helper](value)
+
+
+@pytest.mark.parametrize("helper, value", [
+    ("margin_scale-j", -1), ("margin_scale-j", 2), ("margin_scale-j", 1.0),
+    ("probe_condition_rho-epsilon", 0.0), ("gamma_function", 0.0),
+    ("lognormal_pdf", 0.0), ("lognormal_pdf-sigma", -1.0)])
+def test_helpers_reject_finite_values_outside_their_domain(helper, value):
+    # margin index -1 used to read the last margin, and epsilon = 0 to raise
+    # ValueError: math domain error
+    with pytest.raises(DomainError):
+        _HELPERS[helper](value)
