@@ -12,9 +12,10 @@ every per-margin constant folded in, are built once per estimate by
 ``conditional_coefficients``.  What is left per value is one exp per
 other margin, one log, one erfc, and one exp or cosh and one divide
 of the weight; the erfc is about half the kernel's time at d = 5.  The
-conditional kernel owns the defensive mixture's one shape: from a bit
-per margin it picks the shifted half of the block, and it weights the
-two halves by the power heuristic (Veach & Guibas 1995, exponent 2).
+conditional kernel owns the defensive mixture's one shape: it sets the
+shifted component's share of the block (``shifted_share``), from a bit
+per margin it picks the shifted run, and it weights the two runs by the
+power heuristic (Veach & Guibas 1995, exponent 2).
 
 Both take _PASS = 2^14 draws (rows of ``crude_chunk``'s y, columns of
 ``conditional_chunk``'s e) per pass, so their buffers are one pass wide
@@ -34,6 +35,8 @@ from scipy.special import erfc
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Draws per pass of both kernels, and columns per product of the sampler.
 _PASS = 1 << 14
+# The shifted component's share of a block at d >= 3 (see shifted_share).
+_SHIFTED_SHARE = 0.875
 
 
 def crude_chunk(y, u, lam, bg) -> int:
@@ -56,6 +59,20 @@ def crude_chunk(y, u, lam, bg) -> int:
     return hits
 
 
+def shifted_share(d: int, m: int) -> float:
+    """The defensive mixture's shifted share s of an m-column block at
+    dimension d: 7/8 at d >= 3 where 8 divides m, else 1/2.
+
+    At d = 2 the nominal half is about the right insurance.  At d >= 3 a
+    nominal half buys back almost no variance (Hesterberg 1995; Owen &
+    Zhou 2000), so the nominal law keeps one eighth, which still bounds
+    every weight by 1 / (1 - s) = 8.  Where 8 does not divide m (the
+    estimator's blocks under 8 points) 7m/8 is not a whole number of
+    columns, and the block keeps halves.
+    """
+    return _SHIFTED_SHARE if d >= 3 and m % 8 == 0 else 0.5
+
+
 def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
                       z_scale, log_tilt):
     """Per-draw integrand of the conditional largest-claim estimator.
@@ -64,47 +81,58 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
     ``e``.  For each draw the kernel sums, over margins j, the importance
     weight times the conditional probability that margin j exceeds both
     the remaining gap to u and the largest other margin, and writes the
-    sums into ``out``.  Margin j's other margins are shifted (the
-    defensive mixture's shifted component) on the first (m + 1) // 2
-    columns where ``bits[j]`` is 0, on the rest where it is 1, and
-    nominal on the other half; a one-column block is its first half.
-    Each half of the first 2^b Sobol points is a net (the second is the
-    first XOR one direction number), so under the block's digital shift
+    sums into ``out``.  With s = ``shifted_share(d, m)``, margin j's
+    other margins are shifted (the defensive mixture's shifted component)
+    on the first ceil(s m) columns where ``bits[j]`` is 0, on the last
+    floor(s m) where it is 1, and nominal on the rest: at s = 7/8 the
+    first or last 7m/8, at s = 1/2 a half (a one-column block is its
+    first half).  The first 2^b Sobol points in runs of 2^(b-3) are nets
+    (each is the first run XOR some of three direction numbers), so
+    either run is a union of nets, and under the block's digital shift
     every column is uniform.  The remaining arguments come from
     ``conditional_coefficients``.
 
     The draws are taken _PASS = 2^14 columns of e at a time (see the
-    module docstring), and each pass clips the halves to its own
-    columns; the integrand of a draw does not depend on the pass it
-    falls in.  Per pass and margin j, one product coef[j] @ e fills
-    the d + 1 rows bg_k y_k (k the other margins), bg_j mu_j (mu_j the
-    conditional mean of log-margin j) and q (the log likelihood ratio),
-    and one add puts offset[j] on the shifted columns.  Then, with
-    x_k = lam_k e^(bg_k y_k) and every x scaled by 1 / lam_j,
+    module docstring), and each pass clips the runs to its own columns;
+    the integrand of a draw does not depend on the pass it falls in.
+    Per pass and margin j, one product coef[j] @ e fills the d + 1 rows
+    bg_k y_k (k the other margins), bg_j mu_j (mu_j the conditional mean
+    of log-margin j) and q (the log likelihood ratio), and one add puts
+    offset[j] on the shifted columns.  Then, with x_k = lam_k e^(bg_k y_k)
+    and every x scaled by 1 / lam_j,
 
         z = (log(max(u - S_j, M_j) / lam_j) - bg_j mu_j) / (bg_j sd_j),
 
     with S_j and M_j the sum and maximum of the x_k.  The term is the
     conditional probability erfc(z / sqrt(2)) / 2 times the mixture
-    weight, which with r = e^(q + log_tilt_j), the likelihood ratio of
-    the shifted law to the nominal one, is the power heuristic's
+    weight.  With r = e^(q + log_tilt_j), the likelihood ratio of the
+    shifted law to the nominal one, a0 = 1 - s and L = log r + log(s/a0),
+    that weight is the power heuristic's
 
-        2 / (1 + r^2)    on the nominal columns (at most 2),
-        2r / (1 + r^2)   on the shifted ones (at most 1):
+        1 / (a0 (1 + e^(2L)))       on the nominal columns (at most 1/a0),
+        1 / (2 a0 cosh L)           on the shifted ones (at most 1/(2 a0)):
 
-    its shares 1 / (1 + r^2) and r^2 / (1 + r^2) sum to 1 at every
-    point, so the estimator stays unbiased, and the nominal law bounds
-    the harm of a misplaced shift.  The term is erfc / (1 + e^(2 log r))
-    on the nominal columns and erfc / (2 cosh(log r)) = erfc / (r + 1/r)
-    on the shifted ones, with the denominators formed in place in the
-    row of q.  Past the float range each weight takes its limit, never
-    nan: 0 on the nominal half once r^2 overflows, 0 on the shifted half
-    once r or 1/r does, and 2 on the nominal half once r underflows.  At
-    a zero shift r = 1 and both weights are exactly 1.
+    its shares 1 / (1 + e^(2L)) and e^(2L) / (1 + e^(2L)) sum to 1 at
+    every point, and each is divided by its component's share of the
+    columns times its density relative to the nominal law (a0 and s r),
+    so the estimator stays unbiased, and the nominal law bounds the harm
+    of a misplaced shift.  The term is erfc / (1 + e^(2L)) on the nominal
+    columns and erfc / (2 cosh L) on the shifted ones, with the
+    denominators formed in place in the row of q, and the common factor
+    1 / (2 a0) scales each draw's sum once.  At s = 1/2 that factor is
+    exactly 1 and log(s/a0) is 0.  Past the float range each weight
+    takes its limit, never nan: 0 on the nominal columns once e^(2L)
+    overflows, 0 on the shifted ones once cosh L does, and 1/a0 on the
+    nominal columns once e^(2L) underflows.  At s = 1/2 and a zero shift
+    L = 0 and both weights are exactly 1.
     """
     d, m = e.shape
-    mid = (m + 1) // 2
-    bounds = [(mid, m) if bit else (0, mid) for bit in bits.tolist()]
+    share = shifted_share(d, m)
+    # the shifted run [lo, hi) for a margin's bit 0 and for its bit 1
+    runs = ((0, math.ceil(share * m)), (m - math.floor(share * m), m))
+    bounds = [runs[bit] for bit in bits.tolist()]
+    log_ratio = math.log(share / (1.0 - share))
+    scale = 0.5 / (1.0 - share)
     scratch = np.empty((d + 2, min(m, _PASS)))
     for c0 in range(0, m, _PASS):
         c1 = min(c0 + _PASS, m)
@@ -132,10 +160,9 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
             t -= mu
             t *= z_scale[j]
             erfc(t, out=t)
-            # q becomes log r, then the weight's denominator: r + 1/r =
-            # 2 cosh(log r) on the shifted slice, 1 + r^2 = 1 + e^(2 log r)
-            # on the nominal rest
-            q += log_tilt[j]
+            # q becomes L, then the weight's denominator: 2 cosh L on the
+            # shifted slice, 1 + e^(2L) on the nominal rest
+            q += log_tilt[j] + log_ratio
             with np.errstate(over="ignore"):
                 for part, shifted in ((q[:a], False), (q[a:b], True),
                                       (q[b:], False)):
@@ -150,6 +177,7 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
                         part += 1.0
             t /= q
             ow += t
+        ow *= scale
 
 
 def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
@@ -178,9 +206,14 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     * z_scale (d,) = 1 / (bg_j cond_sd_j sqrt(2)), the erfc argument's
       scale;
     * log_tilt (d,) = -tilt_const_j, so r = e^(q + log_tilt) is the
-      likelihood ratio in the power-heuristic weights, and the weight
-      times erfc / 2 is erfc / (1 + r^2) on the nominal half and
-      erfc / (r + 1/r) on the shifted one.
+      likelihood ratio in the power-heuristic weights.
+
+    None of them depends on the mixture's shifted share s: the kernel
+    sets s from the block (``shifted_share``), adds log(s / (1 - s)) to
+    log_tilt to form L, and scales each draw's sum by 1 / (2 (1 - s)),
+    so that the weight times erfc / 2 is erfc / (1 + e^(2L)) on the
+    nominal columns and erfc / (2 cosh L) on the shifted ones, times
+    that scale (1 at d = 2, 4 at s = 7/8).
     """
     d = len(lam)
     coef = np.empty((d, d + 1, d))

@@ -93,11 +93,22 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _ratio(value: float, log_denominator: float) -> float:
+    """value / e^log_denominator for value >= 0, taken in logs so that it
+    is defined where the denominator underflows to 0 (0 for value 0, inf
+    only past the float range)."""
+    if value == 0.0:
+        return 0.0
+    return _exp_or_inf(math.log(value) - log_denominator)
+
+
 @dataclass(frozen=True)
 class DiagnosticsRow:
     """One benchmark-table row; mc fields are None when MC is skipped.
     ``log10_asympt1`` and ``log10_asympt2`` stay finite where the linear
-    approximations underflow to 0."""
+    approximations underflow to 0, and the ratios (MC over each
+    approximation) are taken from those logs, so they stay defined
+    there."""
 
     u: float
     asympt1: float
@@ -148,8 +159,8 @@ def build_table(spec: ModelSpec, u_list: Sequence[float],
         mc_val = mc_err = ratio1 = ratio2 = None
         if est is not None:
             mc_val, mc_err = est.value, est.stderr
-            ratio1 = mc_val / apx.first_order
-            ratio2 = mc_val / apx.second_order
+            ratio1 = _ratio(mc_val, apx.log_first_order)
+            ratio2 = _ratio(mc_val, apx.log_second_order)
         if spec.d >= 2:
             em = epsilon_measure(spec, 1, 0, u, c)
             eps, eeps = em.epsilon, em.exp_epsilon

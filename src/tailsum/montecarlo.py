@@ -11,25 +11,29 @@ Two estimators:
   with M_j / S_j the maximum / sum of the other margins and the
   conditional exceedance probability evaluated in closed form from the
   Gaussian copula of the log-risks (so it needs the ChiOfDim(d) radial).
-  The conditioning vectors are drawn from an equal defensive mixture of
-  the nominal law and a copy shifted to the mode of each margin's
-  integrand (Hesterberg 1995; Owen & Zhou 2000), and the two halves are
-  weighted by the power heuristic (Veach & Guibas 1995, exponent 2) on
-  the exact likelihood ratio r: 2 / (1 + r^2) on nominal draws (at most
-  2) and 2r / (1 + r^2) on shifted ones (at most 1).  Still unbiased,
-  and orders of magnitude less variance for strongly positive
-  correlation, where the plain decomposition is dominated by rare
-  conditioning draws.  The shift
+  The conditioning vectors are drawn from a defensive mixture of the
+  nominal law and a copy shifted to the mode of each margin's integrand
+  (Hesterberg 1995; Owen & Zhou 2000): the shifted copy has a share s of
+  the draws, 1/2 at d = 2 and 7/8 at d >= 3, where a nominal half buys
+  back almost no variance.  The two components are weighted by the power
+  heuristic (Veach & Guibas 1995, exponent 2) on the exact likelihood
+  ratio r and the mixture proportions: with a0 = 1 - s and R = s r / a0,
+  1 / (a0 (1 + R^2)) on nominal draws (at most 1/a0: 2 at d = 2, 8 at
+  d >= 3) and R / (a0 (1 + R^2)) on shifted ones (at most 1 / (2 a0)).
+  Still unbiased, and orders of magnitude less variance for strongly
+  positive correlation, where the plain decomposition is dominated by
+  rare conditioning draws.  The shift
   search (``_find_shift``) is deterministic and vectorised, and runs
   once per distinct set of margin inputs.
   Its d normals per draw come from randomised quasi-Monte Carlo: K >= 16
   blocks of the same unscrambled Sobol points, each under its own random
   digital shift.  The mixture is stratified: in each block every margin
-  draws from the shifted component on one half of the points (in Sobol
-  order, the half picked by a fair bit per margin and block) and from
-  the nominal law on the other.  The estimator draws the bits; the
-  kernel (``_kernels.conditional_chunk``) owns the halves and their
-  weights.  Each half is itself a shifted net, so a
+  draws from the shifted component on a run of s of the points in Sobol
+  order (the first or the last, picked by a fair bit per margin and
+  block) and from the nominal law on the rest.  The estimator draws the
+  bits; the kernel (``_kernels.conditional_chunk``) owns the share, the
+  runs and their weights (blocks under 8 points keep halves).  Each run
+  is a union of shifted nets, so a
   block mean is far more precise than the mean of as many independent
   draws; the blocks are independent and unbiased, so the estimate is
   their mean and the standard error is their sample standard deviation
@@ -471,12 +475,15 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     far below 1e-300) it raises DomainError instead; the log-space forms
     ``asymptotics.log_first_order`` and
     ``approximate(spec, u).log_second_order`` reach deeper.  The
-    conditioning draws come from an equal defensive mixture of the
-    nominal law and its copy shifted to the mode of each margin's
-    integrand, each on a fixed half of every block, weighted by the power
-    heuristic: at most 2 on the nominal half and at most 1 on the shifted
-    one.  Where that mode is the origin the shift is zero and every
-    weight is exactly 1.
+    conditioning draws come from a defensive mixture of the nominal law
+    and its copy shifted to the mode of each margin's integrand, each on a
+    fixed run of every block: the shifted copy on half of it at d = 2 and
+    on 7/8 at d >= 3 (blocks under 8 points keep halves).  The runs are
+    weighted by the power heuristic with the mixture proportions: at most
+    1 / a0 on the nominal run (2 on a half, 8 on an eighth) and at most
+    1 / (2 a0) on the shifted one, a0 being the nominal share.  Where that
+    mode is the origin the shift is zero, and on halves every weight is
+    exactly 1.
     Needs the ChiOfDim(d) radial (Gaussian copula of the log-risks).  The
     draws are randomised Sobol blocks (see the module docstring), so n
     (an integer >= 1; seed is one >= 0) is rounded up to a whole number

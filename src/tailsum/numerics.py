@@ -186,8 +186,17 @@ def lognormal_log_pdf(u, mu=0.0, sigma=1.0):
 
 
 def gamma_function(s: float) -> float:
-    """Euler Gamma for s > 0."""
-    return math.gamma(check_real(s, "gamma_function's argument", 0.0))
+    """Euler Gamma for s > 0.
+
+    Gamma(s) passes the float range above s = 171.62 and below
+    s = 5.6e-309; there it raises DomainError, never OverflowError or
+    inf (``math.lgamma`` gives its logarithm)."""
+    s = check_real(s, "gamma_function's argument", 0.0)
+    try:
+        return math.gamma(s)
+    except OverflowError:
+        raise DomainError(f"Gamma({s!r}) is past the float range; "
+                          "math.lgamma gives its logarithm") from None
 
 
 def adaptive_quad(f, a: float, b: float, *, abs_tol: float = 1e-12,

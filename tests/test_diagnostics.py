@@ -9,6 +9,7 @@ from tailsum import (DomainError, InvalidParams, McOptions, ModelSpec,
                      build_table, epsilon_measure, equicorrelation,
                      make_radial, rho_hat)
 from tailsum.asymptotics import VARIANT_DENSITY
+from tailsum.diagnostics import _ratio
 
 
 class TestRhoHat:
@@ -164,6 +165,33 @@ class TestBuildTable:
             assert row.mc is not None
             assert row.ratio1 == pytest.approx(row.mc / row.asympt1, rel=1e-12)
             assert row.ratio2 == pytest.approx(row.mc / row.asympt2, rel=1e-12)
+
+    def test_ratios_where_the_approximations_underflow(self):
+        # WeibullTail(3), d = 2, rho = 0.3: at u = 1e4 both approximations
+        # underflow to 0 and crude MC at n = 1000 sees no hit, so the
+        # ratios, taken from the logs, are 0 / e^(log apx) = 0 (the
+        # division by the linear values raised ZeroDivisionError); at
+        # u = 2 they are the quotients
+        spec = ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                         sigma=equicorrelation(2, 0.3),
+                         radial=make_radial("WeibullTail", 3.0))
+        shallow, deep = build_table(spec, [2.0, 1e4],
+                                    McOptions(estimator="crude", n=1000))
+        assert deep.asympt1 == deep.asympt2 == deep.mc == 0.0
+        assert deep.ratio1 == deep.ratio2 == 0.0
+        assert shallow.mc > 0.0
+        assert shallow.ratio1 == pytest.approx(shallow.mc / shallow.asympt1,
+                                               rel=1e-12)
+        assert shallow.ratio2 == pytest.approx(shallow.mc / shallow.asympt2,
+                                               rel=1e-12)
+
+    def test_ratio_past_an_underflowed_denominator(self):
+        # 1e-300 / e^-800: the denominator underflows to 0, the quotient
+        # (2.7e47) does not; past the float range the quotient is inf
+        assert _ratio(1e-300, -800.0) == pytest.approx(
+            1e-300 * math.exp(400.0) * math.exp(400.0), rel=1e-12)
+        assert _ratio(1e-10, -1000.0) == math.inf
+        assert _ratio(0.0, -1000.0) == 0.0
 
     def test_variant_forwarded(self, standard_spec):
         dens = build_table(standard_spec(0.9), [10.0], variant=VARIANT_DENSITY)

@@ -59,22 +59,60 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, seed=5,
                 shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const)
 
 
-def run_conditional(inputs, log_tilt=None):
-    """The kernel's output on the inputs, with ``log_tilt`` in place of
-    the folded one if given."""
-    d, m = inputs["e"].shape
+def conditional_args(inputs):
+    """``conditional_coefficients`` on the inputs: the kernel's arguments
+    after ``out``."""
+    d = inputs["e"].shape[0]
     # the plan's layout: chol(Sigma_-j) in the columns others[j]
     factor = np.zeros((d, d - 1, d))
     for j in range(d):
         factor[j][:, inputs["others"][j]] = inputs["sub_chol"][j]
-    args = _kernels.conditional_coefficients(
+    return _kernels.conditional_coefficients(
         inputs["u"], inputs["lam"], inputs["bg"], inputs["others"], factor,
         inputs["alpha"], inputs["cond_sd"], inputs["shift"],
         inputs["tilt_vec"], inputs["tilt_const"])
+
+
+def run_conditional(inputs, log_tilt=None):
+    """The kernel's output on the inputs, with ``log_tilt`` in place of
+    the folded one if given."""
+    d, m = inputs["e"].shape
+    args = conditional_args(inputs)
     if log_tilt is not None:
         args = (*args[:-1], np.full(d, log_tilt))
     out = np.empty(m)
     _kernels.conditional_chunk(inputs["e"], inputs["bits"], out, *args)
+    return out
+
+
+def equal_halves_kernel(e, bits, coef, offset, lam_ratio, u_ratio, z_scale,
+                        log_tilt):
+    """The conditional kernel of the equal two-half mixture in one pass,
+    with the same numpy operations in the same order: the oracle of its
+    output wherever the shifted share is 1/2."""
+    d, m = e.shape
+    mid = (m + 1) // 2
+    out = np.zeros(m)
+    prod, t = np.empty((d + 1, m)), np.empty(m)
+    x, mu, q = prod[:d - 1], prod[d - 1], prod[d]
+    for j in range(d):
+        a, b = (mid, m) if bits[j] else (0, mid)
+        np.matmul(coef[j], e, out=prod)
+        prod[:, a:b] += offset[j][:, None]
+        np.exp(x, out=x)
+        x *= lam_ratio[j][:, None]
+        np.sum(x, axis=0, out=t)
+        np.subtract(u_ratio[j], t, out=t)
+        for xk in x:
+            np.maximum(t, xk, out=t)
+        np.log(t, out=t)
+        t -= mu
+        t *= z_scale[j]
+        erfc(t, out=t)
+        q += log_tilt[j]
+        denominator = np.exp(q + q) + 1.0
+        denominator[a:b] = 2.0 * np.cosh(q[a:b])
+        out += t / denominator
     return out
 
 
@@ -94,8 +132,25 @@ def margin_weights(inputs, j, log_tilt=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "erfc", erfc_of_margin_j)
         weights = run_conditional(inputs, log_tilt)
-    shifted = (np.arange(m) < (m + 1) // 2) == (inputs["bits"][j] == 0)
-    return weights, shifted
+    return weights, shifted_rows(d, m, inputs["bits"][j])
+
+
+def share_of(d, m):
+    """The shifted component's share of an m-row block: 7/8 at d >= 3
+    where 8 divides m, else 1/2."""
+    return 0.875 if d >= 3 and m % 8 == 0 else 0.5
+
+
+def shifted_rows(d, m, bit):
+    """Mask of the rows of an m-row block drawn from the shifted
+    component for a margin with ``bit``: the first ceil(s m) rows on bit
+    0 (the single row of a one-row block), the last floor(s m) on bit 1,
+    with s = ``share_of(d, m)``."""
+    share = share_of(d, m)
+    rows = np.arange(m)
+    if bit == 0:
+        return rows < math.ceil(share * m)
+    return rows >= m - math.floor(share * m)
 
 
 def per_margin_vectors(e, others, sub_chol):
@@ -122,34 +177,37 @@ def loop_reference(inputs, ys=None):
     return conditional_loop(ys, **{key: inputs[key] for key in keys})
 
 
-def power_weight(q, shifted):
-    """The weight of a draw of the equal two-half mixture at log
-    likelihood ratio q = log r of the shifted law to the nominal: 2r /
-    (1 + r^2) on a shifted draw, 2 / (1 + r^2) on a nominal one, in a form
-    that does not overflow.  These are the power heuristic's (exponent 2)
-    shares r^2 / (1 + r^2) and 1 / (1 + r^2), which sum to 1 at every
-    point, each divided by its half's share of the draws (1/2) times its
-    half's density relative to the nominal law (r and 1)."""
-    if q > 0.0:
-        s = math.exp(-q)
-        return 2.0 * (s if shifted else s * s) / (1.0 + s * s)
+def power_weight(q, shifted, share):
+    """The weight of a draw of the two-component mixture with the shifted
+    component on a ``share`` s of the draws and the nominal law on the
+    rest a0 = 1 - s, at log likelihood ratio q = log r of the shifted law
+    to the nominal.  The power heuristic's (exponent 2) shares of the
+    components, with densities a0 and s r relative to the nominal law,
+    are 1 / (1 + R^2) and R^2 / (1 + R^2) with R = s r / a0; they sum to
+    1 at every point, and each is divided by its component's share of
+    the draws times its density relative to the nominal law."""
+    a0 = 1.0 - share
     r = math.exp(q)
-    return 2.0 * (r if shifted else 1.0) / (1.0 + r * r)
+    big_r = share * r / a0
+    if shifted:
+        return big_r * big_r / (1.0 + big_r * big_r) / (share * r)
+    return 1.0 / (1.0 + big_r * big_r) / a0
 
 
 def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
                      tilt_vec, tilt_const):
     """The integrand one draw, one margin and one other margin at a time,
-    with ``power_weight`` on the mixture's halves; ys[j, i] are the other
-    margins of margin j in draw i.  Row i is shifted for margin j when it
-    lies in the first half of the rows (the single row of a one-row
-    block) and bits[j] is 0, or in the second half and bits[j] is 1."""
+    with ``power_weight`` on the mixture's components; ys[j, i] are the
+    other margins of margin j in draw i, and row i is shifted for margin
+    j where ``shifted_rows`` says so."""
     d, m = ys.shape[:2]
+    share = share_of(d, m)
+    picks = [shifted_rows(d, m, bit) for bit in bits]
     out = np.empty(m)
     for i in range(m):
         acc = 0.0
         for j in range(d):
-            picked = (i < (m + 1) // 2) == (bits[j] == 0)
+            picked = bool(picks[j][i])
             q = mx = sm = mu_c = 0.0
             for k in range(d - 1):
                 o = others[j, k]
@@ -160,7 +218,7 @@ def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
                 mx = max(mx, xk)
                 mu_c += alpha[j, k] * yk
             q -= tilt_const[j]
-            w = power_weight(q, picked)
+            w = power_weight(q, picked, share)
             threshold = max(mx, u - sm)
             z = (math.log(threshold / lam[j]) / bg[j] - mu_c) / cond_sd[j]
             acc += w * 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -236,18 +294,21 @@ class TestConditionalChunk:
 
     @pytest.mark.parametrize("heterogeneous", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 5])
-    @pytest.mark.parametrize("m", [300, 301])
+    @pytest.mark.parametrize("m", [296, 300, 301])
     def test_passes_split_the_shifted_halves(self, monkeypatch, m, d,
                                              heterogeneous):
-        # 64 columns per pass: each half's edge falls inside a pass and the
-        # last pass is partial; the result is the one-pass result, bit for bit
+        # 64 columns per pass: each run's edge falls inside a pass and the
+        # last pass is partial (at m = 296 and d >= 3 the runs are 7/8 of
+        # the block); the result is the one-pass result, bit for bit
         inputs = make_conditional_inputs(m=m, d=d, u=12.0, seed=d,
                                          heterogeneous=heterogeneous)
         whole = run_conditional(inputs)
         width = 64
         monkeypatch.setattr(_kernels, "_PASS", width)
-        mid = (m + 1) // 2
-        assert mid % width != 0 and m % width != 0
+        for bit in (0, 1):
+            edges = np.flatnonzero(np.diff(shifted_rows(d, m, bit))) + 1
+            assert len(edges) == 1 and edges[0] % width != 0
+        assert m % width != 0
         out = run_conditional(inputs)
         np.testing.assert_allclose(out, loop_reference(inputs),
                                    rtol=1e-12, atol=0.0)
@@ -340,21 +401,27 @@ class TestConditionalChunk:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_power_weights_bounded_on_each_half(self, d):
-        # 2r / (1 + r^2) <= 1 on the shifted draws, 2 / (1 + r^2) <= 2 on
-        # the nominal ones, where r < 1 puts it above 1
+        # 1 / (2 a0 cosh L) <= 1 / (2 a0) on the shifted draws and
+        # 1 / (a0 (1 + e^(2L))) <= 1 / a0 on the nominal ones, where L < 0
+        # puts it above 1 / (2 a0): 1 and 2 at d = 2, 4 and 8 at d = 5
         inputs = make_conditional_inputs(m=2048, d=d, u=12.0, seed=d,
                                          heterogeneous=True)
+        a0 = 1.0 - share_of(d, 2048)
+        assert a0 == (0.5 if d == 2 else 0.125)
         for j in range(d):
             w, shifted = margin_weights(inputs, j)
             assert np.all(w > 0.0)
-            assert np.max(w[shifted]) <= 1.0
-            assert 1.0 < np.max(w[~shifted]) <= 2.0
+            assert np.max(w[shifted]) <= 0.5 / a0
+            assert 0.5 / a0 < np.max(w[~shifted]) <= 1.0 / a0
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_zero_shift_weighs_both_halves_exactly_one(self, d):
-        # r = 1 on every draw, where 2 / (1 + r^2) and 2r / (1 + r^2) are
-        # both exactly 1, so the bits do not change a single bit
-        inputs = make_conditional_inputs(m=512, d=d, zero_shift=True)
+        # r = 1 on every draw, where the halves' weights 2 / (1 + r^2) and
+        # 2r / (1 + r^2) are both exactly 1, so the bits do not change a
+        # single bit (at d = 5 a block of 500 columns keeps halves)
+        m = 512 if d == 2 else 500
+        assert share_of(d, m) == 0.5
+        inputs = make_conditional_inputs(m=m, d=d, zero_shift=True)
         for j in range(d):
             w, _ = margin_weights(inputs, j)
             assert np.all(w == 1.0)
@@ -373,13 +440,78 @@ class TestConditionalChunk:
         out = run_conditional(inputs)
         assert np.all(np.isfinite(out))
         # r = e^(q + log_tilt) past the float range on every draw: an
-        # overflowing r weighs both halves 0, an underflowing one the
-        # shifted half 0 and the nominal half 2, its limit; never nan
-        zero = make_conditional_inputs(m=256, zero_shift=True)
-        for log_tilt, on_shifted, on_nominal in ((1e3, 0.0, 0.0),
-                                                 (-1e3, 0.0, 2.0)):
+        # overflowing r weighs both components 0, an underflowing one the
+        # shifted component 0 and the nominal one 1 / a0, its limit (2 on
+        # halves, 8 at a 7/8 share); never nan
+        for m in (252, 256):
+            zero = make_conditional_inputs(m=m, zero_shift=True)
+            limit = 1.0 / (1.0 - share_of(3, m))
+            for log_tilt, on_shifted, on_nominal in ((1e3, 0.0, 0.0),
+                                                     (-1e3, 0.0, limit)):
+                for j in range(3):
+                    w, shifted = margin_weights(zero, j, log_tilt)
+                    assert not np.any(np.isnan(w))
+                    assert np.all(w[shifted] == on_shifted)
+                    assert np.all(w[~shifted] == on_nominal)
+
+    @pytest.mark.parametrize("m", [252, 256])
+    def test_power_shares_sum_to_one(self, m):
+        # at a zero shift L = log_tilt + log(s / a0) on every draw, so one
+        # block holds the nominal and the shifted weight at the same L:
+        # the power heuristic's shares a0 * w_nominal and s * r * w_shifted
+        # (each weight times its component's share of the draws and its
+        # density relative to the nominal law) sum to 1, at s = 1/2
+        # (m = 252) and at s = 7/8 (m = 256)
+        share = share_of(3, m)
+        assert share == (0.5 if m == 252 else 0.875)
+        zero = make_conditional_inputs(m=m, zero_shift=True)
+        for log_tilt in np.linspace(-30.0, 30.0, 25):
             for j in range(3):
                 w, shifted = margin_weights(zero, j, log_tilt)
-                assert not np.any(np.isnan(w))
-                assert np.all(w[shifted] == on_shifted)
-                assert np.all(w[~shifted] == on_nominal)
+                nominal, shift_w = np.unique(w[~shifted]), np.unique(w[shifted])
+                assert len(nominal) == len(shift_w) == 1
+                total = ((1.0 - share) * nominal[0]
+                         + share * math.exp(log_tilt) * shift_w[0])
+                assert total == pytest.approx(1.0, rel=1e-14)
+                for weight, on_shift in ((nominal[0], False), (shift_w[0], True)):
+                    assert weight == pytest.approx(
+                        power_weight(log_tilt, on_shift, share), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 4, 8, 64, 2048])
+    def test_shifted_runs_follow_the_bits(self, m, d):
+        # a margin's shifted run is the first 7m/8 columns on bit 0 and the
+        # last 7m/8 on bit 1 at d >= 3 once 8 divides m; otherwise the
+        # first (m + 1) // 2 or the last m // 2; seen through the weight,
+        # which at log r = 1 differs between the components
+        share = 0.875 if d >= 3 and m >= 8 else 0.5
+        assert _kernels.shifted_share(d, m) == share
+        if share == 0.5:
+            runs = ((0, (m + 1) // 2), ((m + 1) // 2, m))
+        else:
+            runs = ((0, m - m // 8), (m // 8, m))
+        zero = make_conditional_inputs(m=m, d=d, zero_shift=True)
+        expected = power_weight(1.0, True, share)
+        assert expected != pytest.approx(power_weight(1.0, False, share))
+        cols = np.arange(m)
+        for bit, (lo, hi) in enumerate(runs):
+            zero["bits"] = np.full(d, bit)
+            w, _ = margin_weights(zero, d - 1, 1.0)
+            on_shift = np.isclose(w, expected, rtol=1e-14, atol=0.0)
+            assert np.array_equal(on_shift, (cols >= lo) & (cols < hi))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("d, m", [(2, 300), (2, 512), (5, 300), (5, 4)])
+    def test_halves_are_bit_identical_to_the_equal_mixture(self, d, m, bit):
+        # where the share is 1/2 the scale 1 / (2 a0) is exactly 1 and
+        # log(s / a0) exactly 0: the output equals, bit for bit, the
+        # equal-halves kernel with erfc / (1 + r^2) on the nominal half
+        # and erfc / (2 cosh log r) on the shifted one
+        inputs = make_conditional_inputs(m=m, d=d, u=12.0, seed=d,
+                                         heterogeneous=True)
+        inputs["bits"] = (np.arange(d) + bit) % 2
+        args = conditional_args(inputs)
+        out = np.empty(m)
+        _kernels.conditional_chunk(inputs["e"], inputs["bits"], out, *args)
+        assert np.array_equal(out, equal_halves_kernel(
+            inputs["e"], inputs["bits"], *args))

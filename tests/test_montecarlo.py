@@ -244,9 +244,9 @@ class TestConditional:
         ("d2_rho0.9", 1000.0, 2**20, 3,
          1.1027418296158377e-10, 7.480654864287174e-20),
         ("d5_rho0.5", 1e4, 150_000, 8,
-         1.564860611977658e-19, 4.692443699685849e-23),
+         1.5652004893035668e-19, 5.208961085632469e-23),
         ("heterogeneous3", 20.0, 100_000, 9,
-         0.03709176821566665, 2.7766269874867606e-06),
+         0.037086101473459955, 9.87078551931329e-07),
         ("table3", 1e6, 100_000, 12,
          2.0549681250181145e-43, 1.984632129136729e-51),
     ]
@@ -255,16 +255,34 @@ class TestConditional:
                              ids=[g[0] for g in GOLDEN])
     def test_seeded_estimates_match_golden_values(self, model, u, n, seed,
                                                   value, stderr):
-        if model in ("table1", "table3"):
-            spec = load_config(model).build_model()
-        elif model == "heterogeneous3":
-            spec = _heterogeneous3()
-        else:
-            d, rho = model.split("_rho")
-            spec = ModelSpec.standard(int(d[1:]), float(rho))
-        est = conditional_max_mc(spec, u, n, seed)
+        est = conditional_max_mc(_named_spec(model), u, n, seed)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
         assert est.stderr == pytest.approx(stderr, rel=1e-9, abs=0.0)
+
+    # P(S > u) on three d >= 3 models, with its stderr, from the
+    # estimator's equal-halves mixture (before the 7/8 shifted share) at
+    # n = 2^24, seed 20261019
+    COVERAGE = [
+        ("d3_rho0.9", 100.0, 0.00016313192905146259, 3.603933664232842e-10),
+        ("heterogeneous3", 20.0, 0.03708681189155165, 5.386120795901331e-08),
+        ("d5_rho0.5", 100.0, 0.0001925734319466169, 7.588326828587044e-09),
+    ]
+
+    @pytest.mark.parametrize("model, u, ref, ref_stderr", COVERAGE,
+                             ids=[c[0] for c in COVERAGE])
+    def test_shifted_share_covers_the_reference(self, model, u, ref,
+                                                ref_stderr):
+        # at d >= 3 the shifted component takes 7/8 of each block: over 16
+        # seeds at n = 2^16 the estimates scatter about the reference as
+        # their stderrs say, z rms in [0.5, 1.6] and no |z| above 4.5
+        spec = _named_spec(model)
+        z = []
+        for seed in range(16):
+            est = conditional_max_mc(spec, u, 1 << 16, seed)
+            z.append((est.value - ref) / math.hypot(est.stderr, ref_stderr))
+        rms = math.sqrt(math.fsum(v * v for v in z) / len(z))
+        assert 0.5 <= rms <= 1.6, z
+        assert max(map(abs, z)) <= 4.5, z
 
     def test_matches_quadrature_oracle_small_u(self, standard_spec):
         spec = standard_spec(0.0)
@@ -516,6 +534,17 @@ class TestRqmc:
         for x in (top, bottom):
             assert 0.0 < x.min() and x.max() < 1.0
             assert np.all(np.isfinite(ndtri(x)))
+
+
+def _named_spec(model: str) -> ModelSpec:
+    """The model of a golden or coverage case: a shipped config, the
+    heterogeneous d=3 model, or the standard model "d<d>_rho<rho>"."""
+    if model in ("table1", "table3"):
+        return load_config(model).build_model()
+    if model == "heterogeneous3":
+        return _heterogeneous3()
+    d, rho = model.split("_rho")
+    return ModelSpec.standard(int(d[1:]), float(rho))
 
 
 def _heterogeneous3() -> ModelSpec:

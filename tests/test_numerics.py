@@ -139,6 +139,18 @@ class TestGammaFunction:
         with pytest.raises(DomainError):
             gamma_function(-2.0)
 
+    @pytest.mark.parametrize("s", [171.63, 200.0, 1e300, 5.5e-309, 5e-324])
+    def test_past_the_float_range(self, s):
+        # Gamma(s) overflows above 171.62 and below 5.6e-309: DomainError,
+        # not math's OverflowError
+        with pytest.raises(DomainError, match="past the float range"):
+            gamma_function(s)
+
+    @pytest.mark.parametrize("s", [171.62, 5.6e-309])
+    def test_finite_at_the_edges_of_the_float_range(self, s):
+        assert math.isfinite(gamma_function(s))
+        assert gamma_function(s) > 1e308
+
 
 class TestSphereMarginalDensity:
     # The sphere-coordinate density h(t) = Gamma(d/2)/(sqrt(pi)
