@@ -12,10 +12,10 @@ every per-margin constant folded in, are built once per estimate by
 ``conditional_coefficients``.  What is left per value is one exp per
 other margin, one log, one erfc, and one exp or cosh and one divide
 of the weight; the erfc is about half the kernel's time at d = 5.  The
-conditional kernel owns the defensive mixture's one shape: it sets the
-shifted component's share of the block (``shifted_share``), from a bit
-per margin it picks the shifted run, and it weights the two runs by the
-power heuristic (Veach & Guibas 1995, exponent 2).
+conditional kernel owns the defensive mixture's one shape: from a bit
+per margin it picks the shifted run of the margin's share of the block
+(set by ``shifted_share``), and it weights the two runs by the power
+heuristic (Veach & Guibas 1995, exponent 2).
 
 Both take _PASS = 2^14 draws (rows of ``crude_chunk``'s y, columns of
 ``conditional_chunk``'s e) per pass, so their buffers are one pass wide
@@ -35,8 +35,11 @@ from scipy.special import erfc
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Draws per pass of both kernels, and columns per product of the sampler.
 _PASS = 1 << 14
-# The shifted component's share of a block at d >= 3 (see shifted_share).
-_SHIFTED_SHARE = 0.875
+# The shifted component's share for a margin whose shift is far, and the
+# tilt constant and gain from which a shift is far (see shifted_share).
+_FAR_SHARE = 0.875
+_FAR_TILT = 2.0
+_FAR_GAIN = 2.0
 
 
 def crude_chunk(y, u, lam, bg) -> int:
@@ -59,37 +62,46 @@ def crude_chunk(y, u, lam, bg) -> int:
     return hits
 
 
-def shifted_share(d: int, m: int) -> float:
-    """The defensive mixture's shifted share s of an m-column block at
-    dimension d: 7/8 at d >= 3 where 8 divides m, else 1/2.
+def shifted_share(d: int, tilt_const: float, gain: float) -> float:
+    """The defensive mixture's shifted share s for a margin at dimension
+    d: 7/8 at d >= 3 when the margin's shift is far, else 1/2.
 
-    At d = 2 the nominal half is about the right insurance.  At d >= 3 a
-    nominal half buys back almost no variance (Hesterberg 1995; Owen &
-    Zhou 2000), so the nominal law keeps one eighth, which still bounds
-    every weight by 1 / (1 - s) = 8.  Where 8 does not divide m (the
-    estimator's blocks under 8 points) 7m/8 is not a whole number of
-    columns, and the block keeps halves.
+    The shift is far when both ``tilt_const``, half the squared
+    Mahalanobis length of the shift (the Kullback-Leibler divergence of
+    the shifted law from the nominal one), and ``gain``, the log of the
+    integrand at the shift over its value at the origin, are at least 2.
+    Only then do the two laws barely overlap and the integrand's mass
+    near the origin, which the nominal law covers, count for little, so
+    that a nominal half buys back almost no variance (Hesterberg 1995;
+    Owen & Zhou 2000); the nominal law then keeps one eighth, which still
+    bounds every weight by 1 / (1 - s) = 8.  A zero shift makes the two
+    laws one, and halves weigh every draw exactly 1; nearer shifts (bulk
+    thresholds, or a second region of the integrand at the origin) lose
+    variance at 7/8.  d = 2 keeps halves.
     """
-    return _SHIFTED_SHARE if d >= 3 and m % 8 == 0 else 0.5
+    if d >= 3 and tilt_const >= _FAR_TILT and gain >= _FAR_GAIN:
+        return _FAR_SHARE
+    return 0.5
 
 
 def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
-                      z_scale, log_tilt):
+                      z_scale, log_tilt, share):
     """Per-draw integrand of the conditional largest-claim estimator.
 
     Each draw is a column of the (d, m) independent standard normals
     ``e``.  For each draw the kernel sums, over margins j, the importance
     weight times the conditional probability that margin j exceeds both
     the remaining gap to u and the largest other margin, and writes the
-    sums into ``out``.  With s = ``shifted_share(d, m)``, margin j's
-    other margins are shifted (the defensive mixture's shifted component)
-    on the first ceil(s m) columns where ``bits[j]`` is 0, on the last
-    floor(s m) where it is 1, and nominal on the rest: at s = 7/8 the
-    first or last 7m/8, at s = 1/2 a half (a one-column block is its
-    first half).  The first 2^b Sobol points in runs of 2^(b-3) are nets
-    (each is the first run XOR some of three direction numbers), so
-    either run is a union of nets, and under the block's digital shift
-    every column is uniform.  The remaining arguments come from
+    sums into ``out``.  With s = ``share[j]`` (1/2 on blocks under 8
+    points), margin j's other margins are shifted (the defensive
+    mixture's shifted component) on the first ceil(s m) columns where
+    ``bits[j]`` is 0, on the last floor(s m) where it is 1, and nominal on
+    the rest: at s = 7/8 the first or last 7m/8, at s = 1/2 a half (a
+    one-column block is its first half).  Blocks are powers of two, and
+    the first 2^b Sobol points in runs of 2^(b-3) are nets (each is the
+    first run XOR some of three direction numbers), so either run is a
+    union of nets, and under the block's digital shift every column is
+    uniform.  The remaining arguments come from
     ``conditional_coefficients``.
 
     The draws are taken _PASS = 2^14 columns of e at a time (see the
@@ -116,23 +128,26 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
     every point, and each is divided by its component's share of the
     columns times its density relative to the nominal law (a0 and s r),
     so the estimator stays unbiased, and the nominal law bounds the harm
-    of a misplaced shift.  The term is erfc / (1 + e^(2L)) on the nominal
-    columns and erfc / (2 cosh L) on the shifted ones, with the
-    denominators formed in place in the row of q, and the common factor
-    1 / (2 a0) scales each draw's sum once.  At s = 1/2 that factor is
-    exactly 1 and log(s/a0) is 0.  Past the float range each weight
-    takes its limit, never nan: 0 on the nominal columns once e^(2L)
-    overflows, 0 on the shifted ones once cosh L does, and 1/a0 on the
-    nominal columns once e^(2L) underflows.  At s = 1/2 and a zero shift
-    L = 0 and both weights are exactly 1.
+    of a misplaced shift.  The term is erfc / (2 a0 (1 + e^(2L))) on the
+    nominal columns and erfc / (4 a0 cosh L) on the shifted ones, with
+    the denominators formed in place in the row of q; 2 a0 is a power of
+    two (1 at s = 1/2, 1/4 at s = 7/8), so it scales them exactly, and at
+    s = 1/2 log(s/a0) is 0 and the terms are the equal halves' own.  Past
+    the float range each weight takes its limit, never nan: 0 on the
+    nominal columns once e^(2L) overflows, 0 on the shifted ones once
+    cosh L does, and 1/a0 on the nominal columns once e^(2L) underflows.
+    At s = 1/2 and a zero shift L = 0 and both weights are exactly 1.
     """
     d, m = e.shape
-    share = shifted_share(d, m)
-    # the shifted run [lo, hi) for a margin's bit 0 and for its bit 1
-    runs = ((0, math.ceil(share * m)), (m - math.floor(share * m), m))
-    bounds = [runs[bit] for bit in bits.tolist()]
-    log_ratio = math.log(share / (1.0 - share))
-    scale = 0.5 / (1.0 - share)
+    # per margin: the shifted run [lo, hi) for its bit, log(s / a0), and
+    # the exact power of two 2 a0 that scales the weights' denominators
+    bounds, log_ratio, two_a0 = [], [], []
+    for bit, s in zip(bits.tolist(), share.tolist()):
+        s = s if m >= 8 else 0.5
+        bounds.append((m - math.floor(s * m), m) if bit
+                      else (0, math.ceil(s * m)))
+        log_ratio.append(math.log(s / (1.0 - s)))
+        two_a0.append(2.0 * (1.0 - s))
     scratch = np.empty((d + 2, min(m, _PASS)))
     for c0 in range(0, m, _PASS):
         c1 = min(c0 + _PASS, m)
@@ -160,9 +175,9 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
             t -= mu
             t *= z_scale[j]
             erfc(t, out=t)
-            # q becomes L, then the weight's denominator: 2 cosh L on the
-            # shifted slice, 1 + e^(2L) on the nominal rest
-            q += log_tilt[j] + log_ratio
+            # q becomes L, then the weight's denominator: 4 a0 cosh L on
+            # the shifted slice, 2 a0 (1 + e^(2L)) on the nominal rest
+            q += log_tilt[j] + log_ratio[j]
             with np.errstate(over="ignore"):
                 for part, shifted in ((q[:a], False), (q[a:b], True),
                                       (q[b:], False)):
@@ -170,18 +185,19 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
                         continue
                     if shifted:
                         np.cosh(part, out=part)
-                        part += part
+                        part *= 2.0 * two_a0[j]
                     else:
                         part += part
                         np.exp(part, out=part)
                         part += 1.0
+                        if two_a0[j] != 1.0:
+                            part *= two_a0[j]
             t /= q
             ow += t
-        ow *= scale
 
 
 def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
-                             tilt_vec, tilt_const):
+                             tilt_vec, tilt_const, gain):
     """``conditional_chunk``'s arguments after ``out``, folded from the
     per-margin constants of the conditional law.
 
@@ -206,14 +222,11 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     * z_scale (d,) = 1 / (bg_j cond_sd_j sqrt(2)), the erfc argument's
       scale;
     * log_tilt (d,) = -tilt_const_j, so r = e^(q + log_tilt) is the
-      likelihood ratio in the power-heuristic weights.
-
-    None of them depends on the mixture's shifted share s: the kernel
-    sets s from the block (``shifted_share``), adds log(s / (1 - s)) to
-    log_tilt to form L, and scales each draw's sum by 1 / (2 (1 - s)),
-    so that the weight times erfc / 2 is erfc / (1 + e^(2L)) on the
-    nominal columns and erfc / (2 cosh L) on the shifted ones, times
-    that scale (1 at d = 2, 4 at s = 7/8).
+      likelihood ratio in the power-heuristic weights;
+    * share (d,): margin j's shifted share s_j, ``shifted_share`` of d,
+      tilt_const_j and ``gain[j]`` (the log-integrand's gain at shift_j
+      over the origin).  The kernel adds log(s_j / (1 - s_j)) to log_tilt
+      to form L and scales the weights' denominators by 2 (1 - s_j).
     """
     d = len(lam)
     coef = np.empty((d, d + 1, d))
@@ -224,5 +237,6 @@ def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,
     offset[:, :d - 1] = bg[others] * shift
     offset[:, d - 1] = bg * np.einsum("ja,ja->j", alpha, shift)
     offset[:, d] = np.einsum("ja,ja->j", tilt_vec, shift)
+    share = np.array([shifted_share(d, c, g) for c, g in zip(tilt_const, gain)])
     return (coef, offset, lam[others] / lam[:, None], u / lam,
-            _INV_SQRT2 / (bg * cond_sd), -tilt_const)
+            _INV_SQRT2 / (bg * cond_sd), -tilt_const, share)

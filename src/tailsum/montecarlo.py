@@ -13,13 +13,16 @@ Two estimators:
   Gaussian copula of the log-risks (so it needs the ChiOfDim(d) radial).
   The conditioning vectors are drawn from a defensive mixture of the
   nominal law and a copy shifted to the mode of each margin's integrand
-  (Hesterberg 1995; Owen & Zhou 2000): the shifted copy has a share s of
-  the draws, 1/2 at d = 2 and 7/8 at d >= 3, where a nominal half buys
-  back almost no variance.  The two components are weighted by the power
-  heuristic (Veach & Guibas 1995, exponent 2) on the exact likelihood
-  ratio r and the mixture proportions: with a0 = 1 - s and R = s r / a0,
-  1 / (a0 (1 + R^2)) on nominal draws (at most 1/a0: 2 at d = 2, 8 at
-  d >= 3) and R / (a0 (1 + R^2)) on shifted ones (at most 1 / (2 a0)).
+  (Hesterberg 1995; Owen & Zhou 2000): for each margin the shifted copy
+  has a share s of the draws, 7/8 at d >= 3 where the shift is far
+  (``_kernels.shifted_share``: the shifted law and the integrand's mode
+  both well away from the nominal law and the origin), where a nominal
+  half buys back almost no variance, and 1/2 elsewhere and at d = 2.
+  The two components are weighted by the power heuristic (Veach &
+  Guibas 1995, exponent 2) on the exact likelihood ratio r and the
+  mixture proportions: with a0 = 1 - s and R = s r / a0,
+  1 / (a0 (1 + R^2)) on nominal draws (at most 1/a0: 2 on halves, 8 at
+  7/8) and R / (a0 (1 + R^2)) on shifted ones (at most 1 / (2 a0)).
   Still unbiased, and orders of magnitude less variance for strongly
   positive correlation, where the plain decomposition is dominated by
   rare conditioning draws.  The shift
@@ -31,8 +34,9 @@ Two estimators:
   draws from the shifted component on a run of s of the points in Sobol
   order (the first or the last, picked by a fair bit per margin and
   block) and from the nominal law on the rest.  The estimator draws the
-  bits; the kernel (``_kernels.conditional_chunk``) owns the share, the
-  runs and their weights (blocks under 8 points keep halves).  Each run
+  bits, and its plan sets each margin's share; the kernel
+  (``_kernels.conditional_chunk``) owns the runs and their weights
+  (blocks under 8 points keep halves).  Each run
   is a union of shifted nets, so a
   block mean is far more precise than the mean of as many independent
   draws; the blocks are independent and unbiased, so the estimate is
@@ -223,6 +227,7 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
     shift = np.empty((d, d - 1))
     tilt_vec = np.empty((d, d - 1))
     tilt_const = np.empty(d)
+    gain = np.empty(d)
     # Margin j's constants depend only on lam_j, beta_j, lam and beta of
     # the others, Sigma_-j and the covariances with j; keyed by the exact
     # bytes of those, exchangeable margins share them and one shift search.
@@ -241,17 +246,17 @@ def _conditional_plan(spec: ModelSpec, u: float) -> _ConditionalPlan:
                 raise DomainError("degenerate conditional law (sigma too close "
                                   "to singular for the conditional estimator)")
             sd = math.sqrt(s2)
-            m = _find_shift(spec, u, j, oth, a, sd, sub)
+            m, g = _find_shift(spec, u, j, oth, a, sd, sub)
             tv = np.linalg.solve(sub, m)
             constants[key] = (np.linalg.cholesky(sub), a, sd, m, tv,
-                              0.5 * float(m @ tv))
+                              0.5 * float(m @ tv), g)
         (factor[j][:, oth], alpha[j], cond_sd[j], shift[j], tilt_vec[j],
-         tilt_const[j]) = constants[key]
+         tilt_const[j], gain[j]) = constants[key]
     return _ConditionalPlan(
         shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const,
         kernel_args=_kernels.conditional_coefficients(
             u, spec.lam, spec.beta * spec.gamma, others, factor, alpha,
-            cond_sd, shift, tilt_vec, tilt_const))
+            cond_sd, shift, tilt_vec, tilt_const, gain))
 
 
 def _integrand_log(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
@@ -383,8 +388,10 @@ def _kink_map(u: float, lam_o: np.ndarray, bg_o: np.ndarray,
 
 
 def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
-                alpha: np.ndarray, sd: float, sub: np.ndarray) -> np.ndarray:
-    """Locate the mean shift at the mode of the conditional integrand.
+                alpha: np.ndarray, sd: float, sub: np.ndarray
+                ) -> tuple[np.ndarray, float]:
+    """Locate the mean shift at the mode of the conditional integrand, and
+    the log-integrand's gain there over the origin.
 
     Deterministic and vectorised: every step evaluates h on a batch of
     points in one call.  It starts with a line search along the all-ones
@@ -397,8 +404,8 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
     point and, as the climb is local, from the best point of a line
     search along the regression direction Sigma_-j alpha and along each
     coordinate axis; the highest mode is kept (the earliest unless a
-    later one is higher by more than _GAIN_TOL).  No shift unless the
-    mode beats the origin by more than 1e-9.
+    later one is higher by more than _GAIN_TOL).  No shift, and a gain
+    of 0, unless the mode beats the origin by more than 1e-9.
     """
     k = len(oth)
     h = _integrand_log(spec, u, j, oth, alpha, sd, sub)
@@ -423,8 +430,8 @@ def _find_shift(spec: ModelSpec, u: float, j: int, oth: np.ndarray,
             if h_v > best + _GAIN_TOL:  # not one mode reached twice
                 y, best = y_v, h_v
     if best <= h0 + 1e-9:
-        return np.zeros(k)
-    return y
+        return np.zeros(k), 0.0
+    return y, best - h0
 
 
 def _climb(h, u: float, lam_o: np.ndarray, bg_o: np.ndarray, y: np.ndarray,
@@ -477,13 +484,13 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     ``approximate(spec, u).log_second_order`` reach deeper.  The
     conditioning draws come from a defensive mixture of the nominal law
     and its copy shifted to the mode of each margin's integrand, each on a
-    fixed run of every block: the shifted copy on half of it at d = 2 and
-    on 7/8 at d >= 3 (blocks under 8 points keep halves).  The runs are
-    weighted by the power heuristic with the mixture proportions: at most
-    1 / a0 on the nominal run (2 on a half, 8 on an eighth) and at most
-    1 / (2 a0) on the shifted one, a0 being the nominal share.  Where that
-    mode is the origin the shift is zero, and on halves every weight is
-    exactly 1.
+    fixed run of every block: the shifted copy on 7/8 of it for a margin
+    whose shift is far at d >= 3 (on blocks of 8 or more points), and on
+    half of it otherwise.  The runs are weighted by the power heuristic
+    with the mixture proportions: at most 1 / a0 on the nominal run (2 on
+    a half, 8 on an eighth) and at most 1 / (2 a0) on the shifted one, a0
+    being the nominal share.  Where that mode is the origin the shift is
+    zero, the share is a half and every weight is exactly 1.
     Needs the ChiOfDim(d) radial (Gaussian copula of the log-risks).  The
     draws are randomised Sobol blocks (see the module docstring), so n
     (an integer >= 1; seed is one >= 0) is rounded up to a whole number

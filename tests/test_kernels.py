@@ -11,15 +11,16 @@ from tailsum import _kernels
 
 
 def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, seed=5,
-                            heterogeneous=False, zero_shift=False):
+                            heterogeneous=False, zero_shift=False, share=None):
     """Kernel arguments for an equicorrelated standard model, or, with
     ``heterogeneous``, for distinct lam/bg/shift per margin and a random
     correlation matrix, so that a per-column index mix-up changes the
     result.  With ``zero_shift`` the shifted component is the nominal
-    law, so every weight is exactly 1.  The margins' half bits alternate
-    0, 1, 0, ...  ``e`` holds the independent normals, one column per
-    draw, and ``sub_chol[j]`` is chol(Sigma_-j), margin j's conditioning
-    factor."""
+    law, so every weight is exactly 1.  The margins' bits alternate
+    0, 1, 0, ...  and every margin's shifted share is ``share`` (7/8 at
+    d >= 3 and 1/2 at d = 2 unless given).  ``e`` holds the independent
+    normals, one column per draw, and ``sub_chol[j]`` is chol(Sigma_-j),
+    margin j's conditioning factor."""
     rng = np.random.default_rng(seed)
     if heterogeneous:
         a = rng.standard_normal((d, d + 2))
@@ -54,23 +55,27 @@ def make_conditional_inputs(m=4096, d=3, rho=0.5, u=30.0, seed=5,
         cond_sd[j] = math.sqrt(1.0 - cross @ alpha[j])
         tilt_vec[j] = np.linalg.solve(sub, shift[j])
         tilt_const[j] = 0.5 * shift[j] @ tilt_vec[j]
+    if share is None:
+        share = 0.875 if d >= 3 else 0.5
     return dict(e=e, bits=bits, u=u, lam=lam, bg=bg, others=others,
                 sub_chol=sub_chol, sig=sig, alpha=alpha, cond_sd=cond_sd,
-                shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const)
+                shift=shift, tilt_vec=tilt_vec, tilt_const=tilt_const,
+                share=share)
 
 
 def conditional_args(inputs):
-    """``conditional_coefficients`` on the inputs: the kernel's arguments
-    after ``out``."""
+    """``conditional_coefficients`` on the inputs, with every margin's
+    share set to the inputs' own: the kernel's arguments after ``out``."""
     d = inputs["e"].shape[0]
     # the plan's layout: chol(Sigma_-j) in the columns others[j]
     factor = np.zeros((d, d - 1, d))
     for j in range(d):
         factor[j][:, inputs["others"][j]] = inputs["sub_chol"][j]
-    return _kernels.conditional_coefficients(
+    args = _kernels.conditional_coefficients(
         inputs["u"], inputs["lam"], inputs["bg"], inputs["others"], factor,
         inputs["alpha"], inputs["cond_sd"], inputs["shift"],
-        inputs["tilt_vec"], inputs["tilt_const"])
+        inputs["tilt_vec"], inputs["tilt_const"], np.zeros(d))
+    return (*args[:-1], np.full(d, inputs["share"]))
 
 
 def run_conditional(inputs, log_tilt=None):
@@ -79,7 +84,7 @@ def run_conditional(inputs, log_tilt=None):
     d, m = inputs["e"].shape
     args = conditional_args(inputs)
     if log_tilt is not None:
-        args = (*args[:-1], np.full(d, log_tilt))
+        args = (*args[:-2], np.full(d, log_tilt), args[-1])
     out = np.empty(m)
     _kernels.conditional_chunk(inputs["e"], inputs["bits"], out, *args)
     return out
@@ -132,21 +137,21 @@ def margin_weights(inputs, j, log_tilt=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernels, "erfc", erfc_of_margin_j)
         weights = run_conditional(inputs, log_tilt)
-    return weights, shifted_rows(d, m, inputs["bits"][j])
+    return weights, shifted_rows(inputs["share"], m, inputs["bits"][j])
 
 
-def share_of(d, m):
-    """The shifted component's share of an m-row block: 7/8 at d >= 3
-    where 8 divides m, else 1/2."""
-    return 0.875 if d >= 3 and m % 8 == 0 else 0.5
+def block_share(share, m):
+    """The shifted share an m-row block takes for a margin with
+    ``share``: the share itself, or 1/2 on blocks under 8 rows."""
+    return share if m >= 8 else 0.5
 
 
-def shifted_rows(d, m, bit):
+def shifted_rows(share, m, bit):
     """Mask of the rows of an m-row block drawn from the shifted
-    component for a margin with ``bit``: the first ceil(s m) rows on bit
-    0 (the single row of a one-row block), the last floor(s m) on bit 1,
-    with s = ``share_of(d, m)``."""
-    share = share_of(d, m)
+    component for a margin with ``share`` and ``bit``: the first
+    ceil(s m) rows on bit 0 (the single row of a one-row block), the last
+    floor(s m) on bit 1, with s = ``block_share(share, m)``."""
+    share = block_share(share, m)
     rows = np.arange(m)
     if bit == 0:
         return rows < math.ceil(share * m)
@@ -173,7 +178,7 @@ def loop_reference(inputs, ys=None):
         ys = per_margin_vectors(inputs["e"], inputs["others"],
                                 inputs["sub_chol"])
     keys = ("bits", "u", "lam", "bg", "others", "alpha", "cond_sd", "shift",
-            "tilt_vec", "tilt_const")
+            "tilt_vec", "tilt_const", "share")
     return conditional_loop(ys, **{key: inputs[key] for key in keys})
 
 
@@ -195,14 +200,14 @@ def power_weight(q, shifted, share):
 
 
 def conditional_loop(ys, bits, u, lam, bg, others, alpha, cond_sd, shift,
-                     tilt_vec, tilt_const):
+                     tilt_vec, tilt_const, share):
     """The integrand one draw, one margin and one other margin at a time,
     with ``power_weight`` on the mixture's components; ys[j, i] are the
     other margins of margin j in draw i, and row i is shifted for margin
     j where ``shifted_rows`` says so."""
     d, m = ys.shape[:2]
-    share = share_of(d, m)
-    picks = [shifted_rows(d, m, bit) for bit in bits]
+    picks = [shifted_rows(share, m, bit) for bit in bits]
+    share = block_share(share, m)
     out = np.empty(m)
     for i in range(m):
         acc = 0.0
@@ -282,7 +287,7 @@ class TestConditionalChunk:
         # then on the second (bits 1): each against the loop, and every
         # draw's value changes with the bits
         inputs = make_conditional_inputs(m=300, d=d, u=12.0, seed=d,
-                                         heterogeneous=True)
+                                         heterogeneous=True, share=0.5)
         outs = []
         for bit in (0, 1):
             inputs["bits"] = np.full(d, bit)
@@ -294,19 +299,20 @@ class TestConditionalChunk:
 
     @pytest.mark.parametrize("heterogeneous", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 5])
-    @pytest.mark.parametrize("m", [296, 300, 301])
+    @pytest.mark.parametrize("m", [300, 301])
     def test_passes_split_the_shifted_halves(self, monkeypatch, m, d,
                                              heterogeneous):
         # 64 columns per pass: each run's edge falls inside a pass and the
-        # last pass is partial (at m = 296 and d >= 3 the runs are 7/8 of
-        # the block); the result is the one-pass result, bit for bit
+        # last pass is partial (halves at d = 2, 7/8 runs at d >= 3); the
+        # result is the one-pass result, bit for bit
         inputs = make_conditional_inputs(m=m, d=d, u=12.0, seed=d,
                                          heterogeneous=heterogeneous)
         whole = run_conditional(inputs)
         width = 64
         monkeypatch.setattr(_kernels, "_PASS", width)
         for bit in (0, 1):
-            edges = np.flatnonzero(np.diff(shifted_rows(d, m, bit))) + 1
+            edges = np.flatnonzero(
+                np.diff(shifted_rows(inputs["share"], m, bit))) + 1
             assert len(edges) == 1 and edges[0] % width != 0
         assert m % width != 0
         out = run_conditional(inputs)
@@ -392,7 +398,7 @@ class TestConditionalChunk:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_weights_bounded_by_mixture(self):
-        inputs = make_conditional_inputs()
+        inputs = make_conditional_inputs(share=0.5)
         out = run_conditional(inputs)
         d = inputs["e"].shape[0]
         # each of the d per-margin terms is (weight <= 2) * prob <= 2
@@ -406,7 +412,7 @@ class TestConditionalChunk:
         # puts it above 1 / (2 a0): 1 and 2 at d = 2, 4 and 8 at d = 5
         inputs = make_conditional_inputs(m=2048, d=d, u=12.0, seed=d,
                                          heterogeneous=True)
-        a0 = 1.0 - share_of(d, 2048)
+        a0 = 1.0 - inputs["share"]
         assert a0 == (0.5 if d == 2 else 0.125)
         for j in range(d):
             w, shifted = margin_weights(inputs, j)
@@ -416,12 +422,12 @@ class TestConditionalChunk:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_zero_shift_weighs_both_halves_exactly_one(self, d):
-        # r = 1 on every draw, where the halves' weights 2 / (1 + r^2) and
-        # 2r / (1 + r^2) are both exactly 1, so the bits do not change a
-        # single bit (at d = 5 a block of 500 columns keeps halves)
-        m = 512 if d == 2 else 500
-        assert share_of(d, m) == 0.5
-        inputs = make_conditional_inputs(m=m, d=d, zero_shift=True)
+        # a zero shift takes halves, and there r = 1 on every draw, where
+        # the halves' weights 2 / (1 + r^2) and 2r / (1 + r^2) are both
+        # exactly 1, so the bits do not change a single bit
+        assert _kernels.shifted_share(d, 0.0, 0.0) == 0.5
+        inputs = make_conditional_inputs(m=512, d=d, zero_shift=True,
+                                         share=0.5)
         for j in range(d):
             w, _ = margin_weights(inputs, j)
             assert np.all(w == 1.0)
@@ -443,9 +449,9 @@ class TestConditionalChunk:
         # overflowing r weighs both components 0, an underflowing one the
         # shifted component 0 and the nominal one 1 / a0, its limit (2 on
         # halves, 8 at a 7/8 share); never nan
-        for m in (252, 256):
-            zero = make_conditional_inputs(m=m, zero_shift=True)
-            limit = 1.0 / (1.0 - share_of(3, m))
+        for share in (0.5, 0.875):
+            zero = make_conditional_inputs(m=256, zero_shift=True, share=share)
+            limit = 1.0 / (1.0 - share)
             for log_tilt, on_shifted, on_nominal in ((1e3, 0.0, 0.0),
                                                      (-1e3, 0.0, limit)):
                 for j in range(3):
@@ -454,17 +460,14 @@ class TestConditionalChunk:
                     assert np.all(w[shifted] == on_shifted)
                     assert np.all(w[~shifted] == on_nominal)
 
-    @pytest.mark.parametrize("m", [252, 256])
-    def test_power_shares_sum_to_one(self, m):
-        # at a zero shift L = log_tilt + log(s / a0) on every draw, so one
-        # block holds the nominal and the shifted weight at the same L:
-        # the power heuristic's shares a0 * w_nominal and s * r * w_shifted
-        # (each weight times its component's share of the draws and its
-        # density relative to the nominal law) sum to 1, at s = 1/2
-        # (m = 252) and at s = 7/8 (m = 256)
-        share = share_of(3, m)
-        assert share == (0.5 if m == 252 else 0.875)
-        zero = make_conditional_inputs(m=m, zero_shift=True)
+    @pytest.mark.parametrize("share", [0.5, 0.875])
+    def test_power_shares_sum_to_one(self, share):
+        # with the shift's offset zero L = log_tilt + log(s / a0) on every
+        # draw, so one block holds the nominal and the shifted weight at
+        # the same L: the power heuristic's shares a0 * w_nominal and
+        # s * r * w_shifted (each weight times its component's share of
+        # the draws and its density relative to the nominal law) sum to 1
+        zero = make_conditional_inputs(m=256, zero_shift=True, share=share)
         for log_tilt in np.linspace(-30.0, 30.0, 25):
             for j in range(3):
                 w, shifted = margin_weights(zero, j, log_tilt)
@@ -477,20 +480,22 @@ class TestConditionalChunk:
                     assert weight == pytest.approx(
                         power_weight(log_tilt, on_shift, share), rel=1e-13)
 
+    @pytest.mark.parametrize("share", [0.5, 0.875])
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("m", [1, 4, 8, 64, 2048])
-    def test_shifted_runs_follow_the_bits(self, m, d):
-        # a margin's shifted run is the first 7m/8 columns on bit 0 and the
-        # last 7m/8 on bit 1 at d >= 3 once 8 divides m; otherwise the
-        # first (m + 1) // 2 or the last m // 2; seen through the weight,
-        # which at log r = 1 differs between the components
-        share = 0.875 if d >= 3 and m >= 8 else 0.5
-        assert _kernels.shifted_share(d, m) == share
+    def test_shifted_runs_follow_the_bits(self, m, d, share):
+        # at a 7/8 share a margin's shifted run is the first 7m/8 columns
+        # on bit 0 and the last 7m/8 on bit 1 from m = 8 on; at 1/2, and
+        # on smaller blocks, the first (m + 1) // 2 or the last m // 2;
+        # seen through the weight, which at log r = 1 differs between the
+        # components
+        if m < 8:
+            share = 0.5
         if share == 0.5:
             runs = ((0, (m + 1) // 2), ((m + 1) // 2, m))
         else:
             runs = ((0, m - m // 8), (m // 8, m))
-        zero = make_conditional_inputs(m=m, d=d, zero_shift=True)
+        zero = make_conditional_inputs(m=m, d=d, zero_shift=True, share=share)
         expected = power_weight(1.0, True, share)
         assert expected != pytest.approx(power_weight(1.0, False, share))
         cols = np.arange(m)
@@ -501,17 +506,48 @@ class TestConditionalChunk:
             assert np.array_equal(on_shift, (cols >= lo) & (cols < hi))
 
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("d, m", [(2, 300), (2, 512), (5, 300), (5, 4)])
-    def test_halves_are_bit_identical_to_the_equal_mixture(self, d, m, bit):
-        # where the share is 1/2 the scale 1 / (2 a0) is exactly 1 and
-        # log(s / a0) exactly 0: the output equals, bit for bit, the
-        # equal-halves kernel with erfc / (1 + r^2) on the nominal half
-        # and erfc / (2 cosh log r) on the shifted one
+    @pytest.mark.parametrize("d, m, share", [(2, 300, 0.5), (2, 512, 0.5),
+                                             (5, 512, 0.5), (5, 4, 0.875)])
+    def test_halves_are_bit_identical_to_the_equal_mixture(self, d, m, share,
+                                                            bit):
+        # where the share is 1/2 (given, or on a block under 8 points)
+        # 2 a0 is exactly 1 and log(s / a0) exactly 0: the output equals,
+        # bit for bit, the equal-halves kernel with erfc / (1 + r^2) on
+        # the nominal half and erfc / (2 cosh log r) on the shifted one
         inputs = make_conditional_inputs(m=m, d=d, u=12.0, seed=d,
-                                         heterogeneous=True)
+                                         heterogeneous=True, share=share)
         inputs["bits"] = (np.arange(d) + bit) % 2
         args = conditional_args(inputs)
         out = np.empty(m)
         _kernels.conditional_chunk(inputs["e"], inputs["bits"], out, *args)
         assert np.array_equal(out, equal_halves_kernel(
-            inputs["e"], inputs["bits"], *args))
+            inputs["e"], inputs["bits"], *args[:-1]))
+
+
+class TestShiftedShare:
+    @pytest.mark.parametrize("d, tilt_const, gain, share", [
+        (3, 2.0, 2.0, 0.875), (5, 18.5, 29.2, 0.875), (4, math.inf, 40.0, 0.875),
+        (2, 18.5, 29.2, 0.5),       # d = 2 keeps halves
+        (3, 0.0, 0.0, 0.5),         # a zero shift: the two laws are one
+        (3, 1.99, 30.0, 0.5),       # a bulk threshold's near shift
+        (5, 6.0, 1.99, 0.5),        # a second region at the origin
+    ])
+    def test_far_shifts_take_seven_eighths(self, d, tilt_const, gain, share):
+        assert _kernels.shifted_share(d, tilt_const, gain) == share
+
+    def test_coefficients_set_each_margins_share(self):
+        # margin j's share is shifted_share of its own tilt constant and
+        # gain, which are independent of the other margins'
+        inputs = make_conditional_inputs(m=8, d=4, seed=3, heterogeneous=True)
+        d = 4
+        inputs["tilt_const"] = np.array([0.5, 3.0, 3.0, 2.5])
+        gain = np.array([5.0, 5.0, 1.0, 2.5])
+        factor = np.zeros((d, d - 1, d))
+        for j in range(d):
+            factor[j][:, inputs["others"][j]] = inputs["sub_chol"][j]
+        args = _kernels.conditional_coefficients(
+            inputs["u"], inputs["lam"], inputs["bg"], inputs["others"], factor,
+            inputs["alpha"], inputs["cond_sd"], inputs["shift"],
+            inputs["tilt_vec"], inputs["tilt_const"], gain)
+        assert args[-1].tolist() == [0.5, 0.875, 0.5, 0.875]
+        assert np.array_equal(args[-2], -inputs["tilt_const"])
