@@ -42,7 +42,8 @@ Two estimators:
   draws; the blocks are independent and unbiased, so the estimate is
   their mean and the standard error is their sample standard deviation
   over sqrt(K).  n is rounded up to K * block, with block the largest
-  power of two <= min(2^16, n/16).
+  power of two <= 2^16 that leaves K >= 16 (the largest < n/15), so the
+  rounding adds under n/15 draws: n = 1e6 makes 16 blocks of 2^16.
   Each margin's term is drawn through its own conditional factor: margin
   j's conditioning vector y_-j ~ N(0, Sigma_-j) is chol(Sigma_-j) applied
   to the d - 1 Sobol coordinates other than j, not d - 1 rows of one
@@ -544,9 +545,12 @@ def _check_underflow(value: float, u: float) -> float:
 
 
 def _block_layout(n: int) -> tuple[int, int]:
-    """(block, K): block is the largest power of two <= min(2^16, n/16),
-    at least 1, and K = max(16, ceil(n / block)) blocks."""
-    block = 1 << min(_SOBOL_BITS, max(0, (n // _MIN_BLOCKS).bit_length() - 1))
+    """(block, K): block is the largest power of two <= 2^16 that still
+    leaves ceil(n / block) >= 16 blocks (the largest < n/15), at least 1,
+    and K = max(16, ceil(n / block)); beyond 16 points the rounding adds
+    under one block, so under n/15 draws."""
+    block = 1 << min(_SOBOL_BITS,
+                     max(0, ((n - 1) // (_MIN_BLOCKS - 1)).bit_length() - 1))
     return block, max(_MIN_BLOCKS, -(-n // block))
 
 

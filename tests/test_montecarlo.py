@@ -391,6 +391,19 @@ class TestConditional:
         assert math.sqrt(np.mean(z * z)) <= 1.5
         assert np.max(np.abs(z)) <= 4.0
 
+    @pytest.mark.parametrize("rho", [0.9, 0.5])
+    def test_sixteen_large_blocks_cover_the_exact_value_at_d2(self, rho):
+        # n = 250,000 is 16 blocks of 2^14: the stderr of only 16 large
+        # blocks must still be the estimate's error
+        spec = ModelSpec.standard(2, rho)
+        truth = sum_tail_exact(rho, 1000.0)
+        assert _block_layout(250_000) == (2**14, 16)
+        z = np.array([(est.value - truth) / est.stderr for est in
+                      (conditional_max_mc(spec, 1000.0, 250_000, seed)
+                       for seed in range(1, 17))])
+        assert math.sqrt(np.mean(z * z)) <= 1.5
+        assert np.max(np.abs(z)) <= 4.0
+
     def test_deep_tail_one_percent_precision(self, standard_spec):
         spec = standard_spec(0.9)
         est = conditional_max_mc(spec, 1000.0, 2 * 10**5, seed=24)
@@ -529,14 +542,16 @@ class TestRqmc:
 
     @pytest.mark.parametrize("n, rounded", [(1, 16), (1000, 1024),
                                             (150_000, 155_648),
-                                            (10**6, 1_015_808),
+                                            (250_000, 262_144),
+                                            (10**6, 1_048_576),
                                             (2 * 10**6, 2_031_616)])
     def test_n_rounds_up_to_whole_blocks(self, standard_spec, n, rounded):
+        # the largest block <= 2^16 that leaves at least 16 blocks
         block, blocks = _block_layout(n)
         assert block & (block - 1) == 0
-        assert block <= max(1, min(65536, n / 16)) < 2 * block
         assert blocks >= 16
-        assert blocks == 16 or blocks * block - n < block
+        assert block == 65536 or -(-n // (2 * block)) < 16
+        assert blocks == 16 or blocks * block - n < block < n / 15
         est = conditional_max_mc(standard_spec(0.5), 10.0, n, seed=3)
         assert est.n == blocks * block == rounded
 
