@@ -85,28 +85,31 @@ def shifted_share(d: int, tilt_const: float, gain: float) -> float:
 
 
 def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
-                      z_scale, log_tilt, share):
+                      z_scale, log_tilt, share, start=0, block=None):
     """Per-draw integrand of the conditional largest-claim estimator.
 
     Each draw is a column of the (d, m) independent standard normals
-    ``e``.  For each draw the kernel sums, over margins j, the importance
+    ``e``: the points ``start`` to ``start`` + m - 1 of a block of
+    ``block`` points (by default the whole block, start 0 and block m).
+    For each draw the kernel sums, over margins j, the importance
     weight times the conditional probability that margin j exceeds both
     the remaining gap to u and the largest other margin, and writes the
     sums into ``out``.  With s = ``share[j]`` (1/2 on blocks under 8
     points), margin j's other margins are shifted (the defensive
-    mixture's shifted component) on the first ceil(s m) columns where
-    ``bits[j]`` is 0, on the last floor(s m) where it is 1, and nominal on
-    the rest: at s = 7/8 the first or last 7m/8, at s = 1/2 a half (a
-    one-column block is its first half).  Blocks are powers of two, and
-    the first 2^b Sobol points in runs of 2^(b-3) are nets (each is the
-    first run XOR some of three direction numbers), so either run is a
-    union of nets, and under the block's digital shift every column is
-    uniform.  The remaining arguments come from
+    mixture's shifted component) on the first ceil(s M) points of the
+    block of M where ``bits[j]`` is 0, on the last floor(s M) where it is
+    1, and nominal on the rest: at s = 7/8 the first or last 7M/8, at
+    s = 1/2 a half (a one-point block is its first half).  Blocks are
+    powers of two, and the first 2^b Sobol points in runs of 2^(b-3) are
+    nets (each is the first run XOR some of three direction numbers), so
+    either run is a union of nets, and under the block's digital shift
+    every point is uniform.  The remaining arguments come from
     ``conditional_coefficients``.
 
     The draws are taken _PASS = 2^14 columns of e at a time (see the
-    module docstring), and each pass clips the runs to its own columns;
-    the integrand of a draw does not depend on the pass it falls in.
+    module docstring), and each pass clips the runs to its own columns,
+    as each chunk of a block clips them to its own points; the integrand
+    of a draw does not depend on the pass or chunk it falls in.
     Per pass and margin j, one product coef[j] @ e fills the d + 1 rows
     bg_k y_k (k the other margins), bg_j mu_j (mu_j the conditional mean
     of log-margin j) and q (the log likelihood ratio), and one add puts
@@ -139,13 +142,15 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
     At s = 1/2 and a zero shift L = 0 and both weights are exactly 1.
     """
     d, m = e.shape
-    # per margin: the shifted run [lo, hi) for its bit, log(s / a0), and
-    # the exact power of two 2 a0 that scales the weights' denominators
+    size = m if block is None else block
+    # per margin: the shifted run [lo, hi) of the block for its bit,
+    # log(s / a0), and the exact power of two 2 a0 that scales the
+    # weights' denominators
     bounds, log_ratio, two_a0 = [], [], []
     for bit, s in zip(bits.tolist(), share.tolist()):
-        s = s if m >= 8 else 0.5
-        bounds.append((m - math.floor(s * m), m) if bit
-                      else (0, math.ceil(s * m)))
+        s = s if size >= 8 else 0.5
+        bounds.append((size - math.floor(s * size), size) if bit
+                      else (0, math.ceil(s * size)))
         log_ratio.append(math.log(s / (1.0 - s)))
         two_a0.append(2.0 * (1.0 - s))
     scratch = np.empty((d + 2, min(m, _PASS)))
@@ -163,7 +168,7 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
             lo, hi = bounds[j]
             np.matmul(coef[j], ew, out=prod)
             # the shifted slice [a, b) of this pass; the rest is nominal
-            a, b = max(lo - c0, 0), max(hi - c0, 0)
+            a, b = max(lo - start - c0, 0), max(hi - start - c0, 0)
             prod[:, a:b] += offset[j][:, None]
             np.exp(x, out=x)
             x *= lam_ratio[j][:, None]

@@ -28,7 +28,9 @@ __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
            "coordinate_tail", "coordinate_log_tail", "sample", "SAMPLE_CHUNK"]
 
 # Fixed chunk length for sample generation; part of the reproducibility
-# contract (results depend on it, never on the worker count).
+# contract (results depend on it, never on the worker count).  The
+# conditional estimator's chunks hold whole RQMC blocks of up to this
+# many points, or one piece of a larger block (see montecarlo).
 SAMPLE_CHUNK = 1 << 16
 
 

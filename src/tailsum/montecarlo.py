@@ -42,8 +42,13 @@ Two estimators:
   draws; the blocks are independent and unbiased, so the estimate is
   their mean and the standard error is their sample standard deviation
   over sqrt(K).  n is rounded up to K * block, with block the largest
-  power of two <= 2^16 that leaves K >= 16 (the largest < n/15), so the
-  rounding adds under n/15 draws: n = 1e6 makes 16 blocks of 2^16.
+  power of two that leaves K >= 16 (the largest < n/15), so the rounding
+  adds under n/15 draws: n = 1e6 makes 16 blocks of 2^16 and n = 2e6 16
+  of 2^17.  A block past 2^16 points is never held whole.  In the
+  Gray-code order (Antonov & Saleev 1979) a point is linear in its
+  index, so its chunk c of 2^16 points is the first 2^16 points XOR
+  point c 2^16, which joins the block's digital shift; so each chunk is
+  run alone, and the block mean is the mean of its chunk means.
   Each margin's term is drawn through its own conditional factor: margin
   j's conditioning vector y_-j ~ N(0, Sigma_-j) is chol(Sigma_-j) applied
   to the d - 1 Sobol coordinates other than j, not d - 1 rows of one
@@ -51,7 +56,7 @@ Two estimators:
   in d - 1 dimensions rather than a slanted projection of the d-dim one
   (at d = 2 a 1-D shifted net), which lowers its effective dimension
   (Caflisch, Morokoff & Owen 1997).  At Sigma = I the two agree.
-  In one block and one row every point sits at the same offset inside
+  In one chunk and one row every point sits at the same offset inside
   its cell of the 2^16-cell digit lattice, so the normals come from a
   Taylor polynomial of the inverse normal about the cell midpoints,
   evaluated once per used cell (exact ndtri in the tail cells).
@@ -60,8 +65,9 @@ Determinism: work is split into fixed-size chunks, each with a child
 seed spawned from the seed.  ``crude_mc`` draws each chunk as
 ``model.sample`` does: an SFC64 generator on the child and one (d, m)
 block of normals, a draw per column.  The conditional estimator spawns
-one grandchild per block and keeps numpy's ``default_rng`` (PCG64) for
-its digital shift and mixture bits.  Results are merged in index order
+one grandchild per block (per block of more than one chunk, one from
+its first chunk) and keeps numpy's ``default_rng`` (PCG64) for its
+digital shift and mixture bits.  Results are merged in index order
 with exact (fsum) accumulation, so estimates are bit-identical for any
 worker count.
 """
@@ -95,10 +101,13 @@ __all__ = ["MCEstimate", "crude_mc", "conditional_max_mc", "mc_table",
 ESTIMATOR_CRUDE = "crude"
 ESTIMATOR_CONDITIONAL = "conditional_max"
 
-# A randomised block holds at most 2^_SOBOL_BITS = SAMPLE_CHUNK Sobol
-# points, so a chunk holds whole blocks; an estimate has at least
-# _MIN_BLOCKS blocks behind its standard error.
+# The digit lattice has 2^_SOBOL_BITS = SAMPLE_CHUNK cells: a chunk
+# holds whole blocks of up to that many Sobol points, or one lattice-sized
+# piece of a larger block.  Below the lattice's digits the digital shift
+# has _OFFSET_BITS more.  An estimate has at least _MIN_BLOCKS blocks
+# behind its standard error.
 _SOBOL_BITS = SAMPLE_CHUNK.bit_length() - 1
+_OFFSET_BITS = 36
 _MIN_BLOCKS = 16
 # Joe-Kuo direction numbers as shipped with scipy; read by path, because
 # importing scipy.stats costs about half a second and 19 MB.
@@ -510,25 +519,38 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     plan = _conditional_plan(spec, u)
     d = spec.d
     block, blocks = _block_layout(n)
-    base = _sobol_base(d)[:, :block]
+    # a block past SAMPLE_CHUNK points is run one chunk at a time: the
+    # estimate is run in units of ``size`` points, ``per_block`` a block
+    size = min(block, SAMPLE_CHUNK)
+    per_block = block // size
     # built here, before any pool thread reads them
-    tables = _ndtri_tables(_lattice_classes(block))
+    base = _sobol_base(d)[:, :size]
+    tables = _ndtri_tables(_lattice_classes(size))
+    shifts = _chunk_shifts(d, per_block)
+    # each block's shift and bits, from a grandchild of its first chunk
+    draws = [_block_draws(grandchild, d)
+             for i, (child, m) in enumerate(_chunks(blocks * block, seed))
+             if i % per_block == 0
+             for grandchild in child.spawn(max(1, m // block))]
 
     def task(child, m):
+        # the chunk's first unit; chunk i has child i (see model._chunks)
+        first = child.spawn_key[-1] * (SAMPLE_CHUNK // size)
         means = []
-        for block_seed in child.spawn(m // block):
-            rng = np.random.default_rng(block_seed)
-            h = rng.integers(0, 1 << _SOBOL_BITS, size=(d, 1), dtype=np.uint16)
-            k = rng.integers(0, 1 << 36, size=(d, 1))  # the digital shift
-            e = _lattice_ndtri(base, h, k, tables)
-            bits = rng.integers(0, 2, size=d)
-            w = np.empty(block)
-            _kernels.conditional_chunk(e, bits, w, *plan.kernel_args)
+        for unit in range(first, first + m // size):
+            h, k, bits = draws[unit // per_block]
+            c = unit % per_block
+            e = _chunk_ndtri(base, shifts, c, h, k, tables)
+            w = np.empty(size)
+            _kernels.conditional_chunk(e, bits, w, *plan.kernel_args,
+                                       start=c * size, block=block)
             means.append(float(np.mean(w)))
         return means
 
-    parts = _run_chunks(blocks * block, seed, workers, task)
-    value, stderr = _merge_blocks([mean for part in parts for mean in part])
+    means = [x for part in _run_chunks(blocks * block, seed, workers, task)
+             for x in part]
+    value, stderr = _merge_blocks([math.fsum(means[i:i + per_block]) / per_block
+                                   for i in range(0, len(means), per_block)])
     return MCEstimate(value=_check_underflow(value, u), stderr=stderr,
                       n=blocks * block, estimator=ESTIMATOR_CONDITIONAL,
                       seed=seed, elapsed=time.perf_counter() - start)
@@ -545,36 +567,55 @@ def _check_underflow(value: float, u: float) -> float:
 
 
 def _block_layout(n: int) -> tuple[int, int]:
-    """(block, K): block is the largest power of two <= 2^16 that still
-    leaves ceil(n / block) >= 16 blocks (the largest < n/15), at least 1,
-    and K = max(16, ceil(n / block)); beyond 16 points the rounding adds
-    under one block, so under n/15 draws."""
-    block = 1 << min(_SOBOL_BITS,
-                     max(0, ((n - 1) // (_MIN_BLOCKS - 1)).bit_length() - 1))
+    """(block, K): block is the largest power of two that still leaves
+    ceil(n / block) >= 16 blocks (the largest < n/15), at least 1, and
+    K = max(16, ceil(n / block)); beyond 16 points the rounding adds
+    under one block, so under n/15 draws.  A block past SAMPLE_CHUNK
+    points is run one chunk at a time (``_chunk_ndtri``), so its size
+    costs no memory."""
+    block = 1 << max(0, ((n - 1) // (_MIN_BLOCKS - 1)).bit_length() - 1)
     return block, max(_MIN_BLOCKS, -(-n // block))
 
 
+def _block_draws(block_seed: np.random.SeedSequence, d: int):
+    """A block's digital shift (h, k), with h < 2^16 and k < 2^36 as
+    (d, 1) columns, and its d mixture bits, from the block's seed."""
+    rng = np.random.default_rng(block_seed)
+    h = rng.integers(0, 1 << _SOBOL_BITS, size=(d, 1), dtype=np.uint16)
+    k = rng.integers(0, 1 << _OFFSET_BITS, size=(d, 1))
+    return h, k, rng.integers(0, 2, size=d)
+
+
+@functools.lru_cache(maxsize=8)
 def _direction_numbers(dim: int) -> np.ndarray:
-    """(dim, 16) uint16 Sobol direction numbers m_rk * 2^(15-k), from the
-    Joe-Kuo primitive polynomials and initial numbers by the Bratley-Fox
-    recurrence, as scipy.stats.qmc.Sobol builds them."""
+    """(dim, 52) uint64 Sobol direction numbers v_rk = m_rk 2^-(k+1) in
+    units of 2^-52, the 16 lattice digits and the 36 of the offset below
+    them: m_rk * 2^(51-k), from the Joe-Kuo primitive polynomials and
+    initial numbers by the Bratley-Fox recurrence, as
+    scipy.stats.qmc.Sobol builds them.  The first 16 give the lattice
+    points of ``_sobol_base``; from v_16 on they have digits below the
+    lattice, and they place the chunks of larger blocks
+    (``_chunk_shifts``)."""
+    bits = _SOBOL_BITS + _OFFSET_BITS
     with np.load(_DIRECTION_NUMBERS) as table:
         poly = table["poly"][:dim].tolist()
-        vinit = table["vinit"][:dim, :_SOBOL_BITS].tolist()
-    m = [[1] * _SOBOL_BITS]
+        vinit = table["vinit"][:dim].tolist()
+    m = [[1] * bits]
     for r in range(1, dim):
         p = poly[r]
         deg = p.bit_length() - 1
-        row = vinit[r][:min(deg, _SOBOL_BITS)]
-        for k in range(deg, _SOBOL_BITS):
+        row = vinit[r][:deg]
+        for k in range(deg, bits):
             value = row[k - deg]
             for i in range(1, deg + 1):
                 if (p >> (deg - i)) & 1:
                     value ^= row[k - i] << i
             row.append(value)
         m.append(row)
-    shifts = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS)
-    return (np.array(m, dtype=np.uint32) << shifts).astype(np.uint16)
+    v = np.array([[x << (bits - 1 - k) for k, x in enumerate(row)] for row in m],
+                 dtype=np.uint64)
+    v.setflags(write=False)
+    return v
 
 
 @functools.lru_cache(maxsize=8)
@@ -582,7 +623,7 @@ def _sobol_base(dim: int) -> np.ndarray:
     """The first 2^16 unscrambled Sobol points in ``dim`` dimensions as
     (dim, 2^16) uint16 digits: point i has coordinates base[:, i] / 2^16,
     in the Gray-code order of scipy.stats.qmc.Sobol."""
-    v = _direction_numbers(dim)
+    v = (_direction_numbers(dim)[:, :_SOBOL_BITS] >> _OFFSET_BITS).astype(np.uint16)
     base = np.zeros((dim, 1 << _SOBOL_BITS), dtype=np.uint16)
     h = 1
     for k in range(_SOBOL_BITS):
@@ -591,6 +632,38 @@ def _sobol_base(dim: int) -> np.ndarray:
         h *= 2
     base.setflags(write=False)
     return base
+
+
+def _chunk_shifts(dim: int, chunks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hx, kx), each (chunks, dim, 1): the digits of Sobol point c 2^16,
+    the lattice's in hx[c] and those below them in kx[c].
+
+    In the Gray-code order point p is the XOR of v_j over the set bits j
+    of gray(p) = p XOR (p >> 1), which is linear in p; for i < 2^16,
+    c 2^16 + i = c 2^16 XOR i.  So chunk c of a block, its points
+    c 2^16 + i, is the first 2^16 points under the one more digital
+    shift (hx[c], kx[c]).
+    """
+    v = _direction_numbers(dim)
+    x = np.zeros((chunks, dim), dtype=np.uint64)
+    for c in range(1, chunks):
+        p = c << _SOBOL_BITS
+        gray = p ^ (p >> 1)
+        x[c] = np.bitwise_xor.reduce(
+            v[:, [j for j in range(gray.bit_length()) if gray >> j & 1]], axis=1)
+    x = x[:, :, None]
+    return ((x >> _OFFSET_BITS).astype(np.uint16),
+            (x & ((1 << _OFFSET_BITS) - 1)).astype(np.int64))
+
+
+def _chunk_ndtri(base: np.ndarray, shifts, c: int, h: np.ndarray,
+                 k: np.ndarray, tables) -> np.ndarray:
+    """The normals of chunk c of a block under its digital shift (h, k):
+    ``_lattice_ndtri`` of the first 2^16 points, ``base``, under the
+    shift (h XOR hx[c], k XOR kx[c]), with (hx, kx) = ``shifts`` from
+    ``_chunk_shifts``; a block of one chunk is the base itself (c = 0)."""
+    hx, kx = shifts
+    return _lattice_ndtri(base, h ^ hx[c], k ^ kx[c], tables)
 
 
 @functools.lru_cache(maxsize=1)

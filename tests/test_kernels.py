@@ -320,6 +320,29 @@ class TestConditionalChunk:
                                    rtol=1e-12, atol=0.0)
         assert np.array_equal(out, whole)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("m, cuts", [(256, (128,)), (512, (64, 448)),
+                                         (301, (150, 200))])
+    def test_chunks_of_a_block_split_its_runs(self, monkeypatch, m, cuts, d):
+        # a block run in chunks, each given its start and the block's
+        # size, is the whole block bit for bit: the cuts fall inside the
+        # shifted runs (halves at d = 2, 7/8 runs at d >= 3) and, at 64
+        # columns per pass, inside passes
+        inputs = make_conditional_inputs(m=m, d=d, u=12.0, seed=d,
+                                         heterogeneous=True)
+        args = conditional_args(inputs)
+        monkeypatch.setattr(_kernels, "_PASS", 64)
+        out = np.empty(m)
+        for bit in (0, 1):
+            inputs["bits"] = (np.arange(d) + bit) % 2
+            whole = run_conditional(inputs)
+            edges = (0, *cuts, m)
+            for start, stop in zip(edges, edges[1:]):
+                _kernels.conditional_chunk(
+                    inputs["e"][:, start:stop], inputs["bits"],
+                    out[start:stop], *args, start=start, block=m)
+            assert np.array_equal(out, whole)
+
     def test_scratch_memory_is_one_pass_wide(self, monkeypatch):
         # numpy reports its array data to tracemalloc: the kernel's own
         # allocations at d = 5 and m = 2^16 stay within a bound set by

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
                      WrongRadialLaw, conditional_max_mc, crude_mc, make_radial,
                      marginal_tail, mc_table, montecarlo, sample)
 from tailsum.cli import load_config
-from tailsum.montecarlo import (_block_layout, _conditional_plan, _find_shift,
+from tailsum.montecarlo import (_block_layout, _chunk_ndtri, _chunk_shifts,
+                                _conditional_plan, _find_shift,
                                 _integrand_log, _kink_map, _lattice_classes,
                                 _lattice_ndtri, _line_search, _ndtri_tables,
                                 _newton_search, _sobol_base, get_estimator,
@@ -391,15 +393,19 @@ class TestConditional:
         assert math.sqrt(np.mean(z * z)) <= 1.5
         assert np.max(np.abs(z)) <= 4.0
 
-    @pytest.mark.parametrize("rho", [0.9, 0.5])
-    def test_sixteen_large_blocks_cover_the_exact_value_at_d2(self, rho):
-        # n = 250,000 is 16 blocks of 2^14: the stderr of only 16 large
-        # blocks must still be the estimate's error
+    @pytest.mark.parametrize("rho, n, block", [
+        (0.9, 250_000, 2**14), (0.5, 250_000, 2**14),
+        (0.9, 2**21, 2**17)], ids=["0.9", "0.5", "0.9-2^21"])
+    def test_sixteen_large_blocks_cover_the_exact_value_at_d2(self, rho, n,
+                                                              block):
+        # n = 250,000 is 16 blocks of 2^14, and 2^21 16 blocks of 2^17,
+        # each run as two chunks: the stderr of only 16 large blocks must
+        # still be the estimate's error
         spec = ModelSpec.standard(2, rho)
         truth = sum_tail_exact(rho, 1000.0)
-        assert _block_layout(250_000) == (2**14, 16)
+        assert _block_layout(n) == (block, 16)
         z = np.array([(est.value - truth) / est.stderr for est in
-                      (conditional_max_mc(spec, 1000.0, 250_000, seed)
+                      (conditional_max_mc(spec, 1000.0, n, seed)
                        for seed in range(1, 17))])
         assert math.sqrt(np.mean(z * z)) <= 1.5
         assert np.max(np.abs(z)) <= 4.0
@@ -452,6 +458,30 @@ class TestConditional:
                 for w in (1, 2, 8)]
         assert len({e.value for e in ests}) == 1
         assert len({e.stderr for e in ests}) == 1
+
+    def test_worker_count_independence_in_blocks_of_several_chunks(self):
+        # n = 2e6 is 16 blocks of 2^17, 32 chunks run in any order
+        spec = ModelSpec.standard(3, 0.5)
+        ests = [conditional_max_mc(spec, 100.0, 2 * 10**6, seed=42, workers=w)
+                for w in (1, 2, 8)]
+        assert {e.n for e in ests} == {2_097_152}
+        assert len({(e.value, e.stderr) for e in ests}) == 1
+
+    def test_blocks_of_several_chunks_take_no_more_memory(self):
+        # numpy reports its array data to tracemalloc: after a warm-up
+        # the estimate's peak at n = 2^22 (16 blocks of 2^18, 64 chunks)
+        # is within 10% of its peak at 2^20 (16 blocks of one chunk)
+        spec = ModelSpec.standard(5, 0.5)
+        peaks = {}
+        for n in (2**20, 2**22):
+            conditional_max_mc(spec, 100.0, n, seed=1)
+            tracemalloc.start()
+            try:
+                conditional_max_mc(spec, 100.0, n, seed=2)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2**22] <= 1.1 * peaks[2**20], peaks
 
     def test_crude_worker_count_independence(self, standard_spec):
         spec = standard_spec(0.5)
@@ -544,13 +574,15 @@ class TestRqmc:
                                             (150_000, 155_648),
                                             (250_000, 262_144),
                                             (10**6, 1_048_576),
-                                            (2 * 10**6, 2_031_616)])
+                                            (2 * 10**6, 2_097_152),
+                                            (10**7, 10_485_760)])
     def test_n_rounds_up_to_whole_blocks(self, standard_spec, n, rounded):
-        # the largest block <= 2^16 that leaves at least 16 blocks
+        # the largest block that leaves at least 16 blocks: 1e6 is 16
+        # blocks of 2^16, 2e6 16 of 2^17 and 1e7 20 of 2^19
         block, blocks = _block_layout(n)
         assert block & (block - 1) == 0
         assert blocks >= 16
-        assert block == 65536 or -(-n // (2 * block)) < 16
+        assert -(-n // (2 * block)) < 16
         assert blocks == 16 or blocks * block - n < block < n / 15
         est = conditional_max_mc(standard_spec(0.5), 10.0, n, seed=3)
         assert est.n == blocks * block == rounded
@@ -610,6 +642,33 @@ class TestLatticeNdtri:
             cell = np.bitwise_xor(rows, h)
             in_tail = (cell < tail) | (cell >= 65536 - tail)
             assert np.array_equal(got[in_tail], expected[in_tail])
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("bits", [17, 18])
+    def test_chunks_of_a_large_block_are_its_shifted_net(self, bits, d):
+        # chunk by chunk, the normals of a block of 2^bits points are
+        # ndtri of scipy's unscrambled Sobol points under the block's
+        # digital shift, point by point in Sobol order
+        from scipy.stats import qmc
+
+        chunks = 1 << (bits - 16)
+        points = qmc.Sobol(d, scramble=False).random_base2(bits).T
+        digits = (points * 2.0 ** 30).astype(np.uint64) << np.uint64(22)
+        base = _sobol_base(d)
+        tables = _ndtri_tables(_lattice_classes(1 << 16))
+        shifts = _chunk_shifts(d, chunks)
+        rng = np.random.default_rng(bits + d)
+        for h, k in [(np.zeros((d, 1), dtype=np.uint16),
+                      np.zeros((d, 1), dtype=np.int64)),
+                     (rng.integers(0, 2**16, size=(d, 1), dtype=np.uint16),
+                      rng.integers(0, 2**36, size=(d, 1)))]:
+            got = np.hstack([_chunk_ndtri(base, shifts, c, h, k, tables)
+                             for c in range(chunks)])
+            shift = (h.astype(np.uint64) << np.uint64(36)) | k.astype(np.uint64)
+            x = np.bitwise_xor(digits, shift)
+            expected = ndtri(shift_rows(x >> np.uint64(36), 0,
+                                        x & np.uint64(2**36 - 1)))
+            assert np.max(np.abs(got - expected)) <= 1e-14
 
     def test_tables_take_one_mib_and_are_built_once(self):
         tables = _ndtri_tables(2)
