@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("mc", cmd_mc), ("verify", cmd_verify)):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", default=None,
+        p.add_argument("--config", required=True,
                        help="config file path or bundled name "
                             "(table1..table4)")
         for flag, commands, settings in _FLAGS:
@@ -441,8 +441,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
         code = args.fn(cfg, args)
         sys.stdout.flush()
         return code

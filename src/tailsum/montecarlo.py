@@ -44,11 +44,13 @@ Two estimators:
   over sqrt(K).  n is rounded up to K * block, with block the largest
   power of two that leaves K >= 16 (the largest < n/15), so the rounding
   adds under n/15 draws: n = 1e6 makes 16 blocks of 2^16 and n = 2e6 16
-  of 2^17.  A block past 2^16 points is never held whole.  In the
-  Gray-code order (Antonov & Saleev 1979) a point is linear in its
-  index, so its chunk c of 2^16 points is the first 2^16 points XOR
-  point c 2^16, which joins the block's digital shift; so each chunk is
-  run alone, and the block mean is the mean of its chunk means.
+  of 2^17.  A digital shift is one word of 52 digits per coordinate,
+  the 16 of the lattice over the 36 below them.  A block past 2^16
+  points is never held whole.  In the Gray-code order (Antonov & Saleev
+  1979) a point is linear in its index, so its chunk c of 2^16 points is
+  the first 2^16 points XOR point c 2^16, a word that XORs into the
+  block's shift; so each chunk is run alone, and the block mean is the
+  mean of its chunk means.
   Each margin's term is drawn through its own conditional factor: margin
   j's conditioning vector y_-j ~ N(0, Sigma_-j) is chol(Sigma_-j) applied
   to the d - 1 Sobol coordinates other than j, not d - 1 rows of one
@@ -67,7 +69,10 @@ seed spawned from the seed.  ``crude_mc`` draws each chunk as
 block of normals, a draw per column.  The conditional estimator spawns
 one grandchild per block (per block of more than one chunk, one from
 its first chunk) and keeps numpy's ``default_rng`` (PCG64) for its
-digital shift and mixture bits.  Results are merged in index order
+digital shift and mixture bits.  It lists its units of at most 2^16
+points up front (a block, or a chunk of a larger one), each with its
+shift word, its bits and its first point in the block, and runs each
+chunk's units as one task.  Results are merged in index order
 with exact (fsum) accumulation, so estimates are bit-identical for any
 worker count.
 """
@@ -169,16 +174,16 @@ def worker_count(workers: int | None = None) -> int:
     return operator.index(workers)
 
 
-def _run_chunks(n: int, seed: int, workers: int | None, task):
-    """Run task(child_seed_sequence, chunk_size) over ``model._chunks``.
+def _run_chunks(parts: list[tuple], workers: int | None, task):
+    """Run task(*part) for each of ``parts``, one chunk of draws each
+    (``model._chunks``, or a chunk's units of the conditional estimator).
 
-    Returns the list of chunk results in chunk order regardless of the
-    execution schedule.
+    Returns the list of results in the order of ``parts`` regardless of
+    the execution schedule.
     """
-    parts = _chunks(n, seed)
     w = worker_count(workers)
     if w == 1 or len(parts) == 1:
-        return [task(c, m) for c, m in parts]
+        return [task(*part) for part in parts]
     with ThreadPoolExecutor(max_workers=w) as pool:
         return list(pool.map(task, *zip(*parts)))
 
@@ -202,7 +207,7 @@ def crude_mc(spec: ModelSpec, u: float, n: int, seed: int,
         return _kernels.crude_chunk(_draw_chunk(spec, _chunk_rng(child), m, chol),
                                     u, spec.lam, bg)
 
-    hits = sum(_run_chunks(n, seed, workers, task))
+    hits = sum(_run_chunks(_chunks(n, seed), workers, task))
     p = hits / n
     # With no hits (or all hits at u > 0) the binomial stderr is 0; report
     # the stderr of one hit, sqrt((1/n)(1 - 1/n)/n), the scale of the bound
@@ -526,29 +531,29 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     # built here, before any pool thread reads them
     base = _sobol_base(d)[:, :size]
     tables = _ndtri_tables(_lattice_classes(size))
-    shifts = _chunk_shifts(d, per_block)
     # each block's shift and bits, from a grandchild of its first chunk
     draws = [_block_draws(grandchild, d)
              for i, (child, m) in enumerate(_chunks(blocks * block, seed))
              if i % per_block == 0
              for grandchild in child.spawn(max(1, m // block))]
+    # unit c of a block: its shift XOR chunk c's, its bits, its first point
+    units = [(shift ^ x, bits, c * size) for shift, bits in draws
+             for c, x in enumerate(_chunk_shifts(d, per_block))]
 
-    def task(child, m):
-        # the chunk's first unit; chunk i has child i (see model._chunks)
-        first = child.spawn_key[-1] * (SAMPLE_CHUNK // size)
+    def task(part):
         means = []
-        for unit in range(first, first + m // size):
-            h, k, bits = draws[unit // per_block]
-            c = unit % per_block
-            e = _chunk_ndtri(base, shifts, c, h, k, tables)
+        for shift, bits, first in part:
             w = np.empty(size)
-            _kernels.conditional_chunk(e, bits, w, *plan.kernel_args,
-                                       start=c * size, block=block)
+            _kernels.conditional_chunk(_lattice_ndtri(base, shift, tables), bits,
+                                       w, *plan.kernel_args, start=first,
+                                       block=block)
             means.append(float(np.mean(w)))
         return means
 
-    means = [x for part in _run_chunks(blocks * block, seed, workers, task)
-             for x in part]
+    # one task per chunk of SAMPLE_CHUNK draws
+    step = SAMPLE_CHUNK // size
+    parts = [(units[i:i + step],) for i in range(0, len(units), step)]
+    means = [x for part in _run_chunks(parts, workers, task) for x in part]
     value, stderr = _merge_blocks([math.fsum(means[i:i + per_block]) / per_block
                                    for i in range(0, len(means), per_block)])
     return MCEstimate(value=_check_underflow(value, u), stderr=stderr,
@@ -571,19 +576,22 @@ def _block_layout(n: int) -> tuple[int, int]:
     ceil(n / block) >= 16 blocks (the largest < n/15), at least 1, and
     K = max(16, ceil(n / block)); beyond 16 points the rounding adds
     under one block, so under n/15 draws.  A block past SAMPLE_CHUNK
-    points is run one chunk at a time (``_chunk_ndtri``), so its size
-    costs no memory."""
+    points is run one chunk at a time, each under the block's shift XOR
+    the chunk's (``_chunk_shifts``), so its size costs no memory."""
     block = 1 << max(0, ((n - 1) // (_MIN_BLOCKS - 1)).bit_length() - 1)
     return block, max(_MIN_BLOCKS, -(-n // block))
 
 
 def _block_draws(block_seed: np.random.SeedSequence, d: int):
-    """A block's digital shift (h, k), with h < 2^16 and k < 2^36 as
-    (d, 1) columns, and its d mixture bits, from the block's seed."""
+    """A block's digital shift, as a (d, 1) uint64 column of 52-digit
+    words, and its d mixture bits, from the block's seed.  A word is
+    h 2^36 + k: its 16 lattice digits h and the 36 below them k are drawn
+    apart, h < 2^16 and then k < 2^36."""
     rng = np.random.default_rng(block_seed)
     h = rng.integers(0, 1 << _SOBOL_BITS, size=(d, 1), dtype=np.uint16)
     k = rng.integers(0, 1 << _OFFSET_BITS, size=(d, 1))
-    return h, k, rng.integers(0, 2, size=d)
+    shift = h.astype(np.uint64) << np.uint64(_OFFSET_BITS) | k.astype(np.uint64)
+    return shift, rng.integers(0, 2, size=d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -634,15 +642,15 @@ def _sobol_base(dim: int) -> np.ndarray:
     return base
 
 
-def _chunk_shifts(dim: int, chunks: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hx, kx), each (chunks, dim, 1): the digits of Sobol point c 2^16,
-    the lattice's in hx[c] and those below them in kx[c].
+def _chunk_shifts(dim: int, chunks: int) -> np.ndarray:
+    """(chunks, dim, 1) uint64: Sobol point c 2^16 as words of 52 digits,
+    as ``_block_draws`` packs a shift.
 
     In the Gray-code order point p is the XOR of v_j over the set bits j
     of gray(p) = p XOR (p >> 1), which is linear in p; for i < 2^16,
     c 2^16 + i = c 2^16 XOR i.  So chunk c of a block, its points
-    c 2^16 + i, is the first 2^16 points under the one more digital
-    shift (hx[c], kx[c]).
+    c 2^16 + i, is the first 2^16 points under one more digital shift,
+    word c, which XORs into the block's own (word 0 is zero).
     """
     v = _direction_numbers(dim)
     x = np.zeros((chunks, dim), dtype=np.uint64)
@@ -651,19 +659,7 @@ def _chunk_shifts(dim: int, chunks: int) -> tuple[np.ndarray, np.ndarray]:
         gray = p ^ (p >> 1)
         x[c] = np.bitwise_xor.reduce(
             v[:, [j for j in range(gray.bit_length()) if gray >> j & 1]], axis=1)
-    x = x[:, :, None]
-    return ((x >> _OFFSET_BITS).astype(np.uint16),
-            (x & ((1 << _OFFSET_BITS) - 1)).astype(np.int64))
-
-
-def _chunk_ndtri(base: np.ndarray, shifts, c: int, h: np.ndarray,
-                 k: np.ndarray, tables) -> np.ndarray:
-    """The normals of chunk c of a block under its digital shift (h, k):
-    ``_lattice_ndtri`` of the first 2^16 points, ``base``, under the
-    shift (h XOR hx[c], k XOR kx[c]), with (hx, kx) = ``shifts`` from
-    ``_chunk_shifts``; a block of one chunk is the base itself (c = 0)."""
-    hx, kx = shifts
-    return _lattice_ndtri(base, h ^ hx[c], k ^ kx[c], tables)
+    return x[:, :, None]
 
 
 @functools.lru_cache(maxsize=1)
@@ -724,11 +720,12 @@ def _lattice_classes(block: int) -> int:
     return min(1 << (_SOBOL_BITS - 1), (1 << _SOBOL_BITS) // block)
 
 
-def _lattice_ndtri(rows: np.ndarray, h: np.ndarray, k: np.ndarray,
-                   tables) -> np.ndarray:
+def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables) -> np.ndarray:
     """ndtri((rows XOR h + (k + 1/2) 2^-36) 2^-16), row by row, for rows
     holding the digits of the first 2^b Sobol points, as (len(rows), 2^b)
-    float64, with ``tables`` from ``_ndtri_tables(_lattice_classes(2^b))``.
+    float64, with ``tables`` from ``_ndtri_tables(_lattice_classes(2^b))``
+    and each row's shift word h 2^36 + k from the (len(rows), 1) uint64
+    ``shift`` (see ``_block_draws``).
 
     That is a digital shift: h flips the 16 digits and k < 2^36 fills
     those below, so every point is uniform on (0, 1) (never 0 or 1, where
@@ -749,7 +746,8 @@ def _lattice_ndtri(rows: np.ndarray, h: np.ndarray, k: np.ndarray,
     out = np.empty(rows.shape)
     cells = np.empty(m)
     idx = np.empty(m, dtype=np.intp)
-    for row, hr, kr, dest in zip(rows, h[:, 0].tolist(), k[:, 0].tolist(), out):
+    for row, word, dest in zip(rows, shift[:, 0].tolist(), out):
+        hr, kr = divmod(word, 1 << _OFFSET_BITS)
         r = hr & (step - 1)
         offset = (kr + 0.5) * 2.0 ** -36
         delta = (offset - 0.5) * 2.0 ** -_SOBOL_BITS

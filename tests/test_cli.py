@@ -223,15 +223,17 @@ class TestTableCommand:
         seen = []
         run_chunks = montecarlo._run_chunks
 
-        def recording(n, seed, workers, task):
-            seen.append(workers)
-            return run_chunks(n, seed, workers, task)
+        def recording(parts, workers, task):
+            seen.append((workers, len(parts)))
+            return run_chunks(parts, workers, task)
 
         monkeypatch.setattr(montecarlo, "_run_chunks", recording)
         args = ("table", "--config", "table1", "--u", "100",
                 "--n", "150000", "--seed", "5")
         outs = [run_cli(*args, "--workers", w)[1] for w in ("1", "2")]
-        assert seen == [1, 2]
+        # 19 blocks of 8,192 points, one task per chunk of 2^16 draws:
+        # 8, 8 and 3 blocks
+        assert seen == [(1, 3), (2, 3)]
         assert outs[0] == outs[1]
 
     def test_variant_both_rejected(self, run_cli):
@@ -633,6 +635,14 @@ class TestFlags:
         assert code == 1
         assert out == ""
         assert "usage: tailsum" in err and "error:" in err
+
+    @pytest.mark.parametrize("command", ["table", "approx", "mc", "verify"])
+    def test_config_is_required(self, usage_error, command):
+        # without a config there is no model to run: a usage error
+        code, out, err = usage_error(command)
+        assert code == 1
+        assert out == ""
+        assert "--config" in err
 
     def test_help_exits_0(self, usage_error):
         code, out, _ = usage_error("mc", "--help")

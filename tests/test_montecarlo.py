@@ -18,7 +18,7 @@ from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
                      WrongRadialLaw, conditional_max_mc, crude_mc, make_radial,
                      marginal_tail, mc_table, montecarlo, sample)
 from tailsum.cli import load_config
-from tailsum.montecarlo import (_block_layout, _chunk_ndtri, _chunk_shifts,
+from tailsum.montecarlo import (_block_layout, _chunk_shifts,
                                 _conditional_plan, _find_shift,
                                 _integrand_log, _kink_map, _lattice_classes,
                                 _lattice_ndtri, _line_search, _ndtri_tables,
@@ -82,6 +82,11 @@ def shift_rows(rows, h, k):
     x += (k + 0.5) * 2.0 ** -36
     x *= 2.0 ** -16
     return x
+
+
+def shift_word(h, k):
+    """The digital shift word h 2^36 + k of ``_lattice_ndtri``."""
+    return (h.astype(np.uint64) << np.uint64(36)) | k.astype(np.uint64)
 
 
 # (n, seed, message) that both estimators reject with InvalidParams
@@ -247,14 +252,19 @@ class TestConditional:
          1.1027418296158377e-10, 7.480654864287174e-20),
         ("d5_rho0.5", 1e4, 150_000, 8,
          1.5652004893035668e-19, 5.208961085632469e-23),
+        ("d5_rho0.5", 1e4, 2 * 10**6, 8,
+         1.5656284919421382e-19, 8.629293193505345e-24),
         ("heterogeneous3", 20.0, 100_000, 9,
          0.03709176823774949, 2.7765947475588058e-06),
         ("table3", 1e6, 100_000, 12,
          2.0549681250181145e-43, 1.984632129136729e-51),
     ]
 
+    # the row whose blocks pass 2^16 points, so are run chunk by chunk,
+    # is told from the one of the same model by its id
     @pytest.mark.parametrize("model, u, n, seed, value, stderr", GOLDEN,
-                             ids=[g[0] for g in GOLDEN])
+                             ids=[g[0] + ("_chunked" if _block_layout(g[2])[0]
+                                          > 2**16 else "") for g in GOLDEN])
     def test_seeded_estimates_match_golden_values(self, model, u, n, seed,
                                                   value, stderr):
         est = conditional_max_mc(_named_spec(model), u, n, seed)
@@ -635,7 +645,7 @@ class TestLatticeNdtri:
         shifts += [(rng.integers(0, 2**16, size=(4, 1), dtype=np.uint16),
                     rng.integers(0, 2**36, size=(4, 1))) for _ in range(8)]
         for h, k in shifts:
-            got = _lattice_ndtri(rows, h, k, tables)
+            got = _lattice_ndtri(rows, shift_word(h, k), tables)
             expected = ndtri(shift_rows(rows, h, k))
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - expected)) <= 1e-14
@@ -662,9 +672,9 @@ class TestLatticeNdtri:
                       np.zeros((d, 1), dtype=np.int64)),
                      (rng.integers(0, 2**16, size=(d, 1), dtype=np.uint16),
                       rng.integers(0, 2**36, size=(d, 1)))]:
-            got = np.hstack([_chunk_ndtri(base, shifts, c, h, k, tables)
+            shift = shift_word(h, k)
+            got = np.hstack([_lattice_ndtri(base, shift ^ shifts[c], tables)
                              for c in range(chunks)])
-            shift = (h.astype(np.uint64) << np.uint64(36)) | k.astype(np.uint64)
             x = np.bitwise_xor(digits, shift)
             expected = ndtri(shift_rows(x >> np.uint64(36), 0,
                                         x & np.uint64(2**36 - 1)))
