@@ -33,7 +33,8 @@ import numpy as np
 from scipy.special import erfc
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Draws per pass of both kernels, and columns per product of the sampler.
+# Draws per pass of both kernels, columns per product of the sampler and
+# points per gather of the lattice inverse normal.
 _PASS = 1 << 14
 # The shifted component's share for a margin whose shift is far, and the
 # tilt constant and gain from which a shift is far (see shifted_share).
@@ -163,7 +164,6 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
         buf = scratch[:, :c1 - c0]
         prod, t = buf[:d + 1], buf[d + 1]
         x, mu, q = prod[:d - 1], prod[d - 1], prod[d]
-        ow[:] = 0.0
         for j in range(d):
             lo, hi = bounds[j]
             np.matmul(coef[j], ew, out=prod)
@@ -172,8 +172,11 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
             prod[:, a:b] += offset[j][:, None]
             np.exp(x, out=x)
             x *= lam_ratio[j][:, None]
-            np.sum(x, axis=0, out=t)
-            np.subtract(u_ratio[j], t, out=t)
+            if d == 2:
+                np.subtract(u_ratio[j], x[0], out=t)
+            else:
+                np.sum(x, axis=0, out=t)
+                np.subtract(u_ratio[j], t, out=t)
             for xk in x:
                 np.maximum(t, xk, out=t)
             np.log(t, out=t)
@@ -197,8 +200,11 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
                         part += 1.0
                         if two_a0[j] != 1.0:
                             part *= two_a0[j]
-            t /= q
-            ow += t
+            if j == 0:
+                np.divide(t, q, out=ow)
+            else:
+                t /= q
+                ow += t
 
 
 def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,

@@ -61,7 +61,12 @@ Two estimators:
   In one chunk and one row every point sits at the same offset inside
   its cell of the 2^16-cell digit lattice, so the normals come from a
   Taylor polynomial of the inverse normal about the cell midpoints,
-  evaluated once per used cell (exact ndtri in the tail cells).
+  evaluated once per used cell (exact ndtri in the tail cells) as a
+  product of the offset's powers with a stack of its coefficients.  The
+  upper half of the lattice is the lower half mirrored, so it reads the
+  same coefficients with the odd powers' signs flipped, and the points
+  find their cells through digits encoded once so that both halves are
+  laid out in the same order.
 
 Determinism: work is split into fixed-size chunks, each with a child
 seed spawned from the seed.  ``crude_mc`` draws each chunk as
@@ -84,6 +89,7 @@ import math
 import operator
 import os
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -529,7 +535,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
     size = min(block, SAMPLE_CHUNK)
     per_block = block // size
     # built here, before any pool thread reads them
-    base = _sobol_base(d)[:, :size]
+    base = _lattice_digits(d)[:, :size]
     tables = _ndtri_tables(_lattice_classes(size))
     # each block's shift and bits, from a grandchild of its first chunk
     draws = [_block_draws(grandchild, d)
@@ -541,12 +547,17 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
              for c, x in enumerate(_chunk_shifts(d, per_block))]
 
     def task(part):
+        # One buffer for the normals and the lattice's cell values, whose
+        # row then takes the kernel's output: freed as one chunk, it stays
+        # in malloc's heap from task to task instead of going back to the
+        # system to be faulted in again (see ``_kernels``).
+        buf = np.empty((d + 1, size))
+        e, w = buf[:d], buf[d]
         means = []
         for shift, bits, first in part:
-            w = np.empty(size)
-            _kernels.conditional_chunk(_lattice_ndtri(base, shift, tables), bits,
-                                       w, *plan.kernel_args, start=first,
-                                       block=block)
+            _lattice_ndtri(base, shift, tables, out=e, cells=w)
+            _kernels.conditional_chunk(e, bits, w, *plan.kernel_args,
+                                       start=first, block=block)
             means.append(float(np.mean(w)))
         return means
 
@@ -605,9 +616,9 @@ def _direction_numbers(dim: int) -> np.ndarray:
     lattice, and they place the chunks of larger blocks
     (``_chunk_shifts``)."""
     bits = _SOBOL_BITS + _OFFSET_BITS
-    with np.load(_DIRECTION_NUMBERS) as table:
-        poly = table["poly"][:dim].tolist()
-        vinit = table["vinit"][:dim].tolist()
+    with zipfile.ZipFile(_DIRECTION_NUMBERS) as archive:
+        poly = _leading_rows(archive, "poly.npy", dim).tolist()
+        vinit = _leading_rows(archive, "vinit.npy", dim).tolist()
     m = [[1] * bits]
     for r in range(1, dim):
         p = poly[r]
@@ -626,7 +637,29 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=8)
+def _leading_rows(archive: zipfile.ZipFile, name: str, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the 1-D or 2-D ``.npy`` member ``name`` of
+    an npz ``archive``, read from its stream without loading the rest: in
+    C order they are its first bytes, in Fortran order (scipy's ``vinit``)
+    the first bytes of each column, the rest of which is read past in
+    small pieces."""
+    with archive.open(name) as fh:
+        version = np.lib.format.read_magic(fh)
+        shape, fortran, dtype = (np.lib.format.read_array_header_1_0(fh)
+                                 if version == (1, 0) else
+                                 np.lib.format.read_array_header_2_0(fh))
+        if not fortran:
+            size = rows * math.prod(shape[1:]) * dtype.itemsize
+            return np.frombuffer(fh.read(size), dtype).reshape(rows, *shape[1:])
+        out = np.empty((shape[1], rows), dtype)
+        for column in out:
+            column[:] = np.frombuffer(fh.read(rows * dtype.itemsize), dtype)
+            rest = (shape[0] - rows) * dtype.itemsize
+            while rest:
+                rest -= len(fh.read(min(rest, 1 << 14)))
+        return out.T
+
+
 def _sobol_base(dim: int) -> np.ndarray:
     """The first 2^16 unscrambled Sobol points in ``dim`` dimensions as
     (dim, 2^16) uint16 digits: point i has coordinates base[:, i] / 2^16,
@@ -638,8 +671,18 @@ def _sobol_base(dim: int) -> np.ndarray:
         # Reflected Gray code: point h + i is point h - 1 - i with v_k added.
         np.bitwise_xor(base[:, h - 1::-1], v[:, k:k + 1], out=base[:, h:2 * h])
         h *= 2
-    base.setflags(write=False)
     return base
+
+
+@functools.lru_cache(maxsize=8)
+def _lattice_digits(dim: int) -> np.ndarray:
+    """``_sobol_base(dim)`` mirror-encoded (``_mirror``), read-only: the
+    digits ``_lattice_ndtri`` takes, and the only copy of the base kept."""
+    digits = _sobol_base(dim)
+    for row in digits:  # in place, a row's temporaries at a time
+        row[:] = _mirror(row)
+    digits.setflags(write=False)
+    return digits
 
 
 def _chunk_shifts(dim: int, chunks: int) -> np.ndarray:
@@ -676,42 +719,49 @@ def _ndtri_tables(classes: int):
     + O(delta^5), with c1 = 1/phi, c2 = x/(2 phi^2), c3 = (1 + 2x^2)/(6 phi^3)
     and c4 = x(7 + 6x^2)/(24 phi^4).  Outside the tail |c3 delta^3| < 1e-10
     and |c4 delta^4| < 1e-13 for |delta| <= 2^-17, so c3 and c4 are kept in
-    float32 (which costs under 1e-17); the five read-only tables take
-    1 MiB, are built in place and are cached for one ``classes`` at a time.
+    float32 (which costs under 1e-17).  The five tables are the rows of a
+    float64 (3, 2^15) stack of x, c1, c2 and a float32 (2, 2^15) stack of
+    c3, c4 (their ``base``), so ``_lattice_ndtri`` evaluates a cell's
+    polynomial as two products with those stacks; together they take
+    1 MiB, are built in place, are read-only and are cached for one
+    ``classes`` at a time.
     """
-    x = np.arange(1 << (_SOBOL_BITS - 1), dtype=np.float64)
-    x = x.reshape(-1, classes).T.ravel()
-    x += 0.5
+    wide = np.empty((3, 1 << (_SOBOL_BITS - 1)))
+    narrow = np.empty((2, wide.shape[1]), dtype=np.float32)
+    x, c1, work = wide
+    # cell j = i classes + c at (c, i) of x as a (classes, 2^15 / classes)
+    np.add.outer(np.arange(classes) + 0.5, np.arange(0, len(x), classes),
+                 out=x.reshape(classes, -1))
     x *= 2.0 ** -_SOBOL_BITS
     ndtri(x, out=x)
-    c1 = np.square(x)
+    np.square(x, out=c1)
     c1 *= 0.5
     np.exp(c1, out=c1)
     c1 *= math.sqrt(2.0 * math.pi)
-    work = np.square(x)
+    np.square(x, out=work)
     work *= 6.0
     work += 7.0
     work *= x
     for _ in range(4):
         work *= c1
     work /= 24.0
-    c4 = work.astype(np.float32)
+    narrow[1] = work
     np.square(x, out=work)
     work *= 2.0
     work += 1.0
     for _ in range(3):
         work *= c1
     work /= 6.0
-    c3 = work.astype(np.float32)
+    narrow[0] = work
     np.multiply(x, c1, out=work)
     work *= c1
     work *= 0.5
     # c1 falls towards the middle, so the tail cells are the first cells of
     # the lower half and, mirrored, the last cells of the upper half.
     tail = int(np.count_nonzero(c1 * 2.0 ** -17 > _TAYLOR_CUTOFF))
-    for table in (x, c1, work, c3, c4):
-        table.setflags(write=False)
-    return x, c1, work, c3, c4, tail
+    wide.setflags(write=False)
+    narrow.setflags(write=False)
+    return (*wide, *narrow, tail)
 
 
 def _lattice_classes(block: int) -> int:
@@ -720,12 +770,24 @@ def _lattice_classes(block: int) -> int:
     return min(1 << (_SOBOL_BITS - 1), (1 << _SOBOL_BITS) // block)
 
 
-def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables) -> np.ndarray:
-    """ndtri((rows XOR h + (k + 1/2) 2^-36) 2^-16), row by row, for rows
-    holding the digits of the first 2^b Sobol points, as (len(rows), 2^b)
-    float64, with ``tables`` from ``_ndtri_tables(_lattice_classes(2^b))``
-    and each row's shift word h 2^36 + k from the (len(rows), 1) uint64
-    ``shift`` (see ``_block_draws``).
+def _mirror(digits):
+    """Mirror-encoded lattice digits, of a Python int or a uint16 array:
+    D XOR 0x7FFF where D >= 2^15, else D.  For a shift h and the cell
+    j = D XOR h, _mirror(D) XOR _mirror(h) is j below 2^15 and
+    2^15 + (2^16 - 1 - j), the mirror cell moved up by 2^15, above it."""
+    return digits ^ (digits >> (_SOBOL_BITS - 1)) * 0x7FFF
+
+
+def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables,
+                   out: np.ndarray | None = None,
+                   cells: np.ndarray | None = None) -> np.ndarray:
+    """ndtri((D XOR h + (k + 1/2) 2^-36) 2^-16), row by row, for rows holding
+    the mirror-encoded digits _mirror(D) of the first 2^b Sobol points
+    (``_lattice_digits``), as (len(rows), 2^b) float64 in ``out``, with
+    ``tables`` from ``_ndtri_tables(_lattice_classes(2^b))`` and each
+    row's shift word h 2^36 + k from the (len(rows), 1) uint64 ``shift``
+    (see ``_block_draws``).  ``cells`` is a float64 buffer of 2^b for the
+    cell values; ``out`` and ``cells`` are new arrays by default.
 
     That is a digital shift: h flips the 16 digits and k < 2^36 fills
     those below, so every point is uniform on (0, 1) (never 0 or 1, where
@@ -734,51 +796,70 @@ def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables) -> np.ndarray:
     cells j = D XOR h are exactly the 2^b cells j = h mod 2^(16-b), and
     every point lies at the same offset (k + 1/2) 2^-36 inside its cell.
     The Taylor polynomial of ``_ndtri_tables`` in the one shared delta is
-    evaluated once on those cells (exact ndtri in the tail cells) and
-    gathered by (D XOR h) >> (16-b).
+    evaluated once on those cells (exact ndtri in the tail cells): the
+    cells of the lower half first, then those of the upper half as their
+    mirror cells 2^16 - 1 - j in the same order (cell j mirrors to
+    2^16 - 1 - j, delta to -delta, and ndtri(1 - p) = -ndtri(p)).  The
+    powers (1, delta, delta^2) and (delta^3, delta^4), with the odd
+    ones' signs flipped for the upper half, multiply the tables' float64
+    and float32 stacks: one product of each when the halves read the
+    same cells (b = 16), one per half otherwise.  The values are
+    gathered by (_mirror(D) XOR _mirror(h)) >> (16-b).
     """
-    x, c1, c2, c3, c4, tail = tables
+    x, tail = tables[0], tables[-1]
+    wide, narrow = x.base, tables[3].base
     m = rows.shape[1]
     s = _SOBOL_BITS - (m.bit_length() - 1)
     step = 1 << s
     classes = _lattice_classes(m)
     per_class = len(x) // classes
-    out = np.empty(rows.shape)
-    cells = np.empty(m)
-    idx = np.empty(m, dtype=np.intp)
+    if out is None:
+        out = np.empty(rows.shape)
+    if cells is None:
+        cells = np.empty(m)
+    # the gather takes a kernel pass of points at a time, so its index
+    # buffer is not as long as a chunk
+    idx = np.empty(min(m, _kernels._PASS), dtype=np.intp)
     for row, word, dest in zip(rows, shift[:, 0].tolist(), out):
-        hr, kr = divmod(word, 1 << _OFFSET_BITS)
-        r = hr & (step - 1)
-        offset = (kr + 0.5) * 2.0 ** -36
+        h, k = divmod(word, 1 << _OFFSET_BITS)
+        r = h & (step - 1)
+        offset = (k + 0.5) * 2.0 ** -36
         delta = (offset - 0.5) * 2.0 ** -_SOBOL_BITS
-        # The used cells of the lower half come first.  Those of the upper
-        # half mirror them in reverse: cell j mirrors to 2^16 - 1 - j, the
-        # offset to -delta, and ndtri(1 - p) = -ndtri(p), so their values
-        # are sign * P(sign * delta) on the mirror cells with sign = -1.
+        d2 = delta * delta
+        powers = np.array([[1.0, delta, d2], [-1.0, delta, -d2]])
+        high = np.array([[d2 * delta, d2 * d2], [d2 * delta, -d2 * d2]],
+                        dtype=np.float32)
+        # the float32 terms go into dest, which the gather overwrites
+        small = dest.view(np.float32)[:m]
+        # (residue, first position, end) of the used cells of the lower
+        # half and of the mirror cells of the upper half; a block of one
+        # point has its one cell in one of them
         mid = (len(x) - r + step - 1) >> s
-        for res, sign, part in ((r, 1.0, cells[:mid]),
-                                (step - 1 - r, -1.0, cells[mid:][::-1])):
-            first = (res % classes) * per_class
-            used = slice(first, first + len(part))
-            add = np.add if sign > 0.0 else np.subtract
-            np.multiply(c4[used], sign * delta, out=part, dtype=np.float64)
-            part += c3[used]
-            part *= delta
-            add(part, c2[used], out=part)
-            part *= delta
-            part += c1[used]
-            part *= delta
-            add(part, x[used], out=part)
-        # Positions i of the tail cells i 2^s + r < tail and >= 2^16 - tail.
-        low = max(0, (tail - r + step - 1) >> s)
-        high = ((1 << _SOBOL_BITS) - tail - r + step - 1) >> s
-        for lo, hi in ((0, low), (max(high, low), m)):
-            if lo < hi:
-                j = (np.arange(lo, hi) << s) + r
-                cells[lo:hi] = ndtri((j + offset) * 2.0 ** -_SOBOL_BITS)
-        np.bitwise_xor(row, hr, out=idx)
-        idx >>= s
-        np.take(cells, idx, out=dest, mode="clip")
+        halves = ((r, 0, mid), (step - 1 - r, mid, m))
+        if s == 0:  # both halves read every cell of the tables
+            np.matmul(powers, wide, out=cells.reshape(2, -1))
+            np.matmul(high, narrow, out=small.reshape(2, -1))
+        else:
+            for upper, (res, lo, hi) in enumerate(halves):
+                first = (res % classes) * per_class
+                used = slice(first, first + hi - lo)
+                np.matmul(powers[upper], wide[:, used], out=cells[lo:hi])
+                np.matmul(high[upper], narrow[:, used], out=small[lo:hi])
+        cells += small
+        # The tail cells come first in each half: i 2^s + res < tail.
+        for upper, (res, lo, hi) in enumerate(halves):
+            count = min(hi - lo, max(0, (tail - res + step - 1) >> s))
+            if count:
+                j = (np.arange(count) << s) + res
+                if upper:
+                    j = (1 << _SOBOL_BITS) - 1 - j
+                cells[lo:lo + count] = ndtri((j + offset) * 2.0 ** -_SOBOL_BITS)
+        h = _mirror(h)
+        for a in range(0, m, len(idx)):
+            np.bitwise_xor(row[a:a + len(idx)], h, out=idx)
+            if s:
+                idx >>= s
+            np.take(cells, idx, out=dest[a:a + len(idx)], mode="clip")
     return out
 
 
