@@ -164,6 +164,7 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
         buf = scratch[:, :c1 - c0]
         prod, t = buf[:d + 1], buf[d + 1]
         x, mu, q = prod[:d - 1], prod[d - 1], prod[d]
+        ow[:] = 0.0
         for j in range(d):
             lo, hi = bounds[j]
             np.matmul(coef[j], ew, out=prod)
@@ -172,11 +173,8 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
             prod[:, a:b] += offset[j][:, None]
             np.exp(x, out=x)
             x *= lam_ratio[j][:, None]
-            if d == 2:
-                np.subtract(u_ratio[j], x[0], out=t)
-            else:
-                np.sum(x, axis=0, out=t)
-                np.subtract(u_ratio[j], t, out=t)
+            np.sum(x, axis=0, out=t)
+            np.subtract(u_ratio[j], t, out=t)
             for xk in x:
                 np.maximum(t, xk, out=t)
             np.log(t, out=t)
@@ -200,11 +198,8 @@ def conditional_chunk(e, bits, out, coef, offset, lam_ratio, u_ratio,
                         part += 1.0
                         if two_a0[j] != 1.0:
                             part *= two_a0[j]
-            if j == 0:
-                np.divide(t, q, out=ow)
-            else:
-                t /= q
-                ow += t
+            t /= q
+            ow += t
 
 
 def conditional_coefficients(u, lam, bg, others, factor, alpha, cond_sd, shift,

@@ -550,7 +550,10 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
         # One buffer for the normals and the lattice's cell values, whose
         # row then takes the kernel's output: freed as one chunk, it stays
         # in malloc's heap from task to task instead of going back to the
-        # system to be faulted in again (see ``_kernels``).
+        # system to be faulted in again (see ``_kernels``).  That rests on
+        # glibc's malloc state, which no test watches: separate buffers
+        # cost 184,832 page faults per table1_cond pass once nothing in
+        # the process freed a large array to raise the mmap threshold.
         buf = np.empty((d + 1, size))
         e, w = buf[:d], buf[d]
         means = []
@@ -719,12 +722,11 @@ def _ndtri_tables(classes: int):
     + O(delta^5), with c1 = 1/phi, c2 = x/(2 phi^2), c3 = (1 + 2x^2)/(6 phi^3)
     and c4 = x(7 + 6x^2)/(24 phi^4).  Outside the tail |c3 delta^3| < 1e-10
     and |c4 delta^4| < 1e-13 for |delta| <= 2^-17, so c3 and c4 are kept in
-    float32 (which costs under 1e-17).  The five tables are the rows of a
-    float64 (3, 2^15) stack of x, c1, c2 and a float32 (2, 2^15) stack of
-    c3, c4 (their ``base``), so ``_lattice_ndtri`` evaluates a cell's
-    polynomial as two products with those stacks; together they take
-    1 MiB, are built in place, are read-only and are cached for one
-    ``classes`` at a time.
+    float32 (which costs under 1e-17).  Returned as a float64 (3, 2^15)
+    stack of x, c1, c2, a float32 (2, 2^15) stack of c3, c4 and the tail
+    count, so ``_lattice_ndtri`` evaluates a cell's polynomial as two
+    products with the stacks; together they take 1 MiB, are built in
+    place, are read-only and are cached for one ``classes`` at a time.
     """
     wide = np.empty((3, 1 << (_SOBOL_BITS - 1)))
     narrow = np.empty((2, wide.shape[1]), dtype=np.float32)
@@ -761,7 +763,7 @@ def _ndtri_tables(classes: int):
     tail = int(np.count_nonzero(c1 * 2.0 ** -17 > _TAYLOR_CUTOFF))
     wide.setflags(write=False)
     narrow.setflags(write=False)
-    return (*wide, *narrow, tail)
+    return wide, narrow, tail
 
 
 def _lattice_classes(block: int) -> int:
@@ -779,15 +781,14 @@ def _mirror(digits):
 
 
 def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables,
-                   out: np.ndarray | None = None,
-                   cells: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """ndtri((D XOR h + (k + 1/2) 2^-36) 2^-16), row by row, for rows holding
     the mirror-encoded digits _mirror(D) of the first 2^b Sobol points
     (``_lattice_digits``), as (len(rows), 2^b) float64 in ``out``, with
     ``tables`` from ``_ndtri_tables(_lattice_classes(2^b))`` and each
     row's shift word h 2^36 + k from the (len(rows), 1) uint64 ``shift``
     (see ``_block_draws``).  ``cells`` is a float64 buffer of 2^b for the
-    cell values; ``out`` and ``cells`` are new arrays by default.
+    cell values.
 
     That is a digital shift: h flips the 16 digits and k < 2^36 fills
     those below, so every point is uniform on (0, 1) (never 0 or 1, where
@@ -806,17 +807,13 @@ def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables,
     same cells (b = 16), one per half otherwise.  The values are
     gathered by (_mirror(D) XOR _mirror(h)) >> (16-b).
     """
-    x, tail = tables[0], tables[-1]
-    wide, narrow = x.base, tables[3].base
+    wide, narrow, tail = tables
+    half = wide.shape[1]
     m = rows.shape[1]
     s = _SOBOL_BITS - (m.bit_length() - 1)
     step = 1 << s
     classes = _lattice_classes(m)
-    per_class = len(x) // classes
-    if out is None:
-        out = np.empty(rows.shape)
-    if cells is None:
-        cells = np.empty(m)
+    per_class = half // classes
     # the gather takes a kernel pass of points at a time, so its index
     # buffer is not as long as a chunk
     idx = np.empty(min(m, _kernels._PASS), dtype=np.intp)
@@ -834,9 +831,12 @@ def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables,
         # (residue, first position, end) of the used cells of the lower
         # half and of the mirror cells of the upper half; a block of one
         # point has its one cell in one of them
-        mid = (len(x) - r + step - 1) >> s
+        mid = (half - r + step - 1) >> s
         halves = ((r, 0, mid), (step - 1 - r, mid, m))
-        if s == 0:  # both halves read every cell of the tables
+        if s == 0:
+            # both halves read every cell of the tables: one (2, 3) and one
+            # (2, 2) product read them once, in 2/3 of the time of the
+            # loop's products one half at a time
             np.matmul(powers, wide, out=cells.reshape(2, -1))
             np.matmul(high, narrow, out=small.reshape(2, -1))
         else:
@@ -857,7 +857,7 @@ def _lattice_ndtri(rows: np.ndarray, shift: np.ndarray, tables,
         h = _mirror(h)
         for a in range(0, m, len(idx)):
             np.bitwise_xor(row[a:a + len(idx)], h, out=idx)
-            if s:
+            if s:  # a shift by 0 would still pass over idx
                 idx >>= s
             np.take(cells, idx, out=dest[a:a + len(idx)], mode="clip")
     return out
