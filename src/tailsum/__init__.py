@@ -5,21 +5,19 @@ The library approximates P(X_1(u) + ... + X_d(u) > u) for risk vectors
 of the form X_i = lam_i * exp(R * A * U)_i ** (beta_i * gamma), with R a
 radial law in the Gumbel max-domain of attraction, U uniform on the unit
 sphere and A a correlation factor.  It provides the first-order marginal
-sum, a second-order pairwise correction, log-normal closed forms,
-variance-reduced Monte Carlo ground truth, validity diagnostics and a
-CLI reproducing the reference benchmark tables.
+sum, a second-order pairwise correction (the log-normal closed form on a
+Gaussian copula), variance-reduced Monte Carlo ground truth, validity
+diagnostics and a CLI reproducing the reference benchmark tables.
 """
 
 from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, AngularCheck,
                           TailApproximation, angular_reduction_check,
-                          approximate, equicorrelated_correction, first_order,
-                          lognormal_correction, lognormal_pair_correction,
-                          second_order_correction)
+                          approximate, first_order)
 from .diagnostics import (DiagnosticsRow, EpsilonMeasure, McOptions,
                           build_table, epsilon_measure, rho_hat)
 from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      NotPositiveDefinite, QuadratureError, TailsumError,
-                     WrongRadialLaw)
+                     Underflow, WrongRadialLaw)
 from .model import (ModelSpec, SampleBatch, marginal_pdf, marginal_tail,
                     sample, validate_inputs)
 from .montecarlo import (ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, MCEstimate,
@@ -35,13 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "VARIANT_DENSITY", "VARIANT_LIMIT", "AngularCheck", "TailApproximation",
-    "angular_reduction_check", "approximate", "equicorrelated_correction",
-    "first_order", "lognormal_correction", "lognormal_pair_correction",
-    "second_order_correction",
+    "angular_reduction_check", "approximate", "first_order",
     "DiagnosticsRow", "EpsilonMeasure", "McOptions", "build_table",
     "epsilon_measure", "rho_hat",
     "TailsumError", "DomainError", "InvalidParams", "NoFiniteLimit",
-    "NotPositiveDefinite", "QuadratureError", "WrongRadialLaw",
+    "NotPositiveDefinite", "QuadratureError", "Underflow", "WrongRadialLaw",
     "ModelSpec", "SampleBatch", "marginal_pdf", "marginal_tail", "sample",
     "validate_inputs",
     "ESTIMATOR_CONDITIONAL", "ESTIMATOR_CRUDE", "MCEstimate",

@@ -13,10 +13,12 @@ where c_j is the margin scaling limit.  The ``density_form`` variant
 replaces the quotient P(X_j > u)/margin_scale_j(u) by the marginal
 density at u (the two are asymptotically equivalent through the Mills
 ratio); it is the default because it is the variant used to produce the
-reference tables.  One array function, ``_log_pair_formula``, evaluates
-the term for both variants and for the log-normal closed form (c_j =
-(beta_j*gamma)^2 and the log-normal density, on raw arrays).  The
-equicorrelated closed form is kept apart as an independent check.  All
+reference tables.  ``approximate`` is the one way to compute the
+correction: one array function, ``_log_pair_formula``, evaluates the term
+for both variants.  The log-normal closed form is its specialisation to
+the ChiOfDim(d) radial (c_j = (beta_j*gamma)^2 and the log-normal
+density), and the equicorrelated form that of standard margins with a
+constant correlation; the tests keep both as independent oracles.  All
 products are assembled in log space and exponentiated once per term, so
 thresholds far beyond the double underflow point remain usable through
 the log accessors.
@@ -30,11 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DomainError, InvalidParams
+from .errors import DomainError
 from .model import ModelSpec, coordinate_log_tail, marginal_log_pdf, marginal_log_tail
-from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs,
-                       check_threshold, is_integer_at_least,
-                       is_real, lognormal_log_pdf)
+from .numerics import check_threshold, is_integer_at_least
 from .radial import RadialLaw, ScalingBundle
 
 __all__ = [
@@ -44,12 +44,7 @@ __all__ = [
     "AngularCheck",
     "first_order",
     "log_first_order",
-    "second_order_correction",
     "approximate",
-    "lognormal_correction",
-    "lognormal_pair_correction",
-    "equicorrelated_correction",
-    "log_equicorrelated_correction",
     "angular_reduction_check",
 ]
 
@@ -96,8 +91,8 @@ def first_order(spec: ModelSpec, u: float) -> float:
 
 def _log_pair_formula(lam, beta, gamma: float, sigma, u: float, c,
                       log_q) -> np.ndarray:
-    """The second-order pair formula on raw arrays: entry [j, i] is the
-    log of the term of ordered pair (j, i), the diagonal is -inf.
+    """The second-order pair formula: entry [j, i] is the log of the term
+    of ordered pair (j, i), the diagonal is -inf.
 
     ``c[j]`` is margin j's scaling limit and ``log_q[j]`` the log of its
     quotient P(X_j > u)/margin_scale_j(u), or of its density at u.  Sigma
@@ -139,13 +134,6 @@ def _log_total(log_terms: np.ndarray) -> float:
     return float(logsumexp(finite)) if finite.size else -math.inf
 
 
-def second_order_correction(spec: ModelSpec, u: float,
-                            variant: str = VARIANT_DENSITY) -> float:
-    """The summed pairwise correction (the ``density_form`` default is
-    the variant behind the reference tables)."""
-    return approximate(spec, u, variant).correction
-
-
 def approximate(spec: ModelSpec, u: float,
                 variant: str = VARIANT_DENSITY) -> TailApproximation:
     """Full first- plus second-order approximation with pair breakdown."""
@@ -165,74 +153,6 @@ def approximate(spec: ModelSpec, u: float,
         log_correction=lc,
         log_second_order=float(np.logaddexp(lf, lc)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Log-normal closed forms
-# ---------------------------------------------------------------------------
-
-def lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float:
-    """Closed-form correction for log-normal margins, on raw arrays.
-
-    The pair formula with c_j = (beta_j*gamma)^2 and the log-normal
-    density in place of the quotient; per ordered pair (j, i):
-
-        lam_i / (beta_j*gamma)^2
-          * exp( (beta_i*gamma)^2 (1 - sigma_ij^2) / 2 )
-          * (u/lam_j)^(beta_i sigma_ij / beta_j)
-          * exp( -log(u/lam_j)^2 / (2 (beta_j*gamma)^2) ) / (u sqrt(2 pi))
-
-    Never factorizes sigma, so it evaluates for any symmetric matrix
-    with entries in [-1, 1].
-    """
-    return math.exp(log_lognormal_pair_correction(lam, beta, gamma, sigma, u))
-
-
-def log_lognormal_pair_correction(lam, beta, gamma: float, sigma, u: float) -> float:
-    check_threshold(u)
-    lam, beta, problems = _margin_inputs(None, lam, beta, gamma)
-    sigma, sigma_problems = _sigma_inputs(sigma, len(lam))
-    problems += sigma_problems
-    if problems:
-        raise InvalidParams("; ".join(problems))
-    bg = beta * gamma
-    return _log_total(_log_pair_formula(lam, beta, gamma, sigma, u, bg * bg,
-                                        lognormal_log_pdf(u, np.log(lam), bg)))
-
-
-def lognormal_correction(spec: ModelSpec, u: float) -> float:
-    """Closed-form correction for a model with log-normal margins.
-
-    Valid for arbitrarily large u; needs the ChiOfDim(d) radial.
-    """
-    return math.exp(log_lognormal_correction(spec, u))
-
-
-def log_lognormal_correction(spec: ModelSpec, u: float) -> float:
-    spec.require_gaussian_copula("the log-normal closed form")
-    return log_lognormal_pair_correction(spec.lam, spec.beta, spec.gamma,
-                                         spec.sigma.entries, u)
-
-
-def equicorrelated_correction(d: int, rho: float, u: float) -> float:
-    """Correction for standard margins with constant correlation rho:
-
-        d (d-1) exp((1 - rho^2)/2) / (sqrt(2 pi) u^(1-rho)) exp(-log(u)^2/2)
-    """
-    return math.exp(log_equicorrelated_correction(d, rho, u))
-
-
-def log_equicorrelated_correction(d: int, rho: float, u: float) -> float:
-    if not is_integer_at_least(d, 1):
-        raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
-    if not (is_real(rho) and -1.0 < rho < 1.0):
-        raise DomainError(f"rho must be a real number in (-1, 1), got {rho!r}")
-    check_threshold(u, 1.0)
-    if d == 1:
-        return -math.inf
-    lu = math.log(u)
-    return (math.log(d * (d - 1)) + 0.5 * (1.0 - rho * rho)
-            - (1.0 - rho) * lu - 0.5 * lu * lu - _LOG_SQRT_2PI)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, angular_reduction_chec
                           approximate)
 from .diagnostics import DiagnosticsRow, McOptions, build_table
 from .errors import (InvalidParams, NoFiniteLimit, NotPositiveDefinite,
-                     QuadratureError, TailsumError, WrongRadialLaw)
+                     QuadratureError, TailsumError, Underflow, WrongRadialLaw)
 from .model import ModelSpec, marginal_log_tail
 from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, mc_table
 from .numerics import equicorrelation, is_real
@@ -39,7 +39,8 @@ from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
 
 # InvalidParams, DomainError and json's decode error are ValueErrors
 _CONFIG_ERRORS = (ValueError, KeyError, TypeError, NotPositiveDefinite, WrongRadialLaw)
-_NUMERIC_ERRORS = (QuadratureError, NoFiniteLimit, FloatingPointError)
+# checked first: Underflow is also a DomainError
+_NUMERIC_ERRORS = (QuadratureError, NoFiniteLimit, Underflow, FloatingPointError)
 
 BUNDLED = ("table1", "table2", "table3", "table4")
 

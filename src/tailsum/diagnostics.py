@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .asymptotics import VARIANT_DENSITY, approximate
-from .errors import DomainError
+from .errors import DomainError, InvalidParams
 from .model import ModelSpec
 from .montecarlo import ESTIMATOR_CONDITIONAL, mc_table
 # perfbench/tracing.py wraps these bindings as layers; kept so that it
@@ -147,7 +147,7 @@ def build_table(spec: ModelSpec, u_list: Sequence[float],
     per-threshold seeds derive as seed XOR index.
     """
     if len(u_list) == 0:
-        raise DomainError("u_list must not be empty")
+        raise InvalidParams("u_list must not be empty")
     apxs = [approximate(spec, u, variant) for u in u_list]
     if mc_options is None:
         ests = [None] * len(u_list)

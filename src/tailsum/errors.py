@@ -9,6 +9,10 @@ class DomainError(TailsumError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class Underflow(DomainError):
+    """A positive probability computes as 0.0 in double precision."""
+
+
 class InvalidParams(TailsumError, ValueError):
     """Constructor parameters violate a documented constraint."""
 

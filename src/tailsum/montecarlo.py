@@ -100,7 +100,7 @@ import scipy
 from scipy.special import log_ndtr, ndtri
 
 from . import _kernels
-from .errors import DomainError, InvalidParams
+from .errors import DomainError, InvalidParams, Underflow
 from .model import (SAMPLE_CHUNK, ModelSpec, _chunk_rng, _chunks, _draw_chunk,
                     marginal_tail)
 from .numerics import check_draws, check_threshold, is_integer_at_least
@@ -500,8 +500,8 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
 
     Unbiased wherever the probability is representable in double
     precision.  Where the merged value underflows to 0.0 (probabilities
-    far below 1e-300) it raises DomainError instead; the log-space forms
-    ``asymptotics.log_first_order`` and
+    far below 1e-300) it raises Underflow, a DomainError, instead; the
+    log-space forms ``asymptotics.log_first_order`` and
     ``approximate(spec, u).log_second_order`` reach deeper.  The
     conditioning draws come from a defensive mixture of the nominal law
     and its copy shifted to the mode of each margin's integrand, each on a
@@ -578,7 +578,7 @@ def conditional_max_mc(spec: ModelSpec, u: float, n: int, seed: int,
 def _check_underflow(value: float, u: float) -> float:
     """value, unless it underflowed to 0.0 (the exact probability is > 0)."""
     if value == 0.0:
-        raise DomainError(
+        raise Underflow(
             f"P(S > u) at u={u!r} underflows to 0.0 in double precision; "
             "use the log-space asymptotic forms (asymptotics.log_first_order "
             "or approximate(spec, u).log_second_order)")

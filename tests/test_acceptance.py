@@ -12,17 +12,17 @@ error at n = 1e6.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from reference_tables import (TABLE_1, TABLES, matches_printed,
                               printed_quantum)
 from tailsum import (ModelSpec, approximate, angular_reduction_check,
-                     conditional_max_mc, crude_mc, equicorrelated_correction,
-                     lognormal_pair_correction, make_radial,
+                     conditional_max_mc, crude_mc, make_radial,
                      probe_margin_mda_limit, rho_hat)
 from tailsum.cli import main
 from tailsum.model import marginal_log_tail
+from test_asymptotics import (equicorrelated_library_correction,
+                              equicorrelated_oracle)
 from test_montecarlo import sum_tail_dblquad
 
 SPECS = {rho: ModelSpec.standard(2, rho) for rho in (0.9, 0.5, 0.0, -0.9)}
@@ -130,14 +130,13 @@ def test_criterion_05_second_order_dominance():
 
 def test_criterion_06_closed_form_identity():
     checked = 0
+    # approximate on the 48 positive-definite combinations, the pair
+    # formula on the raw matrix at rho = -0.9 with d >= 3
     for d in range(2, 7):
-        lam, beta = [1.0] * d, [1.0] * d
         for rho in (-0.9, 0.0, 0.5, 0.9):
-            sigma = np.full((d, d), rho)
-            np.fill_diagonal(sigma, 1.0)
             for u in (10.0, 1e3, 1e6):
-                a = equicorrelated_correction(d, rho, u)
-                b = lognormal_pair_correction(lam, beta, 1.0, sigma, u)
+                a = equicorrelated_oracle(d, rho, u)
+                b = equicorrelated_library_correction(d, rho, u)
                 assert abs(a - b) <= 1e-12 * abs(b), \
                     f"identity fails at d={d}, rho={rho}, u={u}"
                 checked += 1

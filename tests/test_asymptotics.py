@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 
 from reference_tables import TABLES, matches_printed
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
-                     VARIANT_DENSITY, VARIANT_LIMIT, WrongRadialLaw,
-                     angular_reduction_check, approximate,
-                     equicorrelated_correction, first_order,
-                     lognormal_correction, lognormal_pair_correction,
-                     make_radial, marginal_tail, second_order_correction)
-from tailsum.asymptotics import (log_equicorrelated_correction,
-                                 log_first_order, log_lognormal_correction,
-                                 log_lognormal_pair_correction)
+                     VARIANT_DENSITY, VARIANT_LIMIT, angular_reduction_check,
+                     approximate, first_order, make_radial, marginal_tail)
+from tailsum.asymptotics import _log_pair_formula, _log_total, log_first_order
+from tailsum.numerics import lognormal_log_pdf
 from tailsum.radial import ScalingBundle
 
 mp.mp.dps = 40
@@ -30,8 +26,14 @@ def oracle_fstar(u):
 
 def lognormal_closed_form_oracle(lam, beta, gamma, sigma, u):
     """log of the log-normal closed-form correction, summed term by term
-    in scalars from the formula in the ``lognormal_pair_correction``
-    docstring; independent of the library's shared pair formula."""
+    in scalars; independent of the library's pair formula.  Per ordered
+    pair (j, i) the term is
+
+        lam_i / (beta_j*gamma)^2
+          * exp( (beta_i*gamma)^2 (1 - sigma_ij^2) / 2 )
+          * (u/lam_j)^(beta_i sigma_ij / beta_j)
+          * exp( -log(u/lam_j)^2 / (2 (beta_j*gamma)^2) ) / (u sqrt(2 pi))
+    """
     logs = []
     for j in range(len(lam)):
         bg_j = beta[j] * gamma
@@ -50,6 +52,39 @@ def lognormal_closed_form_oracle(lam, beta, gamma, sigma, u):
             )
     top = max(logs)
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def log_equicorrelated_oracle(d, rho, u):
+    """log of the correction for standard margins with constant
+    correlation rho, the closed form
+
+        d (d-1) exp((1 - rho^2)/2) / (sqrt(2 pi) u^(1-rho)) exp(-log(u)^2/2)
+
+    -inf for d = 1."""
+    if d == 1:
+        return -math.inf
+    lu = math.log(u)
+    return (math.log(d * (d - 1)) + 0.5 * (1.0 - rho * rho)
+            - (1.0 - rho) * lu - 0.5 * lu * lu - 0.5 * math.log(2.0 * math.pi))
+
+
+def equicorrelated_oracle(d, rho, u):
+    return math.exp(log_equicorrelated_oracle(d, rho, u))
+
+
+def equicorrelated_library_correction(d, rho, u):
+    """The library's correction for standard margins with constant
+    correlation rho: ``approximate``'s where that matrix is positive
+    definite (rho > -1/(d-1)), and otherwise its pair formula on the raw
+    matrix, which is never factorised."""
+    if rho > -1.0 / (d - 1):
+        return approximate(ModelSpec.standard(d, rho), u).correction
+    sigma = np.full((d, d), rho)
+    np.fill_diagonal(sigma, 1.0)
+    ones = np.ones(d)
+    log_q = np.full(d, lognormal_log_pdf(u))
+    return math.exp(_log_total(_log_pair_formula(ones, ones, 1.0, sigma, u,
+                                                 ones, log_q)))
 
 
 class TestFirstOrder:
@@ -73,7 +108,7 @@ class TestFirstOrder:
 class TestSecondOrder:
     def test_table1_anchor(self, standard_spec):
         spec = standard_spec(0.9)
-        corr = second_order_correction(spec, 10.0)
+        corr = approximate(spec, 10.0).correction
         # oracle: 2 exp((1-rho^2)/2) u^rho f*(u)
         expected = 2 * math.exp(0.095) * 10**0.9 * oracle_fstar(10.0)
         assert corr == pytest.approx(expected, rel=1e-12)
@@ -109,20 +144,20 @@ class TestSecondOrder:
 
     def test_single_margin_correction_is_zero(self):
         spec = ModelSpec.standard(1, 0.0)
-        assert second_order_correction(spec, 10.0) == 0.0
+        assert approximate(spec, 10.0).correction == 0.0
 
     def test_correction_increasing_in_correlation(self, standard_spec):
         for u in [10.0, 100.0]:
-            vals = [second_order_correction(standard_spec(r), u)
+            vals = [approximate(standard_spec(r), u).correction
                     for r in [-0.95, -0.5, 0.0, 0.5, 0.95]]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_variants_agree_asymptotically(self, standard_spec):
         spec = standard_spec(0.5)
-        at_1e6 = (second_order_correction(spec, 1e6, VARIANT_LIMIT)
-                  / second_order_correction(spec, 1e6, VARIANT_DENSITY))
-        at_100 = (second_order_correction(spec, 100.0, VARIANT_LIMIT)
-                  / second_order_correction(spec, 100.0, VARIANT_DENSITY))
+        at_1e6 = (approximate(spec, 1e6, VARIANT_LIMIT).correction
+                  / approximate(spec, 1e6, VARIANT_DENSITY).correction)
+        at_100 = (approximate(spec, 100.0, VARIANT_LIMIT).correction
+                  / approximate(spec, 100.0, VARIANT_DENSITY).correction)
         assert abs(at_1e6 - 1.0) < 0.05
         assert abs(at_1e6 - 1.0) < abs(at_100 - 1.0)
 
@@ -132,7 +167,7 @@ class TestSecondOrder:
         u = 50.0
         tail = float(mp.erfc(mp.log(u) / mp.sqrt(2)) / 2)
         per_pair = math.exp(0.095) * u**0.9 * tail / (u / math.log(u))
-        assert second_order_correction(spec, u, VARIANT_LIMIT) == pytest.approx(
+        assert approximate(spec, u, VARIANT_LIMIT).correction == pytest.approx(
             2 * per_pair, rel=1e-12)
 
 
@@ -153,16 +188,7 @@ _SPEC = ModelSpec.standard(2, 0.5)
 _THRESHOLD_ENTRY_POINTS = {
     "first_order": lambda u: first_order(_SPEC, u),
     "log_first_order": lambda u: log_first_order(_SPEC, u),
-    "second_order_correction": lambda u: second_order_correction(_SPEC, u),
-    "second_order_correction_limit":
-        lambda u: second_order_correction(_SPEC, u, VARIANT_LIMIT),
     "approximate": lambda u: approximate(_SPEC, u),
-    "lognormal_correction": lambda u: lognormal_correction(_SPEC, u),
-    "lognormal_pair_correction": lambda u: lognormal_pair_correction(
-        [1.0, 1.0], [1.0, 1.0], 1.0, _SPEC.sigma.entries, u),
-    "equicorrelated_correction": lambda u: equicorrelated_correction(2, 0.5, u),
-    "log_equicorrelated_correction":
-        lambda u: log_equicorrelated_correction(2, 0.5, u),
     "angular_reduction_check": lambda u: angular_reduction_check(
         make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0, 3, u),
 }
@@ -175,15 +201,17 @@ class TestThresholdDomain:
         with pytest.raises(DomainError, match="threshold u must be finite"):
             _THRESHOLD_ENTRY_POINTS[entry](u)
 
-    def test_equicorrelated_bound_is_one(self):
-        with pytest.raises(DomainError, match=r"finite and > 1, got 1\.0"):
-            equicorrelated_correction(2, 0.5, 1.0)
+
+def _chi_spec(lam, beta, gamma, sigma):
+    """A two-margin model from raw arrays, with the Gaussian copula."""
+    return ModelSpec(d=2, lam=lam, beta=beta, gamma=gamma, sigma=sigma,
+                     radial=make_radial("ChiOfDim", 2))
 
 
 class TestLognormalClosedForm:
     def test_deep_anchor(self, standard_spec):
         spec = standard_spec(0.9)
-        corr = lognormal_correction(spec, 1e6)
+        corr = approximate(spec, 1e6).correction
         # oracle: 2 exp((1-0.81)/2) u^0.9 f*(u) at 40 digits
         expected = float(2 * mp.exp(mp.mpf("0.095")) * mp.mpf(10) ** mp.mpf("5.4")
                          * mp.exp(-mp.log(1e6) ** 2 / 2) / (1e6 * mp.sqrt(2 * mp.pi)))
@@ -194,8 +222,10 @@ class TestLognormalClosedForm:
         for rho in [-0.9, 0.0, 0.5, 0.9]:
             spec = standard_spec(rho)
             for u in [10.0, 1e3]:
-                assert lognormal_correction(spec, u) == pytest.approx(
-                    second_order_correction(spec, u, VARIANT_DENSITY), rel=1e-12)
+                oracle = lognormal_closed_form_oracle(
+                    spec.lam, spec.beta, spec.gamma, spec.sigma.entries, u)
+                assert math.exp(oracle) == pytest.approx(
+                    approximate(spec, u, VARIANT_DENSITY).correction, rel=1e-12)
 
     @given(data=st.data(), d=st.sampled_from([2, 3]))
     def test_matches_density_variant_for_any_margins(self, data, d):
@@ -217,18 +247,15 @@ class TestLognormalClosedForm:
                          sigma=CorrelationMatrix(sigma),
                          radial=make_radial("ChiOfDim", d))
         u = floats(1.5, 1e6)
-        # equal values to rel 1e-10, compared in log space because the
-        # linear values underflow for small beta*gamma
-        closed = log_lognormal_correction(spec, u)
+        # compared in log space because the linear values underflow for
+        # small beta*gamma
         general = approximate(spec, u, VARIANT_DENSITY).log_correction
-        assert closed == pytest.approx(general, abs=1e-10)
-        # both share one pair formula; check it against the scalar oracle
         oracle = lognormal_closed_form_oracle(spec.lam, spec.beta, gamma,
                                               spec.sigma.entries, u)
-        assert closed == pytest.approx(oracle, rel=1e-13, abs=1e-10)
+        assert general == pytest.approx(oracle, rel=1e-13, abs=1e-10)
 
     def test_single_margin_zero(self):
-        assert lognormal_correction(ModelSpec.standard(1, 0.0), 10.0) == 0.0
+        assert approximate(ModelSpec.standard(1, 0.0), 10.0).correction == 0.0
 
     @pytest.mark.parametrize("lam, sigma, match", [
         ([-1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]], "lam must be positive"),
@@ -239,7 +266,7 @@ class TestLognormalClosedForm:
     ])
     def test_raw_inputs_validated(self, lam, sigma, match):
         with pytest.raises(InvalidParams, match=match):
-            lognormal_pair_correction(lam, [1.0, 1.0], 1.0, np.array(sigma), 10.0)
+            approximate(_chi_spec(lam, [1.0, 1.0], 1.0, np.array(sigma)), 10.0)
 
     @pytest.mark.parametrize("sigma, match", [
         ([["1", "0.5"], ["0.5", "1"]], "sigma entries must be real numbers"),
@@ -250,36 +277,33 @@ class TestLognormalClosedForm:
         # strings used to be parsed (the value came out as 0.0259) and a
         # ragged matrix raised numpy's ValueError
         with pytest.raises(InvalidParams, match=match):
-            lognormal_pair_correction([1.0, 1.0], [1.0, 1.0], 1.0, sigma, 10.0)
-
-    def test_wrong_radial_rejected(self):
-        spec = ModelSpec.standard(2, 0.0, radial=make_radial("WeibullTail", 3.0))
-        with pytest.raises(WrongRadialLaw):
-            lognormal_correction(spec, 10.0)
+            approximate(_chi_spec([1.0, 1.0], [1.0, 1.0], 1.0, sigma), 10.0)
 
     def test_log_form_survives_extreme_thresholds(self):
         lam, beta = [1.0, 1.0], [1.0, 1.0]
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        lg = log_lognormal_pair_correction(lam, beta, 1.0, sigma, 1e40)
+        lg = approximate(_chi_spec(lam, beta, 1.0, sigma), 1e40).log_correction
         # linear value underflows; log value stays finite
         assert math.isfinite(lg)
         assert lg < -4000.0
         assert lg == pytest.approx(
             lognormal_closed_form_oracle(lam, beta, 1.0, sigma, 1e40), rel=1e-13)
         lam, beta, gamma = [2.0, 0.5], [1.5, 1.0], 0.7
-        lg = log_lognormal_pair_correction(lam, beta, gamma, sigma, 1e40)
+        lg = approximate(_chi_spec(lam, beta, gamma, sigma), 1e40).log_correction
         assert lg == pytest.approx(
             lognormal_closed_form_oracle(lam, beta, gamma, sigma, 1e40), rel=1e-13)
 
 
 class TestEquicorrelated:
     def test_rho0_value(self):
+        corr = approximate(ModelSpec.standard(2, 0.0), 10.0).correction
         expected = 2 * math.exp(0.5) * oracle_fstar(10.0)
-        assert equicorrelated_correction(2, 0.0, 10.0) == pytest.approx(expected, rel=1e-12)
-        assert equicorrelated_correction(2, 0.0, 10.0) == pytest.approx(9.28527e-3, rel=1e-5)
+        assert corr == pytest.approx(expected, rel=1e-12)
+        assert corr == pytest.approx(9.28527e-3, rel=1e-5)
 
     def test_d1_zero(self):
-        assert equicorrelated_correction(1, 0.5, 10.0) == 0.0
+        assert approximate(ModelSpec.standard(1, 0.5), 10.0).correction == 0.0
+        assert equicorrelated_oracle(1, 0.5, 10.0) == 0.0
 
     def test_rho0_identity_with_density(self):
         from tailsum import lognormal_pdf
@@ -287,44 +311,25 @@ class TestEquicorrelated:
         for d in [2, 3, 5]:
             for u in [10.0, 100.0]:
                 expected = d * (d - 1) * math.exp(0.5) * lognormal_pdf(u)
-                assert equicorrelated_correction(d, 0.0, u) == pytest.approx(
-                    expected, rel=1e-12)
+                corr = approximate(ModelSpec.standard(d, 0.0), u).correction
+                assert corr == pytest.approx(expected, rel=1e-12)
 
     def test_identity_with_lognormal_closed_form(self):
-        # the pairwise closed form collapses to the equicorrelated formula
-        # for standard margins; the identity needs no positive-definiteness
+        # the pair formula collapses to the equicorrelated formula for
+        # standard margins; the identity needs no positive-definiteness
         for d in range(2, 7):
-            lam, beta = [1.0] * d, [1.0] * d
             for rho in [-0.9, 0.0, 0.5, 0.9]:
-                sigma = np.full((d, d), rho)
-                np.fill_diagonal(sigma, 1.0)
                 for u in [10.0, 1e3, 1e6]:
-                    a = equicorrelated_correction(d, rho, u)
-                    b = lognormal_pair_correction(lam, beta, 1.0, sigma, u)
+                    a = equicorrelated_oracle(d, rho, u)
+                    b = equicorrelated_library_correction(d, rho, u)
                     assert a == pytest.approx(b, rel=1e-12)
 
     def test_log_form_matches(self):
-        lg = log_equicorrelated_correction(3, 0.5, 1e5)
-        assert math.exp(lg) == pytest.approx(
-            equicorrelated_correction(3, 0.5, 1e5), rel=1e-14)
-
-    def test_domains(self):
-        from tailsum.errors import DomainError
-
-        with pytest.raises(DomainError):
-            equicorrelated_correction(2, 1.0, 10.0)
-        with pytest.raises(DomainError):
-            equicorrelated_correction(2, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            equicorrelated_correction(0, 0.5, 10.0)
-
-    @pytest.mark.parametrize("d, rho", [(2.5, 0.5), (True, 0.5), (2.0, 0.5),
-                                        ("2", 0.5), (2, "0.5"), (2, None),
-                                        (2, False), (2, math.nan)])
-    def test_integer_and_real_rules(self, d, rho):
-        # 2.5 used to give 0.0486, True 0.0, and "0.5" a TypeError
-        with pytest.raises(DomainError, match="must be an integer|must be a real"):
-            equicorrelated_correction(d, rho, 10.0)
+        apx = approximate(ModelSpec.standard(3, 0.5), 1e5)
+        assert math.exp(apx.log_correction) == pytest.approx(apx.correction,
+                                                             rel=1e-14)
+        assert apx.log_correction == pytest.approx(
+            log_equicorrelated_oracle(3, 0.5, 1e5), rel=1e-14)
 
 
 class TestAsymptoticsAgainstAllTables:

@@ -362,6 +362,15 @@ class TestMcCommand:
         value = float(out.split("value")[1].split()[0])
         assert value == pytest.approx(0.0337, rel=0.05)
 
+    def test_underflowed_estimate_exits_2(self, run_cli):
+        # a valid config whose estimate is 0.0 in double precision is a
+        # numerical failure, not an invalid config
+        code, out, err = run_cli("mc", "--config", "table1", "--u", "1e20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "underflows" in err
+
     def test_zero_n_exits_1(self, run_cli):
         code, _, _ = run_cli("mc", "--config", "table3", "--u", "10", "--n", "0")
         assert code == 1

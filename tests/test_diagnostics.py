@@ -222,8 +222,11 @@ class TestBuildTable:
         assert row.asympt2 == row.asympt1 > 0.0
 
     def test_empty_u_list_rejected(self, standard_spec):
-        with pytest.raises(DomainError):
-            build_table(standard_spec(0.0), [])
+        # the rule and the message of mc_table's, with or without the MC
+        # column
+        for mc_options in (None, McOptions(n=1000)):
+            with pytest.raises(InvalidParams, match="^u_list must not be empty$"):
+                build_table(standard_spec(0.0), [], mc_options)
 
     def test_unknown_estimator_rejected(self, standard_spec):
         with pytest.raises(InvalidParams, match="unknown estimator 'crud'"):

@@ -11,9 +11,9 @@ from scipy.special import logsumexp
 
 from tailsum import (CorrelationMatrix, DomainError, InvalidParams,
                      ModelSpec, NotPositiveDefinite, WrongRadialLaw, approximate,
-                     conditional_max_mc, crude_mc, equicorrelation, lognormal_correction,
-                     make_radial, marginal_pdf, marginal_tail, probe_mda_limit,
-                     sample, std_normal_tail, validate_inputs)
+                     conditional_max_mc, crude_mc, equicorrelation, make_radial,
+                     marginal_pdf, marginal_tail, probe_mda_limit, sample,
+                     std_normal_tail, validate_inputs)
 from tailsum.cli import ConfigError, RunConfig
 from tailsum.model import (_chunk_rng, _draw_chunk, coordinate_tail,
                            marginal_log_pdf, marginal_log_tail)
@@ -702,9 +702,6 @@ class TestGaussianCopulaDecision:
     def test_closed_forms_refuse_with_one_message(self, name):
         spec = self._spec(name)
         law = re.escape(f"(got {spec.radial!r} with d={spec.d})")
-        with pytest.raises(WrongRadialLaw, match="^the log-normal closed form "
-                           "needs the ChiOfDim radial matching the dimension " + law):
-            lognormal_correction(spec, 100.0)
         with pytest.raises(WrongRadialLaw, match="^conditional_max_mc needs the "
                            "ChiOfDim radial matching the dimension " + law):
             conditional_max_mc(spec, 100.0, 1000, seed=1)

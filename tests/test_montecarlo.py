@@ -1064,7 +1064,7 @@ class TestMcTable:
         assert row.value != conditional_max_mc(spec, 10.0, 1000, 5).value
 
     def test_empty_list_rejected(self, standard_spec):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^u_list must not be empty$"):
             mc_table(standard_spec(0.0), [], 100, seed=1)
 
     def test_estimator_choice(self, standard_spec):
