@@ -184,11 +184,32 @@ class TestApproximateDomain:
 
 _SPEC = ModelSpec.standard(2, 0.5)
 
-# Every entry point that takes a threshold, called at that threshold.
+
+def _chi_spec(lam, beta, gamma, sigma):
+    """A two-margin model from raw arrays, with the Gaussian copula."""
+    return ModelSpec(d=2, lam=lam, beta=beta, gamma=gamma, sigma=sigma,
+                     radial=make_radial("ChiOfDim", 2))
+
+
+# Every entry point that takes a threshold, called at that threshold.  The
+# *_correction keys are the corrections ``approximate`` gives for the model
+# each names: both variants, the log-normal model with general margins and
+# from raw pair arrays, and the equicorrelated model, linear and in log.
 _THRESHOLD_ENTRY_POINTS = {
     "first_order": lambda u: first_order(_SPEC, u),
     "log_first_order": lambda u: log_first_order(_SPEC, u),
     "approximate": lambda u: approximate(_SPEC, u),
+    "second_order_correction": lambda u: approximate(_SPEC, u).correction,
+    "second_order_correction_limit":
+        lambda u: approximate(_SPEC, u, VARIANT_LIMIT).correction,
+    "lognormal_correction": lambda u: approximate(_chi_spec(
+        [2.0, 0.5], [1.5, 1.0], 0.7, _SPEC.sigma.entries), u).correction,
+    "lognormal_pair_correction": lambda u: approximate(_chi_spec(
+        [1.0, 1.0], [1.0, 1.0], 1.0, _SPEC.sigma.entries), u).correction,
+    "equicorrelated_correction":
+        lambda u: equicorrelated_library_correction(2, 0.5, u),
+    "log_equicorrelated_correction":
+        lambda u: approximate(ModelSpec.standard(2, 0.5), u).log_correction,
     "angular_reduction_check": lambda u: angular_reduction_check(
         make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0, 3, u),
 }
@@ -200,12 +221,6 @@ class TestThresholdDomain:
     def test_non_finite_threshold_rejected(self, entry, u):
         with pytest.raises(DomainError, match="threshold u must be finite"):
             _THRESHOLD_ENTRY_POINTS[entry](u)
-
-
-def _chi_spec(lam, beta, gamma, sigma):
-    """A two-margin model from raw arrays, with the Gaussian copula."""
-    return ModelSpec(d=2, lam=lam, beta=beta, gamma=gamma, sigma=sigma,
-                     radial=make_radial("ChiOfDim", 2))
 
 
 class TestLognormalClosedForm:
@@ -330,6 +345,29 @@ class TestEquicorrelated:
                                                              rel=1e-14)
         assert apx.log_correction == pytest.approx(
             log_equicorrelated_oracle(3, 0.5, 1e5), rel=1e-14)
+
+    def test_domains(self):
+        # the equicorrelated model's domain: rho below 1, u positive, d >= 1
+        with pytest.raises(DomainError):
+            ModelSpec.standard(2, 1.0)
+        with pytest.raises(DomainError):
+            approximate(ModelSpec.standard(2, 0.5), 0.0)
+        with pytest.raises(InvalidParams):
+            ModelSpec.standard(0, 0.5)
+
+    @pytest.mark.parametrize("d, rho", [(2.5, 0.5), (True, 0.5), (2.0, 0.5),
+                                        ("2", 0.5), (2, "0.5"), (2, None),
+                                        (2, False), (2, math.nan)])
+    def test_integer_and_real_rules(self, d, rho):
+        # d follows the integer rule and rho must be a real number
+        # (InvalidParams); nan is a real number outside rho's range
+        # (DomainError)
+        if isinstance(rho, float) and math.isnan(rho):
+            error, match = DomainError, "needs a finite rho"
+        else:
+            error, match = InvalidParams, "must be an integer|must be a real"
+        with pytest.raises(error, match=match):
+            ModelSpec.standard(d, rho)
 
 
 class TestAsymptoticsAgainstAllTables:
