@@ -265,6 +265,9 @@ def cmd_table(cfg: RunConfig, args) -> int:
     mc_opts = None if args.no_mc else cfg.mc_options(args.workers)
     rows = build_table(spec, cfg.u_list, mc_opts, c=cfg.epsilon_c,
                        variant=_VARIANTS[cfg.variant])
+    for row in rows:
+        if mc_opts and row.mc is None:
+            print(f"u={row.u!r}: MC underflows to 0.0; cells left empty", file=sys.stderr)
     writer = _WRITERS[cfg.out_format]
     if cfg.out_path:
         try:

@@ -104,11 +104,11 @@ def _ratio(value: float, log_denominator: float) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
-    """One benchmark-table row; mc fields are None when MC is skipped.
-    ``log10_asympt1`` and ``log10_asympt2`` stay finite where the linear
-    approximations underflow to 0, and the ratios (MC over each
-    approximation) are taken from those logs, so they stay defined
-    there."""
+    """One benchmark-table row; mc fields are None when MC is skipped or
+    its estimate underflows.  ``log10_asympt1`` and ``log10_asympt2``
+    stay finite where the linear approximations underflow to 0, and the
+    ratios (MC over each approximation) are taken from those logs, so
+    they stay defined there."""
 
     u: float
     asympt1: float
@@ -143,17 +143,15 @@ def build_table(spec: ModelSpec, u_list: Sequence[float],
 
     The second-order column uses the density variant by default.  The
     epsilon measure is evaluated for the pair (i, j) = (2, 1) (margins
-    two and one) whenever d >= 2.  The MC column is ``mc_table``'s, so
-    per-threshold seeds derive as seed XOR index.
+    two and one) whenever d >= 2.  The MC column is ``mc_table``'s (seed
+    XOR index per threshold), None where an estimate underflows.
     """
     if len(u_list) == 0:
         raise InvalidParams("u_list must not be empty")
     apxs = [approximate(spec, u, variant) for u in u_list]
-    if mc_options is None:
-        ests = [None] * len(u_list)
-    else:
-        ests = mc_table(spec, u_list, mc_options.n, mc_options.seed,
-                        mc_options.estimator, mc_options.workers)
+    ests = ([None] * len(u_list) if mc_options is None else
+            mc_table(spec, u_list, mc_options.n, mc_options.seed, mc_options.estimator,
+                     mc_options.workers, skip_underflow=True))
     rows = []
     for u, apx, est in zip(u_list, apxs, ests):
         mc_val = mc_err = ratio1 = ratio2 = None

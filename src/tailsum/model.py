@@ -30,7 +30,7 @@ __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
 # Fixed chunk length for sample generation; part of the reproducibility
 # contract (results depend on it, never on the worker count).  The
 # conditional estimator's chunks hold whole RQMC blocks of up to this
-# many points, or one piece of a larger block (see montecarlo).
+# many points, or one piece of a larger block (see rqmc).
 SAMPLE_CHUNK = 1 << 16
 
 

@@ -182,6 +182,19 @@ class TestTableCommand:
         row = out.strip().splitlines()[1].split(",")
         assert row[3] != ""  # mc present
 
+    def test_underflowed_estimate_empties_only_its_mc_cells(self, run_cli):
+        # at u = 1e20 table1's estimate is 0.0 in double precision: that row
+        # keeps its asymptotic columns, the u = 10 row is the one of any
+        # table starting there, and stderr names the threshold
+        args = ("table", "--config", "table1", "--n", "1000", "--u")
+        code, out, err = run_cli(*args, "10,1e20")
+        assert code == 0
+        assert err.splitlines() == ["u=1e+20: MC underflows to 0.0; cells left empty"]
+        _, deep = read_csv(io.StringIO(out))
+        assert (deep.mc, deep.mc_stderr, deep.ratio1, deep.ratio2) == (None,) * 4
+        assert deep.log10_asympt2 == pytest.approx(-462.10, abs=0.005)
+        assert out.splitlines()[1] == run_cli(*args, "10,100")[1].splitlines()[1]
+
     def test_margin_scale_past_the_float_range_exits_0(self, run_cli, tmp_path):
         # at gamma = 0.5, (u/lam)^(1/(beta gamma)) = u^2 overflows at 1e160;
         # the config is valid and used to exit 1 naming an infinite threshold
