@@ -14,7 +14,8 @@ from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, AngularCheck,
                           TailApproximation, angular_reduction_check,
                           approximate, first_order)
 from .diagnostics import (DiagnosticsRow, EpsilonMeasure, McOptions,
-                          build_table, epsilon_measure, rho_hat)
+                          PairConditionRow, build_table, epsilon_measure,
+                          probe_condition_rho, probe_margin_mda_limit, rho_hat)
 from .errors import (DomainError, InvalidParams, NoFiniteLimit,
                      NotPositiveDefinite, QuadratureError, TailsumError,
                      Underflow, WrongRadialLaw)
@@ -24,18 +25,17 @@ from .montecarlo import (ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, MCEstimate,
                          conditional_max_mc, crude_mc, mc_table)
 from .numerics import (CorrelationMatrix, equicorrelation, gamma_function,
                        lognormal_pdf, std_normal_log_tail, std_normal_tail)
-from .radial import (MdaProbeRow, PairConditionRow, RadialLaw, ScalingBundle,
-                     exp_scale, make_radial, probe_condition_rho,
-                     probe_margin_mda_limit, probe_mda_limit,
-                     probe_o_regular_variation)
+from .radial import (MdaProbeRow, RadialLaw, exp_scale, make_radial,
+                     probe_mda_limit, probe_o_regular_variation)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "VARIANT_DENSITY", "VARIANT_LIMIT", "AngularCheck", "TailApproximation",
     "angular_reduction_check", "approximate", "first_order",
-    "DiagnosticsRow", "EpsilonMeasure", "McOptions", "build_table",
-    "epsilon_measure", "rho_hat",
+    "DiagnosticsRow", "EpsilonMeasure", "McOptions", "PairConditionRow",
+    "build_table", "epsilon_measure", "probe_condition_rho",
+    "probe_margin_mda_limit", "rho_hat",
     "TailsumError", "DomainError", "InvalidParams", "NoFiniteLimit",
     "NotPositiveDefinite", "QuadratureError", "Underflow", "WrongRadialLaw",
     "ModelSpec", "SampleBatch", "marginal_pdf", "marginal_tail", "sample",
@@ -44,7 +44,6 @@ __all__ = [
     "conditional_max_mc", "crude_mc", "mc_table",
     "CorrelationMatrix", "equicorrelation", "gamma_function",
     "lognormal_pdf", "std_normal_log_tail", "std_normal_tail",
-    "MdaProbeRow", "PairConditionRow", "RadialLaw", "ScalingBundle",
-    "exp_scale", "make_radial", "probe_condition_rho",
-    "probe_margin_mda_limit", "probe_mda_limit", "probe_o_regular_variation",
+    "MdaProbeRow", "RadialLaw", "exp_scale", "make_radial",
+    "probe_mda_limit", "probe_o_regular_variation",
 ]

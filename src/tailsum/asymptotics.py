@@ -33,9 +33,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DomainError
-from .model import ModelSpec, coordinate_log_tail, marginal_log_pdf, marginal_log_tail
-from .numerics import check_threshold, is_integer_at_least
-from .radial import RadialLaw, ScalingBundle
+from .model import (ModelSpec, _margin_w, coordinate_log_tail, marginal_log_pdf,
+                    marginal_log_tail)
+from .numerics import check_threshold
 
 __all__ = [
     "VARIANT_DENSITY",
@@ -116,13 +116,12 @@ def _log_pair_terms(spec: ModelSpec, u: float, variant: str) -> np.ndarray:
         raise DomainError(f"unknown variant {variant!r}")
     if spec.d == 1:
         return np.full((1, 1), -math.inf)
-    bundle = spec.scaling_bundle()
     margins = range(spec.d)
-    c = [bundle.margin_scale_limit(j) for j in margins]
+    c = [spec.margin_scale_limit(j) for j in margins]
     if variant == VARIANT_DENSITY:
         log_q = [marginal_log_pdf(spec, j, u) for j in margins]
     else:
-        log_q = [marginal_log_tail(spec, j, u) - math.log(bundle.margin_scale(j, u))
+        log_q = [marginal_log_tail(spec, j, u) - math.log(spec.margin_scale(j, u))
                  for j in margins]
     return _log_pair_formula(spec.lam, spec.beta, spec.gamma,
                              spec.sigma.entries, u, c, log_q)
@@ -175,30 +174,30 @@ class AngularCheck:
         return math.exp(self.log_integral - self.log_asymptotic)
 
 
-def angular_reduction_check(law: RadialLaw, lam: float, beta: float,
-                            gamma: float, d: int, u: float) -> AngularCheck:
-    """Compare the marginal-tail coordinate integral with its reduction.
+def angular_reduction_check(spec: ModelSpec, j: int, u: float) -> AngularCheck:
+    """Compare margin j's tail as a sphere-coordinate integral with its
+    reduction, for d >= 2 and u > max(1, lam_j):
 
-    integral   = int_0^1 P(lam * exp(R t beta gamma) > u) h(t) dt
+    integral   = int_0^1 P(lam_j * exp(R t beta_j gamma) > u) h(t) dt
     asymptotic = 2^((d-3)/2) Gamma(d/2)/sqrt(pi)
-                  * (margin_scale(u) / (u log u))^((d-1)/2)
-                  * P(lam * exp(R beta gamma) > u)
+                  * (margin_scale(j, u) / (u log u))^((d-1)/2)
+                  * P(lam_j * exp(R beta_j gamma) > u)
 
     Both sides are formed in log space.  The ratio tends to 1 as u grows;
     returning both sides keeps the evidence inspectable.
     """
-    if not is_integer_at_least(d, 2):
-        raise DomainError(f"the reduction needs an integer d >= 2, got {d!r}")
-    bundle = ScalingBundle(law=law, lam=[lam], beta=[beta], gamma=gamma)
+    d = spec.d
+    if d < 2:
+        raise DomainError(f"the reduction needs d >= 2, got {d}")
     check_threshold(u, 1.0)            # the reduction divides by log u
-    es = bundle.margin_scale(0, u)     # DomainError unless u > lam
-    w = float(math.log(u / lam) / (beta * gamma))
-    log_integral = coordinate_log_tail(law, d, w)
+    es = spec.margin_scale(j, u)       # DomainError unless u > lam_j
+    w = _margin_w(spec, j, u)
+    log_integral = coordinate_log_tail(spec.radial, d, w)
     lu = math.log(u)
     log_asym = ((d - 3) / 2.0 * math.log(2.0) + math.lgamma(d / 2.0)
                 - 0.5 * math.log(math.pi)
                 + (d - 1) / 2.0 * (math.log(es) - lu - math.log(lu))
-                + law.log_tail(w))
+                + spec.radial.log_tail(w))
     return AngularCheck(u=u, integral=math.exp(log_integral),
                         asymptotic=math.exp(log_asym), log_integral=log_integral,
                         log_asymptotic=log_asym)

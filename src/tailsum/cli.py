@@ -28,14 +28,14 @@ from importlib import resources
 
 from .asymptotics import (VARIANT_DENSITY, VARIANT_LIMIT, angular_reduction_check,
                           approximate)
-from .diagnostics import DiagnosticsRow, McOptions, build_table
+from .diagnostics import (DiagnosticsRow, McOptions, build_table, probe_condition_rho,
+                          probe_margin_mda_limit)
 from .errors import (InvalidParams, NoFiniteLimit, NotPositiveDefinite,
                      QuadratureError, TailsumError, Underflow, WrongRadialLaw)
-from .model import ModelSpec, marginal_log_tail
+from .model import ModelSpec
 from .montecarlo import ESTIMATOR_CONDITIONAL, ESTIMATOR_CRUDE, mc_table
 from .numerics import equicorrelation, is_real
-from .radial import (make_radial, probe_condition_rho, probe_margin_mda_limit,
-                     probe_mda_limit, probe_o_regular_variation)
+from .radial import make_radial, probe_mda_limit, probe_o_regular_variation
 
 # InvalidParams, DomainError and json's decode error are ValueErrors
 _CONFIG_ERRORS = (ValueError, KeyError, TypeError, NotPositiveDefinite, WrongRadialLaw)
@@ -75,14 +75,17 @@ class RunConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        def reals(values, key):
-            return tuple(_config_real(v, key) for v in values)
+        def reals(values, key, array_key=None):
+            return tuple(_config_real(v, key) for v in _json_array(values, array_key or key))
 
-        radial = self.radial_params or ((self.d,) if self.radial_kind == "ChiOfDim" else ())
+        radial = (_json_array(self.radial_params, "model.radial.params")
+                  or ((self.d,) if self.radial_kind == "ChiOfDim" else ()))
+        rows = enumerate(_json_array(self.sigma, "model.sigma"))
         for name, value in (
-                ("lam", reals(self.lam or (1.0,) * self.d, "model.lambda")),
-                ("beta", reals(self.beta or (1.0,) * self.d, "model.beta")),
-                ("sigma", tuple(reals(row, "model.sigma") for row in self.sigma)),
+                ("lam", reals(self.lam, "model.lambda") or (1.0,) * self.d),
+                ("beta", reals(self.beta, "model.beta") or (1.0,) * self.d),
+                ("sigma", tuple(reals(row, "model.sigma", f"model.sigma[{i}]")
+                                for i, row in rows)),
                 ("u_list", reals(self.u_list, "u_list")),
                 ("gamma", _config_real(self.gamma, "model.gamma")),
                 ("epsilon_c", _config_real(self.epsilon_c, "epsilon_c")),
@@ -104,13 +107,13 @@ class RunConfig:
         model, mc, output = (_json_object(raw.get(key, {}), key)
                              for key in ("model", "mc", "output"))
         radial = _json_object(model.get("radial", {}), "model.radial")
-        # (section, key, field, conversion or None)
+        # (section, key, field, conversion or None); __post_init__ checks arrays
         keys = ((model, "d", "d", lambda v: _config_int(v, "model.d")),
-                (model, "lambda", "lam", tuple), (model, "beta", "beta", tuple),
+                (model, "lambda", "lam", None), (model, "beta", "beta", None),
                 (model, "gamma", "gamma", None), (model, "rho", "rho", None),
-                (model, "sigma", "sigma", lambda rows: tuple(tuple(r) for r in rows)),
-                (radial, "kind", "radial_kind", None), (raw, "u_list", "u_list", tuple),
-                (radial, "params", "radial_params", tuple),
+                (model, "sigma", "sigma", None),
+                (radial, "kind", "radial_kind", None), (raw, "u_list", "u_list", None),
+                (radial, "params", "radial_params", None),
                 (mc, "estimator", "mc_estimator", None),
                 (mc, "n", "mc_n", lambda v: _config_int(v, "mc.n")),
                 (mc, "seed", "mc_seed", lambda v: _config_int(v, "mc.seed")),
@@ -159,6 +162,13 @@ def _json_object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
     return value
+
+
+def _json_array(value, key: str) -> tuple:
+    """value as a tuple, if a JSON array or a tuple; else ConfigError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a JSON array, got {value!r}")
+    return tuple(value)
 
 
 def _config_int(value, key: str) -> int:
@@ -229,13 +239,20 @@ def write_csv(rows: list[DiagnosticsRow], stream) -> None:
 
 
 def read_csv(stream) -> list[DiagnosticsRow]:
+    """The rows of a ``write_csv`` table; ConfigError naming the line of a
+    missing header, a row of the wrong length or a cell not a number."""
     reader = csv.reader(stream)
-    header = next(reader)
-    if tuple(header) != DiagnosticsRow.FIELDS:
-        raise ConfigError(f"unexpected CSV header {header}")
+    if (header := next(reader, None)) != list(DiagnosticsRow.FIELDS):
+        raise ConfigError(f"line 1: unexpected CSV header {header}")
     rows = []
     for rec in reader:
-        vals = [None if v == "" else float(v) for v in rec]
+        line = f"line {reader.line_num}"
+        if len(rec) != len(header):
+            raise ConfigError(f"{line}: {len(rec)} cells, expected {len(header)}")
+        try:
+            vals = [None if v == "" else float(v) for v in rec]
+        except ValueError as exc:
+            raise ConfigError(f"{line}: {exc}") from None
         rows.append(DiagnosticsRow(**dict(zip(DiagnosticsRow.FIELDS, vals))))
     return rows
 
@@ -328,8 +345,8 @@ def cmd_mc(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     spec = cfg.build_model()
-    bundle = spec.scaling_bundle()
     law = spec.radial
+    scale = max(1.0, float(max(spec.lam)))  # margin probes need u > every lam_j
     print(f"model: d={spec.d}, radial={law!r}")
 
     print("\n[1] radial Gumbel-MDA probe: tail(r+x*b(r))/tail(r) vs exp(-x)")
@@ -342,10 +359,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
               f"{'PASS' if worst < 0.15 else 'WARN'} (threshold 0.15)")
 
     print("\n[2] margin MDA probe: P(X>u+x*e*(u))/P(X>u) vs exp(-x) (margin 1)")
-    for u in (1e4, 1e8):
-        rows = probe_margin_mda_limit(
-            bundle, 0, [u], [-2.0, -1.0, 0.0, 1.0, 2.0],
-            lambda t: marginal_log_tail(spec, 0, t))
+    for u in (1e4 * scale, 1e8 * scale):
+        rows = probe_margin_mda_limit(spec, 0, [u], [-2.0, -1.0, 0.0, 1.0, 2.0])
         worst = max(r.rel_error for r in rows)
         print(f"  u={u:.0e}  max rel err {worst:.4f} "
               f"{'PASS' if worst < 0.15 else 'WARN'} (threshold 0.15)")
@@ -360,8 +375,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if spec.d >= 2:
         print("\n[4] pairwise correlation condition margins (c=1, eps=1; "
               "negative margin = condition holds)")
-        for u in (1e2, 1e4, 1e8):
-            rows = probe_condition_rho(spec.sigma.entries, bundle, u)
+        for u in (1e2 * scale, 1e4 * scale, 1e8 * scale):
+            rows = probe_condition_rho(spec, u)
             worst = max(r.margin for r in rows)
             detail = "  ".join(f"({r.j + 1},{r.i + 1}): {r.margin:+.4f}"
                                for r in rows[:6])
@@ -371,9 +386,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if spec.d >= 2:
         print("\n[5] sphere-coordinate reduction: integral vs asymptotic "
               "(margin 1)")
-        for u in (1e4, 1e8):
-            chk = angular_reduction_check(law, spec.lam[0], spec.beta[0],
-                                          spec.gamma, spec.d, u)
+        for u in (1e4 * scale, 1e8 * scale):
+            chk = angular_reduction_check(spec, 0, u)
             print(f"  u={u:.0e}  log10 integral {chk.log_integral / math.log(10):.6f}  "
                   f"log10 asymptotic {chk.log_asymptotic / math.log(10):.6f}  "
                   f"ratio {chk.ratio:.4f} "

@@ -1,11 +1,14 @@
-"""Heuristic finite-threshold quality measures and table assembly.
+"""Heuristic finite-threshold quality measures, the model's condition
+probes and table assembly.
 
 ``rho_hat`` and ``epsilon_measure`` quantify how far a threshold u is
 from the asymptotic regime: rho_hat is the correlation at which the
 pairwise validity inequality becomes tight, and epsilon solves the
 finite-u version of the pair condition for a caller-supplied slack
-constant c.  ``build_table`` assembles full benchmark rows (threshold,
-both approximations, Monte Carlo, accuracy ratios, and the measures).
+constant c.  ``probe_margin_mda_limit`` and ``probe_condition_rho``
+measure a margin's Gumbel limit and the pair condition at finite u.
+``build_table`` assembles full benchmark rows (threshold, both
+approximations, Monte Carlo, accuracy ratios, and the measures).
 """
 
 from __future__ import annotations
@@ -16,15 +19,17 @@ from typing import Sequence
 
 from .asymptotics import VARIANT_DENSITY, approximate
 from .errors import DomainError, InvalidParams
-from .model import ModelSpec
+from .model import ModelSpec, marginal_log_tail
 from .montecarlo import ESTIMATOR_CONDITIONAL, mc_table
 # perfbench/tracing.py wraps these bindings as layers; kept so that it
 # does not report them absent.
 from .montecarlo import conditional_max_mc, crude_mc  # noqa: F401
-from .numerics import check_margin, check_threshold, is_real
+from .numerics import check_margin, check_real, check_threshold, is_real
+from .radial import MdaProbeRow, _mda_rows, exp_scale
 
 __all__ = ["DiagnosticsRow", "McOptions", "rho_hat", "epsilon_measure",
-           "EpsilonMeasure", "build_table"]
+           "EpsilonMeasure", "PairConditionRow", "probe_margin_mda_limit",
+           "probe_condition_rho", "build_table"]
 
 
 def rho_hat(spec: ModelSpec, j: int, u: float) -> float:
@@ -37,9 +42,7 @@ def rho_hat(spec: ModelSpec, j: int, u: float) -> float:
     """
     check_margin(j, spec.d)
     check_threshold(u, 1.0)
-    bundle = spec.scaling_bundle()
-    es = bundle.margin_scale(j, u)
-    return 1.0 - math.log(u / es) / math.log(u)
+    return 1.0 - math.log(u / spec.margin_scale(j, u)) / math.log(u)
 
 
 @dataclass(frozen=True)
@@ -72,18 +75,68 @@ def epsilon_measure(spec: ModelSpec, i: int, j: int, u: float,
     rho = float(spec.sigma.entries[i, j])
     if not -1.0 < rho < 1.0:
         raise DomainError(f"|rho| must be < 1 for the epsilon measure, got {rho}")
-    bundle = spec.scaling_bundle()
     lu = math.log(u)
-    theta = lu / math.log(u + bundle.exp_scale(u))
+    theta = lu / math.log(u + exp_scale(u, spec.radial))
     slack = math.sqrt(1.0 / (theta * theta) - 1.0)
     lhs = rho + c * math.sqrt(1.0 - rho * rho) * slack
     log_num = (spec.beta[i] / spec.beta[j]) * lu * lhs
-    scale = bundle.margin_scale(i, u)
+    scale = spec.margin_scale(i, u)
     try:
         eps = math.exp(log_num) / scale
     except OverflowError:  # the quotient may still be finite
         eps = _exp_or_inf(log_num - math.log(scale))
     return EpsilonMeasure(epsilon=eps, exp_epsilon=_exp_or_inf(eps))
+
+
+@dataclass(frozen=True)
+class PairConditionRow:
+    j: int
+    i: int
+    lhs: float
+    rhs: float
+
+    @property
+    def margin(self) -> float:
+        """lhs - rhs; negative means the pair condition holds at this u."""
+        return self.lhs - self.rhs
+
+
+def probe_margin_mda_limit(spec: ModelSpec, j: int, u_grid: Sequence[float],
+                           x_grid: Sequence[float]) -> list[MdaProbeRow]:
+    """P(X_j > u + x*margin_scale) / P(X_j > u) against exp(-x), from
+    ``marginal_log_tail`` and ``ModelSpec.margin_scale``."""
+    check_margin(j, spec.d)
+    return _mda_rows(u_grid, x_grid, lambda u: spec.margin_scale(j, u),
+                     lambda t: marginal_log_tail(spec, j, t))
+
+
+def probe_condition_rho(spec: ModelSpec, u: float, c: float = 1.0,
+                        epsilon: float = 1.0) -> list[PairConditionRow]:
+    """Margins of the pairwise correlation condition at threshold u.
+
+    For every ordered pair (i, j), i != j, evaluates
+
+        lhs = sigma_ij + c * sqrt((1 - sigma_ij^2) / log u)
+        rhs = (beta_j / beta_i) * log(epsilon * margin_scale(i, u)) / log u
+
+    The condition behind the first-order expansion requires lhs <= rhs
+    ultimately; a negative margin is evidence it holds at this u.
+    """
+    check_threshold(u, 1.0)
+    check_real(c, "c")
+    check_real(epsilon, "epsilon", 0.0)
+    lu = math.log(u)
+    rows = []
+    for j in range(spec.d):
+        for i in range(spec.d):
+            if i == j:
+                continue
+            sij = float(spec.sigma.entries[i, j])
+            lhs = sij + c * math.sqrt((1.0 - sij * sij) / lu)
+            rhs = ((spec.beta[j] / spec.beta[i])
+                   * math.log(epsilon * spec.margin_scale(i, u)) / lu)
+            rows.append(PairConditionRow(j=j, i=i, lhs=lhs, rhs=rhs))
+    return rows
 
 
 def _exp_or_inf(x: float) -> float:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams, NotPositiveDefinite, WrongRadialLaw
+from .errors import (DomainError, InvalidParams, NoFiniteLimit, NotPositiveDefinite,
+                     WrongRadialLaw)
 from ._kernels import _PASS
 from .numerics import (CorrelationMatrix, _margin_inputs, _sigma_inputs,
-                       adaptive_quad, check_draws, check_margin, check_threshold,
-                       equicorrelation, is_integer_at_least, lognormal_log_pdf,
-                       std_normal_log_tail, std_normal_tail)
-from .radial import RadialLaw, ScalingBundle, make_radial
+                       adaptive_quad, check_draws, check_margin, check_real,
+                       check_threshold, equicorrelation, is_integer_at_least,
+                       lognormal_log_pdf, std_normal_log_tail, std_normal_tail)
+from .radial import RadialLaw, make_radial
 
 __all__ = ["ModelSpec", "SampleBatch", "validate_inputs",
            "marginal_tail", "marginal_log_tail", "marginal_pdf",
@@ -77,9 +78,33 @@ class ModelSpec:
         return cls(d=d, lam=np.ones(d), beta=np.ones(d), gamma=1.0, sigma=sigma,
                    radial=radial or make_radial("ChiOfDim", d))
 
-    def scaling_bundle(self) -> ScalingBundle:
-        return ScalingBundle(law=self.radial, lam=self.lam, beta=self.beta,
-                             gamma=self.gamma)
+    def margin_scale(self, j: int, u: float) -> float:
+        """Scaling of margin j at threshold u.
+
+        beta_j*gamma * u * e(v) / v  with  v = (u/lam_j)^(1/(beta_j*gamma)),
+        where e is the exp(R) scaling, so e(v) / v = b(log v) for the
+        radial scaling b.  Defined for v > 1, i.e. u > lam_j.  Formed from
+        log v, never v itself, so it stays finite where v overflows.
+        """
+        check_margin(j, self.d)
+        if check_real(u, "threshold u") <= self.lam[j]:
+            raise DomainError(
+                f"margin_scale needs u > lam_j (margin {j}: u={u}, lam={self.lam[j]})")
+        bg = self.beta[j] * self.gamma
+        return bg * u * self.radial.scaling(math.log(u / self.lam[j]) / bg)
+
+    def margin_scale_limit(self, j: int) -> float:
+        """Limit c_j = (gamma*beta_j)^2 * kappa of log(u) * margin_scale(j, u)/u,
+        kappa the law's ``scaling_limit``: the quotient is beta_j*gamma *
+        log(u) * b(log v) with log v = log(u/lam_j)/(beta_j*gamma), so lam_j
+        drops out.  NoFiniteLimit naming the law when kappa is infinite."""
+        check_margin(j, self.d)
+        kappa = self.radial.scaling_limit
+        if math.isinf(kappa):
+            raise NoFiniteLimit(
+                f"the {self.radial!r} radial law has r * b(r) -> inf, so the "
+                f"margin scaling limit c_{j} does not exist")
+        return (self.gamma * self.beta[j]) ** 2 * kappa
 
     def is_gaussian_copula(self) -> bool:
         """The one test for the closed forms: log-risks jointly Gaussian."""

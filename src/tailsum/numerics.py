@@ -91,12 +91,11 @@ def check_draws(n, seed, least: int = 1) -> tuple[int, int]:
 _SIGMA_TOL = 1e-12
 
 
-def _margin_inputs(d: int | None, lam, beta,
+def _margin_inputs(d: int, lam, beta,
                    gamma) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """lam and beta as 1-D float arrays, and the broken invariants of lam,
-    beta and gamma: ModelSpec, ScalingBundle and the pair correction raise
-    with them, ``validate_inputs`` reports them.  ``d`` is the number of
-    margins, None for the length of lam.  Every entry of lam and beta, and
+    beta and gamma for d margins: ModelSpec raises with them,
+    ``validate_inputs`` reports them.  Every entry of lam and beta, and
     gamma, must be real by ``is_real`` before it is converted, so a string
     such as "1" is rejected, not parsed; a lam or beta with such an entry
     comes back as an object array."""
@@ -105,7 +104,6 @@ def _margin_inputs(d: int | None, lam, beta,
     for name, what, value in (("lam", "scale factors", lam),
                               ("beta", "exponents", beta)):
         arr = np.atleast_1d(np.asarray(value, dtype=object))
-        d = len(arr) if d is None else d
         if all(is_real(item) for item in arr.flat):
             arr = arr.astype(float)
             if arr.shape != (d,):

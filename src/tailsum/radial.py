@@ -16,12 +16,13 @@ Three kinds are provided:
   kappa is 0 for tau > 2, scale^2/2 for tau = 2 and infinite for tau < 2.
 * ``LognormalLogRadius``      -- R itself log-normal.  In the Gumbel
   domain, but its induced scaling grows superlinearly: kappa is infinite
-  and ``margin_scale_limit`` raises NoFiniteLimit.
+  and ``ModelSpec.margin_scale_limit`` raises NoFiniteLimit.
 
 The derived scalings follow the threshold transform of the model: with
 ``scaling`` the radial scaling function b, ``exp_scale(u) = u * b(log u)``
-is the scaling of exp(R), and ``ScalingBundle.margin_scale`` applies the
-per-margin power/scale transform.
+is the scaling of exp(R), and ``ModelSpec.margin_scale`` applies the
+per-margin power/scale transform.  The probes here read the law alone;
+those of a model's margins are in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -34,20 +35,16 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, InvalidParams, NoFiniteLimit
-from .numerics import (_LOG_SQRT_2PI, _margin_inputs, _sigma_inputs, check_margin,
-                       check_real, check_threshold, is_real, std_normal_log_tail)
+from .errors import InvalidParams
+from .numerics import (_LOG_SQRT_2PI, check_real, check_threshold, is_real,
+                       std_normal_log_tail)
 
 __all__ = [
     "RadialLaw",
-    "ScalingBundle",
     "MdaProbeRow",
-    "PairConditionRow",
     "make_radial",
     "exp_scale",
     "probe_mda_limit",
-    "probe_margin_mda_limit",
-    "probe_condition_rho",
     "probe_o_regular_variation",
 ]
 
@@ -229,63 +226,6 @@ def exp_scale(u: float, law: RadialLaw) -> float:
     return u * law.scaling(math.log(u))
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingBundle:
-    """Per-margin scaling functions derived from a radial law.
-
-    Margins are indexed 0..d-1 and are described by positive scale
-    factors ``lam``, positive exponents ``beta`` and a common positive
-    ``gamma``: margin j is lam[j] * exp(R * A * U)_j ** (beta[j]*gamma).
-    """
-
-    law: RadialLaw
-    lam: np.ndarray
-    beta: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        lam, beta, problems = _margin_inputs(None, self.lam, self.beta,
-                                             self.gamma)
-        if not isinstance(self.law, RadialLaw):
-            problems.append(f"law must be a RadialLaw, got {self.law!r}")
-        if problems:
-            raise InvalidParams("; ".join(problems))
-        lam.setflags(write=False)
-        beta.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "beta", beta)
-
-    def exp_scale(self, u: float) -> float:
-        return exp_scale(u, self.law)
-
-    def margin_scale(self, j: int, u: float) -> float:
-        """Scaling of margin j at threshold u.
-
-        beta_j*gamma * u * e(v) / v  with  v = (u/lam_j)^(1/(beta_j*gamma)),
-        where e is the exp(R) scaling, so e(v) / v = b(log v) for the
-        radial scaling b.  Defined for v > 1, i.e. u > lam_j.  Formed from
-        log v, never v itself, so it stays finite where v overflows.
-        """
-        check_margin(j, len(self.lam))
-        if check_real(u, "threshold u") <= self.lam[j]:
-            raise DomainError(
-                f"margin_scale needs u > lam_j (margin {j}: u={u}, lam={self.lam[j]})")
-        bg = self.beta[j] * self.gamma
-        return bg * u * self.law.scaling(math.log(u / self.lam[j]) / bg)
-
-    def margin_scale_limit(self, j: int) -> float:
-        """Limit c_j = (gamma*beta_j)^2 * kappa of log(u) * margin_scale(j, u)/u,
-        kappa the law's ``scaling_limit``: the quotient is beta_j*gamma *
-        log(u) * b(log v) with log v = log(u/lam_j)/(beta_j*gamma), so lam_j
-        drops out.  NoFiniteLimit naming the law when kappa is infinite."""
-        kappa = self.law.scaling_limit
-        if math.isinf(kappa):
-            raise NoFiniteLimit(
-                f"the {self.law!r} radial law has r * b(r) -> inf, so the "
-                f"margin scaling limit c_{j} does not exist")
-        return (self.gamma * self.beta[j]) ** 2 * kappa
-
-
 # ---------------------------------------------------------------------------
 # Condition probes.  Probes return measured numbers, never verdicts; the
 # asymptotic conditions can only be sampled at finite u.
@@ -301,19 +241,6 @@ class MdaProbeRow:
     @property
     def rel_error(self) -> float:
         return abs(self.ratio - self.target) / self.target
-
-
-@dataclass(frozen=True)
-class PairConditionRow:
-    j: int
-    i: int
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        """lhs - rhs; negative means the pair condition holds at this u."""
-        return self.lhs - self.rhs
 
 
 def _mda_rows(u_grid: Sequence[float], x_grid: Sequence[float],
@@ -336,52 +263,6 @@ def probe_mda_limit(law: RadialLaw, u_grid: Sequence[float],
                     x_grid: Sequence[float]) -> list[MdaProbeRow]:
     """tail(u + x*scaling(u)) / tail(u) against exp(-x) on a grid."""
     return _mda_rows(u_grid, x_grid, law.scaling, law.log_tail)
-
-
-def probe_margin_mda_limit(bundle: ScalingBundle, j: int, u_grid: Sequence[float],
-                           x_grid: Sequence[float],
-                           log_tail: Callable[[float], float]) -> list[MdaProbeRow]:
-    """P(X_j > u + x*margin_scale) / P(X_j > u) against exp(-x).
-
-    ``log_tail`` is the margin's log tail function (the model module
-    provides it); the bundle supplies the margin scaling.
-    """
-    return _mda_rows(u_grid, x_grid, lambda u: bundle.margin_scale(j, u),
-                     log_tail)
-
-
-def probe_condition_rho(sigma: np.ndarray, bundle: ScalingBundle, u: float,
-                        c: float = 1.0, epsilon: float = 1.0) -> list[PairConditionRow]:
-    """Margins of the pairwise correlation condition at threshold u.
-
-    For every ordered pair (i, j), i != j, evaluates
-
-        lhs = sigma_ij + c * sqrt((1 - sigma_ij^2) / log u)
-        rhs = (beta_j / beta_i) * log(epsilon * margin_scale(i, u)) / log u
-
-    The condition behind the first-order expansion requires lhs <= rhs
-    ultimately; a negative margin is evidence it holds at this u.
-    """
-    check_threshold(u, 1.0)
-    check_real(c, "c")
-    check_real(epsilon, "epsilon", 0.0)
-    lu = math.log(u)
-    d = len(bundle.lam)
-    sigma, problems = _sigma_inputs(sigma, d)
-    if problems:
-        raise InvalidParams("; ".join(problems))
-    rows = []
-    for j in range(d):
-        for i in range(d):
-            if i == j:
-                continue
-            sij = float(sigma[i, j])
-            lhs = sij + c * math.sqrt((1.0 - sij * sij) / lu)
-            rhs = (bundle.beta[j] / bundle.beta[i]) * math.log(
-                epsilon * bundle.margin_scale(i, u)
-            ) / lu
-            rows.append(PairConditionRow(j=j, i=i, lhs=lhs, rhs=rhs))
-    return rows
 
 
 def probe_o_regular_variation(law: RadialLaw, u_grid: Sequence[float],

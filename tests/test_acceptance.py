@@ -17,10 +17,9 @@ import pytest
 from reference_tables import (TABLE_1, TABLES, matches_printed,
                               printed_quantum)
 from tailsum import (ModelSpec, approximate, angular_reduction_check,
-                     conditional_max_mc, crude_mc, make_radial,
-                     probe_margin_mda_limit, rho_hat)
+                     conditional_max_mc, crude_mc, probe_margin_mda_limit,
+                     rho_hat)
 from tailsum.cli import main
-from tailsum.model import marginal_log_tail
 from test_asymptotics import (equicorrelated_library_correction,
                               equicorrelated_oracle)
 from test_montecarlo import sum_tail_dblquad
@@ -160,13 +159,10 @@ def test_criterion_07_small_instance_oracle_equivalence():
 
 
 def test_criterion_08_margin_mda_limit():
-    spec = SPECS[0.0]
-    bundle = spec.scaling_bundle()
     xs = [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def worst(u):
-        rows = probe_margin_mda_limit(bundle, 0, [u], xs,
-                                      lambda t: marginal_log_tail(spec, 0, t))
+        rows = probe_margin_mda_limit(SPECS[0.0], 0, [u], xs)
         return max(r.rel_error for r in rows)
 
     lo, hi = worst(1e4), worst(1e8)
@@ -178,9 +174,9 @@ def test_criterion_08_margin_mda_limit():
 
 def test_criterion_09_angular_reduction():
     start = time.perf_counter()
-    law = make_radial("ChiOfDim", 3)
-    lo = angular_reduction_check(law, 1.0, 1.0, 1.0, 3, 1e4)
-    hi = angular_reduction_check(law, 1.0, 1.0, 1.0, 3, 1e8)
+    spec = ModelSpec.standard(3, 0.0)
+    lo = angular_reduction_check(spec, 0, 1e4)
+    hi = angular_reduction_check(spec, 0, 1e8)
     elapsed = time.perf_counter() - start
     assert 0.85 <= hi.ratio <= 1.15, f"ratio {hi.ratio:.4f} outside band"
     assert abs(hi.ratio - 1.0) < abs(lo.ratio - 1.0)

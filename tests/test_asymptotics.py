@@ -13,8 +13,8 @@ from tailsum import (CorrelationMatrix, DomainError, InvalidParams, ModelSpec,
                      VARIANT_DENSITY, VARIANT_LIMIT, angular_reduction_check,
                      approximate, first_order, make_radial, marginal_tail)
 from tailsum.asymptotics import _log_pair_formula, _log_total, log_first_order
+from tailsum.model import coordinate_log_tail
 from tailsum.numerics import lognormal_log_pdf
-from tailsum.radial import ScalingBundle
 
 mp.mp.dps = 40
 
@@ -211,7 +211,7 @@ _THRESHOLD_ENTRY_POINTS = {
     "log_equicorrelated_correction":
         lambda u: approximate(ModelSpec.standard(2, 0.5), u).log_correction,
     "angular_reduction_check": lambda u: angular_reduction_check(
-        make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0, 3, u),
+        ModelSpec.standard(3, 0.0), 0, u),
 }
 
 
@@ -407,20 +407,19 @@ class TestWeibullChiEquivalence:
 
 class TestAngularReduction:
     def test_d3_band_and_convergence(self):
-        law = make_radial("ChiOfDim", 3)
-        lo = angular_reduction_check(law, 1.0, 1.0, 1.0, 3, 1e4)
-        hi = angular_reduction_check(law, 1.0, 1.0, 1.0, 3, 1e8)
+        spec = ModelSpec.standard(3, 0.0)
+        lo = angular_reduction_check(spec, 0, 1e4)
+        hi = angular_reduction_check(spec, 0, 1e8)
         assert 0.85 <= hi.ratio <= 1.15
         assert abs(hi.ratio - 1.0) < abs(lo.ratio - 1.0)
 
     def test_d3_prefactor_is_half(self):
         # 2^0 Gamma(3/2)/sqrt(pi) = 1/2
-        law = make_radial("ChiOfDim", 3)
+        spec = ModelSpec.standard(3, 0.0)
         u = 1e6
-        chk = angular_reduction_check(law, 1.0, 1.0, 1.0, 3, u)
-        bundle = ScalingBundle(law=law, lam=[1.0], beta=[1.0], gamma=1.0)
-        es = bundle.margin_scale(0, u)
-        tail = math.exp(law.log_tail(math.log(u)))
+        chk = angular_reduction_check(spec, 0, u)
+        es = spec.margin_scale(0, u)
+        tail = math.exp(spec.radial.log_tail(math.log(u)))
         prefac = chk.asymptotic / ((es / (u * math.log(u))) * tail)
         assert prefac == pytest.approx(0.5, rel=1e-12)
 
@@ -428,42 +427,44 @@ class TestAngularReduction:
         # the integral side is exactly the sphere-coordinate marginal tail
         law = make_radial("WeibullTail", 2.0, math.sqrt(2.0))
         spec = ModelSpec.standard(2, 0.0, radial=law)
-        chk = angular_reduction_check(law, 1.0, 1.0, 1.0, 2, 50.0)
+        chk = angular_reduction_check(spec, 0, 50.0)
         assert chk.integral == pytest.approx(marginal_tail(spec, 0, 50.0), rel=1e-9)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
-    def test_rejects_bad_margin_parameter(self, name, value):
-        params = {"lam": 1.0, "beta": 1.0, "gamma": 1.0, name: value}
-        rule = "finite" if not math.isfinite(value) else "positive"
-        with pytest.raises(InvalidParams, match=f"{name} must be {rule}"):
-            angular_reduction_check(make_radial("ChiOfDim", 3), d=3, u=1e4,
-                                    **params)
+    def test_reads_the_margin_it_is_given(self):
+        # margin 1 has lam 1 and beta 0.5, so its coordinate threshold is
+        # w = log(u) / 0.5; margin 0's is log(u / 3)
+        spec = ModelSpec(d=2, lam=[3.0, 1.0], beta=[1.0, 0.5], gamma=1.0,
+                         sigma=np.eye(2), radial=make_radial("ChiOfDim", 3))
+        chk = angular_reduction_check(spec, 1, 1e4)
+        w = math.log(1e4) / 0.5
+        assert chk.log_integral == coordinate_log_tail(spec.radial, 2, w)
+        assert chk.log_integral != angular_reduction_check(spec, 0, 1e4).log_integral
 
     def test_threshold_domain(self):
-        law = make_radial("ChiOfDim", 2)
+        spec = ModelSpec(d=2, lam=[2.0, 0.5], beta=[1.0, 1.0], gamma=1.0,
+                         sigma=np.eye(2), radial=make_radial("ChiOfDim", 2))
         with pytest.raises(DomainError, match="needs u > lam_j"):
-            angular_reduction_check(law, 2.0, 1.0, 1.0, 2, 1.5)
+            angular_reduction_check(spec, 0, 1.5)
         # above the scale factor but below 1, where log u <= 0
         with pytest.raises(DomainError, match=r"finite and > 1, got 0\.8"):
-            angular_reduction_check(law, 0.5, 1.0, 1.0, 2, 0.8)
+            angular_reduction_check(spec, 1, 0.8)
 
-    def test_radial_must_be_a_radial_law(self):
-        with pytest.raises(InvalidParams, match="law must be a RadialLaw"):
-            angular_reduction_check("ChiOfDim", 1.0, 1.0, 1.0, 2, 10.0)
+    @pytest.mark.parametrize("j", [-1, 2, 1.0, "0"])
+    def test_margin_index_follows_integer_rule(self, j):
+        with pytest.raises(DomainError, match="margin index"):
+            angular_reduction_check(ModelSpec.standard(2, 0.0), j, 1e4)
 
-    @pytest.mark.parametrize("d", [2.5, 3.0, True, 1, "3"])
-    def test_dimension_follows_integer_rule(self, d):
-        with pytest.raises(DomainError, match="needs an integer d >= 2"):
-            angular_reduction_check(make_radial("ChiOfDim", 3), 1.0, 1.0, 1.0,
-                                    d, 1e4)
+    def test_one_margin_has_no_reduction(self):
+        spec = ModelSpec.standard(1, 0.0, radial=make_radial("ChiOfDim", 3))
+        with pytest.raises(DomainError, match="needs d >= 2, got 1"):
+            angular_reduction_check(spec, 0, 1e4)
 
     @pytest.mark.parametrize("u, ratio", [(1e4, 0.99941), (1e8, 0.99993)])
     def test_ratio_from_the_logs_where_both_sides_underflow(self, u, ratio):
         # WeibullTail(3) at d = 2: both sides are below 1e-308, where the
         # linear check returned 0/0 = nan
-        chk = angular_reduction_check(make_radial("WeibullTail", 3.0), 1.0, 1.0,
-                                      1.0, 2, u)
+        spec = ModelSpec.standard(2, 0.0, radial=make_radial("WeibullTail", 3.0))
+        chk = angular_reduction_check(spec, 0, u)
         assert chk.integral == 0.0 and chk.asymptotic == 0.0
         assert chk.ratio == pytest.approx(ratio, abs=5e-6)
         for value in (chk.integral, chk.asymptotic, chk.log_integral,
@@ -471,6 +472,5 @@ class TestAngularReduction:
             assert type(value) is float
 
     def test_d2_band(self):
-        law = make_radial("ChiOfDim", 2)
-        chk = angular_reduction_check(law, 1.0, 1.0, 1.0, 2, 1e8)
+        chk = angular_reduction_check(ModelSpec.standard(2, 0.0), 0, 1e8)
         assert 0.85 <= chk.ratio <= 1.15

@@ -499,6 +499,21 @@ class TestVerifyCommand:
         section = out.split("[5]")[1]
         assert section.count("PASS") == 2
 
+    def test_large_scale_factors_run_every_probe(self, run_cli, tmp_path):
+        # the margin probes' thresholds were fixed at 1e2 to 1e8, so at
+        # lam = 1e5 the margin scaling raised "needs u > lam_j" after [1]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"model": {"d": 2, "lambda": [1e5, 1e5],
+                                              "rho": 0.5}}))
+        code, out, err = run_cli("verify", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert all(f"[{k}]" in out for k in range(1, 6))
+        # every threshold is scaled by max(1, max lam) = 1e5
+        section = out.split("[4]")[1].split("[5]")[0]
+        assert [line.split()[0] for line in section.splitlines()[1:] if line] == [
+            "u=1e+07", "u=1e+09", "u=1e+13"]
+        assert "nan" not in out
+
 
 class TestConfigIntegers:
     @pytest.mark.parametrize("section, key, value", [
@@ -583,6 +598,57 @@ class TestConfigReals:
         assert code == 1
         assert f"needs a finite rho in (-1.000, 1), got {rho!r}" in err
         assert "positive definite" not in err
+
+
+class TestConfigArrays:
+    @pytest.mark.parametrize("keys, value, message", [
+        (("model", "lambda"), 5, "model.lambda must be a JSON array, got 5"),
+        (("model", "lambda"), "ab", "model.lambda must be a JSON array, got 'ab'"),
+        (("model", "beta"), 1.0, "model.beta must be a JSON array, got 1.0"),
+        (("model", "sigma"), 5, "model.sigma must be a JSON array, got 5"),
+        (("model", "sigma"), [[1.0, 0.5], 0.5],
+         "model.sigma[1] must be a JSON array, got 0.5"),
+        (("u_list",), 10, "u_list must be a JSON array, got 10"),
+        (("u_list",), "10", "u_list must be a JSON array, got '10'"),
+        (("model", "radial", "params"), 2,
+         "model.radial.params must be a JSON array, got 2"),
+        (("model", "radial", "params"), {"d": 2},
+         "model.radial.params must be a JSON array, got {'d': 2}"),
+    ], ids=["lambda-int", "lambda-str", "beta-float", "sigma-int", "sigma-row",
+            "u_list-int", "u_list-str", "params-int", "params-object"])
+    def test_scalar_for_an_array_exits_1_naming_the_key(self, run_cli, tmp_path,
+                                                         keys, value, message):
+        # a number raised "'int' object is not iterable", naming no key, and
+        # a string was read letter by letter
+        raw = load_config("table3").to_dict()
+        section = raw
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli("table", "--config", str(path), "--no-mc")
+        assert (code, out, err) == (1, "", f"invalid config: {message}\n")
+
+
+class TestReadCsv:
+    HEADER = ",".join(DiagnosticsRow.FIELDS) + "\n"
+    ROW = "10," + ",".join(["0.5"] * (len(DiagnosticsRow.FIELDS) - 1)) + "\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", r"^line 1: unexpected CSV header None$"),
+        ("u,mc\n", r"^line 1: unexpected CSV header \['u', 'mc'\]$"),
+        (HEADER + ROW + "10,0.5\n", r"^line 3: 2 cells, expected 12$"),
+        (HEADER + "\n" + ROW, r"^line 2: 0 cells, expected 12$"),
+        (HEADER + ROW.replace("10,", "ten,"),
+         r"^line 2: could not convert string to float: 'ten'$"),
+    ], ids=["empty", "header", "short_row", "blank_line", "not_a_number"])
+    def test_malformed_input_names_the_line(self, text, message):
+        # these raised StopIteration, TypeError or ValueError
+        from tailsum.cli import ConfigError
+
+        with pytest.raises(ConfigError, match=message):
+            read_csv(io.StringIO(text))
 
 
 @pytest.fixture()

@@ -276,7 +276,7 @@ class TestCorrelationMatrix:
 
 def _helper_calls():
     """Each public helper with one argument left open, by name."""
-    from tailsum import (ScalingBundle, probe_condition_rho, probe_margin_mda_limit,
+    from tailsum import (ModelSpec, probe_condition_rho, probe_margin_mda_limit,
                          probe_mda_limit, probe_o_regular_variation)
 
     laws = {"ChiOfDim(2)": make_radial("ChiOfDim", 2),
@@ -284,8 +284,7 @@ def _helper_calls():
             "WeibullTail(2)": make_radial("WeibullTail", 2.0),
             "LognormalLogRadius": make_radial("LognormalLogRadius")}
     chi = laws["ChiOfDim(2)"]
-    bundle = ScalingBundle(law=chi, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0)
-    sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
+    spec = ModelSpec.standard(2, 0.5, radial=chi)
     calls = {
         "std_normal_tail": std_normal_tail,
         "std_normal_log_tail": std_normal_log_tail,
@@ -293,15 +292,16 @@ def _helper_calls():
         "lognormal_pdf-mu": lambda v: lognormal_pdf(1.0, v),
         "lognormal_pdf-sigma": lambda v: lognormal_pdf(1.0, 0.0, v),
         "gamma_function": gamma_function,
-        "margin_scale-u": lambda v: bundle.margin_scale(0, v),
-        "margin_scale-j": lambda v: bundle.margin_scale(v, 10.0),
-        "probe_condition_rho-c": lambda v: probe_condition_rho(sigma, bundle, 100.0, c=v),
+        "margin_scale-u": lambda v: spec.margin_scale(0, v),
+        "margin_scale-j": lambda v: spec.margin_scale(v, 10.0),
+        "margin_scale_limit-j": spec.margin_scale_limit,
+        "probe_condition_rho-c": lambda v: probe_condition_rho(spec, 100.0, c=v),
         "probe_condition_rho-epsilon":
-            lambda v: probe_condition_rho(sigma, bundle, 100.0, epsilon=v),
+            lambda v: probe_condition_rho(spec, 100.0, epsilon=v),
         "probe_mda_limit-u": lambda v: probe_mda_limit(chi, [v], [0.0]),
         "probe_mda_limit-x": lambda v: probe_mda_limit(chi, [8.0], [v]),
         "probe_margin_mda_limit-x": lambda v: probe_margin_mda_limit(
-            bundle, 0, [100.0], [v], lambda t: std_normal_log_tail(math.log(t))),
+            spec, 0, [100.0], [v]),
         "probe_o_regular_variation": lambda v: probe_o_regular_variation(chi, [v]),
     }
     for name, law in laws.items():
@@ -326,10 +326,12 @@ def test_helpers_reject_what_is_not_a_finite_real(helper, value):
 
 @pytest.mark.parametrize("helper, value", [
     ("margin_scale-j", -1), ("margin_scale-j", 2), ("margin_scale-j", 1.0),
+    ("margin_scale_limit-j", -1), ("margin_scale_limit-j", 2),
     ("probe_condition_rho-epsilon", 0.0), ("gamma_function", 0.0),
     ("lognormal_pdf", 0.0), ("lognormal_pdf-sigma", -1.0)])
 def test_helpers_reject_finite_values_outside_their_domain(helper, value):
-    # margin index -1 used to read the last margin, and epsilon = 0 to raise
-    # ValueError: math domain error
+    # margin index -1 used to read the last margin (margin_scale_limit's
+    # too, and 2 raised IndexError), and epsilon = 0 to raise ValueError:
+    # math domain error
     with pytest.raises(DomainError):
         _HELPERS[helper](value)

@@ -9,12 +9,22 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tailsum import (DomainError, InvalidParams, NoFiniteLimit, ScalingBundle,
+from tailsum import (DomainError, InvalidParams, ModelSpec, NoFiniteLimit,
                      exp_scale, make_radial, probe_condition_rho,
-                     probe_mda_limit, probe_o_regular_variation)
+                     probe_margin_mda_limit, probe_mda_limit,
+                     probe_o_regular_variation)
 from tailsum.numerics import adaptive_quad, equicorrelation, lognormal_log_pdf
 
 mp.mp.dps = 40
+
+
+def margin_spec(law=None, lam=(1.0,), beta=(1.0,), gamma=1.0, rho=0.0):
+    """A model with the given margins, equicorrelated at rho."""
+    d = len(lam)
+    return ModelSpec(d=d, lam=list(lam), beta=list(beta), gamma=gamma,
+                     sigma=equicorrelation(d, rho),
+                     radial=law or make_radial("ChiOfDim", 2))
+
 
 ALL_LAWS = [
     make_radial("ChiOfDim", 2),
@@ -161,13 +171,8 @@ class TestMakeRadial:
 
 class TestMarginMdaProbe:
     def test_lognormal_margin_ratio_bands(self):
-        from tailsum import ModelSpec, probe_margin_mda_limit
-        from tailsum.model import marginal_log_tail
-
-        spec = ModelSpec.standard(2, 0.0)
-        bundle = spec.scaling_bundle()
-        rows = probe_margin_mda_limit(bundle, 0, [1e8], [1.0, -2.0],
-                                      lambda t: marginal_log_tail(spec, 0, t))
+        rows = probe_margin_mda_limit(ModelSpec.standard(2, 0.0), 0, [1e8],
+                                      [1.0, -2.0])
         up, down = rows
         assert abs(up.ratio - math.exp(-1.0)) / math.exp(-1.0) < 0.07
         assert abs(down.ratio - math.exp(2.0)) / math.exp(2.0) < 0.15
@@ -214,59 +219,41 @@ class TestExpScale:
         assert ratios[-1] < 0.05
 
 
-class TestScalingBundle:
-    def bundle(self, law=None, lam=(1.0,), beta=(1.0,), gamma=1.0):
-        return ScalingBundle(law=law or make_radial("ChiOfDim", 2),
-                             lam=list(lam), beta=list(beta), gamma=gamma)
-
-    @pytest.mark.parametrize("law", ["ChiOfDim", None, 2.0])
-    def test_law_must_be_a_radial_law(self, law):
-        # it used to build, and fail later with an AttributeError
-        with pytest.raises(InvalidParams, match="^law must be a RadialLaw, got "):
-            ScalingBundle(law=law, lam=[1.0], beta=[1.0], gamma=1.0)
-
+class TestMarginScale:
     def test_standard_margin_scale(self):
-        b = self.bundle()
+        b = margin_spec()
         assert b.margin_scale(0, 10.0) == pytest.approx(10.0 / math.log(10.0), rel=1e-14)
         assert b.margin_scale(0, 50.0) == pytest.approx(50.0 / math.log(50.0), rel=1e-14)
 
     def test_scale_factor_shift(self):
-        b = self.bundle(lam=(2.0,))
+        b = margin_spec(lam=(2.0,))
         expected = 100.0 / (math.log(100.0) - math.log(2.0))
         assert b.margin_scale(0, 100.0) == pytest.approx(expected, rel=1e-12)
         assert b.margin_scale(0, 100.0) == pytest.approx(25.5622218635, rel=1e-10)
 
     def test_reduces_to_exp_scale(self):
-        b = self.bundle()
+        b = margin_spec()
         for u in np.geomspace(10.0, 1e10, 20):
-            assert b.margin_scale(0, u) == pytest.approx(b.exp_scale(u), rel=1e-14)
+            assert b.margin_scale(0, u) == pytest.approx(exp_scale(u, b.radial),
+                                                         rel=1e-14)
 
     def test_margin_scale_domain(self):
-        b = self.bundle(lam=(2.0,))
-        with pytest.raises(Exception):
+        b = margin_spec(lam=(2.0,))
+        with pytest.raises(DomainError, match="needs u > lam_j"):
             b.margin_scale(0, 1.5)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
-    def test_rejects_bad_margin_parameter(self, name, value):
-        params = {"lam": (1.0,), "beta": (1.0,), "gamma": 1.0}
-        params[name] = value if name == "gamma" else (value,)
-        rule = "finite" if not math.isfinite(value) else "positive"
-        with pytest.raises(InvalidParams, match=f"{name} must be {rule}"):
-            self.bundle(**params)
 
     @pytest.mark.parametrize("u", [1e100, 1e160, 1e300])
     def test_finite_where_the_power_of_u_overflows(self, u):
         # v = (u/lam)^(1/(beta gamma)) = u^2 passes 1.8e308 from u = 1.4e154;
         # the scaling is formed from log v, so it stays the closed form
-        b = self.bundle(gamma=0.5)
+        b = margin_spec(gamma=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scale = b.margin_scale(0, u)
         assert scale == pytest.approx(0.25 * u / math.log(u), rel=1e-14)
 
     def test_lognormal_closed_form_any_beta(self):
-        b = self.bundle(lam=(1.5,), beta=(2.0,), gamma=0.5)
+        b = margin_spec(lam=(1.5,), beta=(2.0,), gamma=0.5)
         u = 300.0
         expected = (2.0 * 0.5) ** 2 * u / (math.log(u) - math.log(1.5))
         assert b.margin_scale(0, u) == pytest.approx(expected, rel=1e-12)
@@ -274,32 +261,29 @@ class TestScalingBundle:
 
 class TestMarginScaleLimit:
     def test_lognormal_closed_form(self):
-        assert ScalingBundle(make_radial("ChiOfDim", 2), [1.0], [1.0],
-                             1.0).margin_scale_limit(0) == 1.0
-        assert ScalingBundle(make_radial("ChiOfDim", 2), [1.0], [2.0],
-                             0.5).margin_scale_limit(0) == 1.0
-        assert ScalingBundle(make_radial("ChiOfDim", 3), [1.0], [3.0],
-                             1.0).margin_scale_limit(0) == 9.0
+        assert margin_spec().margin_scale_limit(0) == 1.0
+        assert margin_spec(beta=(2.0,), gamma=0.5).margin_scale_limit(0) == 1.0
+        assert margin_spec(make_radial("ChiOfDim", 3),
+                           beta=(3.0,)).margin_scale_limit(0) == 9.0
 
     def test_weibull3_limit_is_zero(self):
-        b = ScalingBundle(make_radial("WeibullTail", 3.0), [1.0], [1.0], 1.0)
+        b = margin_spec(make_radial("WeibullTail", 3.0))
         assert b.margin_scale_limit(0) == pytest.approx(0.0, abs=1e-6)
 
     def test_probe_agrees_with_closed_form(self):
         # WeibullTail(2, sqrt 2) is ChiOfDim(2) in disguise: its
         # kappa = scale^2/2 must give the chi limit 1, whatever lam
-        b = ScalingBundle(make_radial("WeibullTail", 2.0, math.sqrt(2.0)),
-                          [1.0], [1.0], 1.0)
+        b = margin_spec(make_radial("WeibullTail", 2.0, math.sqrt(2.0)))
         assert b.margin_scale_limit(0) == pytest.approx(1.0, rel=1e-9)
-        b2 = ScalingBundle(make_radial("WeibullTail", 2.0, math.sqrt(2.0)),
-                           [2.0], [1.0], 1.0)
+        b2 = margin_spec(make_radial("WeibullTail", 2.0, math.sqrt(2.0)),
+                         lam=(2.0,))
         assert b2.margin_scale_limit(0) == pytest.approx(1.0, rel=5e-3)
 
     def test_diverging_probes_raise(self):
-        heavy = ScalingBundle(make_radial("LognormalLogRadius"), [1.0], [1.0], 1.0)
+        heavy = margin_spec(make_radial("LognormalLogRadius"))
         with pytest.raises(NoFiniteLimit):
             heavy.margin_scale_limit(0)
-        slow = ScalingBundle(make_radial("WeibullTail", 1.0), [1.0], [1.0], 1.0)
+        slow = margin_spec(make_radial("WeibullTail", 1.0))
         with pytest.raises(NoFiniteLimit):
             slow.margin_scale_limit(0)
 
@@ -315,14 +299,14 @@ class TestMarginScaleLimit:
     ], ids=repr)
     def test_limit_is_gamma_beta_squared_times_kappa(self, law, kappa):
         assert law.scaling_limit == kappa
-        lam, beta, gamma = [0.5, 2.0, 10.0], [1.0, 0.7, 1.3], 1.2
-        bundle = ScalingBundle(law, lam, beta, gamma)
+        gamma = 1.2
+        spec = margin_spec(law, [0.5, 2.0, 10.0], [1.0, 0.7, 1.3], gamma)
         for j in range(3):
             if math.isinf(kappa):
                 with pytest.raises(NoFiniteLimit, match=re.escape(repr(law))):
-                    bundle.margin_scale_limit(j)
+                    spec.margin_scale_limit(j)
             else:
-                assert bundle.margin_scale_limit(j) == (gamma * beta[j]) ** 2 * kappa
+                assert spec.margin_scale_limit(j) == (gamma * spec.beta[j]) ** 2 * kappa
 
     @pytest.mark.parametrize("law", [make_radial("WeibullTail", 2.0),
                                      make_radial("WeibullTail", 2.0, math.sqrt(2.0)),
@@ -343,13 +327,9 @@ class TestMarginScaleLimit:
 
 
 class TestConditionProbe:
-    def bundle(self):
-        return ScalingBundle(make_radial("ChiOfDim", 2), [1.0, 1.0],
-                             [1.0, 1.0], 1.0)
-
     def test_independent_case_holds_at_100(self):
-        sigma = np.eye(2)
-        rows = probe_condition_rho(sigma, self.bundle(), 100.0, c=1.0, epsilon=1.0)
+        rows = probe_condition_rho(ModelSpec.standard(2, 0.0), 100.0, c=1.0,
+                                   epsilon=1.0)
         lu = math.log(100.0)
         expected = 1.0 / math.sqrt(lu) - math.log(100.0 / lu) / lu
         for row in rows:
@@ -360,32 +340,31 @@ class TestConditionProbe:
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, u):
         with pytest.raises(DomainError, match="threshold u must be finite"):
-            probe_condition_rho(np.eye(2), self.bundle(), u)
+            probe_condition_rho(ModelSpec.standard(2, 0.0), u)
 
-    @pytest.mark.parametrize("sigma, match", [
-        ([["1", "0.5"], ["0.5", "1"]], "sigma entries must be real numbers"),
-        ([[1.0, 0.5], [0.5]], "sigma must be a 2x2 matrix"),
-        (np.eye(3), "sigma must be a 2x2 matrix"),
-    ], ids=["strings", "ragged", "wrong_size"])
-    def test_sigma_checked_before_it_is_read(self, sigma, match):
-        with pytest.raises(InvalidParams, match=match):
-            probe_condition_rho(sigma, self.bundle(), 100.0)
-
-    def test_correlation_matrix_accepted(self):
-        rows = probe_condition_rho(equicorrelation(2, 0.5), self.bundle(), 100.0)
-        assert rows == probe_condition_rho(np.array([[1.0, 0.5], [0.5, 1.0]]),
-                                           self.bundle(), 100.0)
+    def test_one_row_per_ordered_pair_of_the_sorted_margins(self):
+        # beta = (2, 1, 1.5) is stored as (2, 1.5, 1): the rows read the
+        # model's own sigma and margins, in its order
+        spec = margin_spec(lam=[1.0, 1.0, 1.0], beta=[2.0, 1.0, 1.5], rho=0.3)
+        rows = probe_condition_rho(spec, 100.0)
+        assert [(r.j, r.i) for r in rows] == [(j, i) for j in range(3)
+                                               for i in range(3) if i != j]
+        lu = math.log(100.0)
+        for r in rows:
+            rhs = spec.beta[r.j] / spec.beta[r.i] * math.log(
+                spec.margin_scale(r.i, 100.0)) / lu
+            assert r.rhs == rhs
+            assert r.lhs == 0.3 + math.sqrt((1.0 - 0.09) / lu)
 
     def test_high_correlation_fails_at_100(self):
-        sigma = np.array([[1.0, 0.99], [0.99, 1.0]])
-        rows = probe_condition_rho(sigma, self.bundle(), 100.0, c=1.0, epsilon=1.0)
+        rows = probe_condition_rho(ModelSpec.standard(2, 0.99), 100.0, c=1.0,
+                                   epsilon=1.0)
         assert all(row.margin > 0 for row in rows)
 
     def test_margin_monotone_in_correlation(self):
         u = 100.0
         margins = []
         for rho in [-0.9, -0.5, 0.0, 0.5, 0.9]:
-            sigma = np.array([[1.0, rho], [rho, 1.0]])
-            rows = probe_condition_rho(sigma, self.bundle(), u)
+            rows = probe_condition_rho(ModelSpec.standard(2, rho), u)
             margins.append(rows[0].margin)
         assert all(a < b for a, b in zip(margins, margins[1:]))
