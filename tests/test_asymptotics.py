@@ -440,6 +440,19 @@ class TestAngularReduction:
         assert chk.log_integral == coordinate_log_tail(spec.radial, 2, w)
         assert chk.log_integral != angular_reduction_check(spec, 0, 1e4).log_integral
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["lam", "beta", "gamma"])
+    def test_rejects_bad_margin_parameter(self, name, value):
+        # the check reads the margins from the model, whose constructor
+        # applies the rule
+        params = {"lam": [1.0] * 3, "beta": [1.0] * 3, "gamma": 1.0}
+        params[name] = value if name == "gamma" else [value, 1.0, 1.0]
+        rule = "finite" if not math.isfinite(value) else "positive"
+        with pytest.raises(InvalidParams, match=f"{name} must be {rule}"):
+            angular_reduction_check(
+                ModelSpec(d=3, sigma=np.eye(3), radial=make_radial("ChiOfDim", 3),
+                          **params), 0, 1e4)
+
     def test_threshold_domain(self):
         spec = ModelSpec(d=2, lam=[2.0, 0.5], beta=[1.0, 1.0], gamma=1.0,
                          sigma=np.eye(2), radial=make_radial("ChiOfDim", 2))
@@ -449,15 +462,29 @@ class TestAngularReduction:
         with pytest.raises(DomainError, match=r"finite and > 1, got 0\.8"):
             angular_reduction_check(spec, 1, 0.8)
 
+    def test_radial_must_be_a_radial_law(self):
+        with pytest.raises(InvalidParams, match="radial must be a RadialLaw"):
+            angular_reduction_check(
+                ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                          sigma=np.eye(2), radial="ChiOfDim"), 0, 10.0)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, 1, "3"])
+    def test_dimension_follows_integer_rule(self, d):
+        # d is the model's: its constructor refuses a d that is not an
+        # integer, and the check refuses d = 1, which has no reduction
+        one = type(d) is int and d == 1
+        m = 1 if one else 3
+        match = "needs d >= 2, got 1" if one else "dimension must be an integer"
+        with pytest.raises((DomainError, InvalidParams), match=match):
+            angular_reduction_check(
+                ModelSpec(d=d, lam=[1.0] * m, beta=[1.0] * m, gamma=1.0,
+                          sigma=np.eye(m), radial=make_radial("ChiOfDim", 3)),
+                0, 1e4)
+
     @pytest.mark.parametrize("j", [-1, 2, 1.0, "0"])
     def test_margin_index_follows_integer_rule(self, j):
         with pytest.raises(DomainError, match="margin index"):
             angular_reduction_check(ModelSpec.standard(2, 0.0), j, 1e4)
-
-    def test_one_margin_has_no_reduction(self):
-        spec = ModelSpec.standard(1, 0.0, radial=make_radial("ChiOfDim", 3))
-        with pytest.raises(DomainError, match="needs d >= 2, got 1"):
-            angular_reduction_check(spec, 0, 1e4)
 
     @pytest.mark.parametrize("u, ratio", [(1e4, 0.99941), (1e8, 0.99993)])
     def test_ratio_from_the_logs_where_both_sides_underflow(self, u, ratio):

@@ -356,6 +356,26 @@ class TestConditionProbe:
             assert r.rhs == rhs
             assert r.lhs == 0.3 + math.sqrt((1.0 - 0.09) / lu)
 
+    @pytest.mark.parametrize("sigma, match", [
+        ([["1", "0.5"], ["0.5", "1"]], "sigma entries must be real numbers"),
+        ([[1.0, 0.5], [0.5]], "sigma must be a 2x2 matrix"),
+        (np.eye(3), "sigma must be a 2x2 matrix"),
+    ], ids=["strings", "ragged", "wrong_size"])
+    def test_sigma_checked_before_it_is_read(self, sigma, match):
+        # the probe reads spec.sigma, so a bad matrix stops at the model
+        with pytest.raises(InvalidParams, match=match):
+            probe_condition_rho(ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0],
+                                          gamma=1.0, sigma=sigma,
+                                          radial=make_radial("ChiOfDim", 2)),
+                                100.0)
+
+    def test_correlation_matrix_accepted(self):
+        raw = np.array([[1.0, 0.5], [0.5, 1.0]])
+        a, b = (ModelSpec(d=2, lam=[1.0, 1.0], beta=[1.0, 1.0], gamma=1.0,
+                          sigma=sigma, radial=make_radial("ChiOfDim", 2))
+                for sigma in (equicorrelation(2, 0.5), raw))
+        assert probe_condition_rho(a, 100.0) == probe_condition_rho(b, 100.0)
+
     def test_high_correlation_fails_at_100(self):
         rows = probe_condition_rho(ModelSpec.standard(2, 0.99), 100.0, c=1.0,
                                    epsilon=1.0)
